@@ -100,7 +100,7 @@ RunResult RunOnce(int threads, uint64_t events, size_t ring_capacity, bool loss_
       // one mutex-protected step and must not count against the hot path.
       ConcurrentFrontend::Producer* p = frontend.RegisterProducer();
       const uint64_t base_key = 1'000'000ull * static_cast<uint64_t>(t + 1);
-      p->OnTaskRegistered(base_key, /*background=*/false);
+      p->Push(TraceEvent::TaskRegistered(base_key, /*background=*/false, /*cancellable=*/true));
       ready.fetch_add(1, std::memory_order_acq_rel);
       while (!go.load(std::memory_order_acquire)) {
       }
@@ -109,13 +109,13 @@ RunResult RunOnce(int threads, uint64_t events, size_t ring_capacity, bool loss_
         // catches up. spins-then-yield keeps the 1-core case live.
         for (uint64_t i = 1; i + 1 < per_thread; i += 2) {
           int spins = 0;
-          while (!p->OnGet(base_key, lock, 1)) {
+          while (!p->Push(TraceEvent::Get(base_key, lock, 1))) {
             if (++spins > 64) {
               std::this_thread::yield();
             }
           }
           spins = 0;
-          while (!p->OnFree(base_key, lock, 1)) {
+          while (!p->Push(TraceEvent::Free(base_key, lock, 1))) {
             if (++spins > 64) {
               std::this_thread::yield();
             }
@@ -123,12 +123,12 @@ RunResult RunOnce(int threads, uint64_t events, size_t ring_capacity, bool loss_
         }
       } else {
         for (uint64_t i = 1; i + 1 < per_thread; i += 2) {
-          p->OnGet(base_key, lock, 1);
-          p->OnFree(base_key, lock, 1);
+          p->Push(TraceEvent::Get(base_key, lock, 1));
+          p->Push(TraceEvent::Free(base_key, lock, 1));
         }
       }
       int spins = 0;
-      while (!p->OnTaskFreed(base_key) && loss_free) {
+      while (!p->Push(TraceEvent::TaskFreed(base_key)) && loss_free) {
         if (++spins > 64) {
           std::this_thread::yield();
         }

@@ -65,29 +65,6 @@ EventRing::EventRing(size_t capacity) : slots_(RoundUpPow2(std::max<size_t>(capa
   mask_ = slots_.size() - 1;
 }
 
-bool EventRing::Push(const TraceEvent& ev) {
-  const uint64_t tail = tail_.load(std::memory_order_relaxed);
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  if (tail - head >= slots_.size()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  slots_[tail & mask_] = ev;
-  tail_.store(tail + 1, std::memory_order_release);
-  return true;
-}
-
-bool EventRing::TryPop(TraceEvent* out) {
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  if (head == tail) {
-    return false;
-  }
-  *out = slots_[head & mask_];
-  head_.store(head + 1, std::memory_order_release);
-  return true;
-}
-
 size_t EventRing::PopBatch(TraceEvent* out, size_t max) {
   const uint64_t head = head_.load(std::memory_order_relaxed);
   const uint64_t tail = tail_.load(std::memory_order_acquire);
@@ -122,105 +99,12 @@ bool ConcurrentFrontend::Producer::Push(TraceEvent ev) {
   return ring_.Push(ev);
 }
 
-bool ConcurrentFrontend::Producer::OnTaskRegistered(uint64_t key, bool background,
-                                                    bool cancellable) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kTaskRegistered;
-  ev.key = key;
-  ev.background = background;
-  ev.cancellable = cancellable;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnTaskFreed(uint64_t key) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kTaskFreed;
-  ev.key = key;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnGet(uint64_t key, ResourceId resource, uint64_t amount) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kGet;
-  ev.key = key;
-  ev.resource = resource;
-  ev.a = amount;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnFree(uint64_t key, ResourceId resource, uint64_t amount) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kFree;
-  ev.key = key;
-  ev.resource = resource;
-  ev.a = amount;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnWaitBegin(uint64_t key, ResourceId resource) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kWaitBegin;
-  ev.key = key;
-  ev.resource = resource;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnWaitEnd(uint64_t key, ResourceId resource) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kWaitEnd;
-  ev.key = key;
-  ev.resource = resource;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnRequestStart(uint64_t key, int request_type,
-                                                  int client_class) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kRequestStart;
-  ev.key = key;
-  ev.request_type = request_type;
-  ev.client_class = client_class;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnRequestEnd(uint64_t key, TimeMicros latency,
-                                                int request_type, int client_class) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kRequestEnd;
-  ev.key = key;
-  ev.a = latency;
-  ev.request_type = request_type;
-  ev.client_class = client_class;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnUsage(uint64_t key, ResourceId resource, TimeMicros waited,
-                                           TimeMicros used) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kUsage;
-  ev.key = key;
-  ev.resource = resource;
-  ev.a = waited;
-  ev.b = used;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnProgress(uint64_t key, uint64_t done, uint64_t total) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kProgress;
-  ev.key = key;
-  ev.a = done;
-  ev.b = total;
-  return Push(ev);
-}
-
 // ---- ConcurrentFrontend ----------------------------------------------------
 
 ConcurrentFrontend::ConcurrentFrontend(Clock* clock, AtroposConfig config, Options options)
     : instance_id_(g_next_frontend_id.fetch_add(1, std::memory_order_relaxed)),
       clock_(clock),
-      replay_clock_(clock),
-      runtime_(&replay_clock_, config),
+      runtime_(clock, config),
       options_(options) {
   std::lock_guard<std::mutex> lock(FrontendRegistryMu());
   FrontendRegistry().emplace(instance_id_, this);
@@ -265,36 +149,36 @@ ConcurrentFrontend::Producer* ConcurrentFrontend::ThisThreadProducer() {
 }
 
 void ConcurrentFrontend::OnTaskRegistered(uint64_t key, bool background, bool cancellable) {
-  ThisThreadProducer()->OnTaskRegistered(key, background, cancellable);
+  ThisThreadProducer()->Push(TraceEvent::TaskRegistered(key, background, cancellable));
 }
 void ConcurrentFrontend::OnTaskFreed(uint64_t key) {
-  ThisThreadProducer()->OnTaskFreed(key);
+  ThisThreadProducer()->Push(TraceEvent::TaskFreed(key));
 }
 void ConcurrentFrontend::OnGet(uint64_t key, ResourceId resource, uint64_t amount) {
-  ThisThreadProducer()->OnGet(key, resource, amount);
+  ThisThreadProducer()->Push(TraceEvent::Get(key, resource, amount));
 }
 void ConcurrentFrontend::OnFree(uint64_t key, ResourceId resource, uint64_t amount) {
-  ThisThreadProducer()->OnFree(key, resource, amount);
+  ThisThreadProducer()->Push(TraceEvent::Free(key, resource, amount));
 }
 void ConcurrentFrontend::OnWaitBegin(uint64_t key, ResourceId resource) {
-  ThisThreadProducer()->OnWaitBegin(key, resource);
+  ThisThreadProducer()->Push(TraceEvent::WaitBegin(key, resource));
 }
 void ConcurrentFrontend::OnWaitEnd(uint64_t key, ResourceId resource) {
-  ThisThreadProducer()->OnWaitEnd(key, resource);
+  ThisThreadProducer()->Push(TraceEvent::WaitEnd(key, resource));
 }
 void ConcurrentFrontend::OnRequestStart(uint64_t key, int request_type, int client_class) {
-  ThisThreadProducer()->OnRequestStart(key, request_type, client_class);
+  ThisThreadProducer()->Push(TraceEvent::RequestStart(key, request_type, client_class));
 }
 void ConcurrentFrontend::OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
                                       int client_class) {
-  ThisThreadProducer()->OnRequestEnd(key, latency, request_type, client_class);
+  ThisThreadProducer()->Push(TraceEvent::RequestEnd(key, latency, request_type, client_class));
 }
 void ConcurrentFrontend::OnUsage(uint64_t key, ResourceId resource, TimeMicros waited,
                                  TimeMicros used) {
-  ThisThreadProducer()->OnUsage(key, resource, waited, used);
+  ThisThreadProducer()->Push(TraceEvent::Usage(key, resource, waited, used));
 }
 void ConcurrentFrontend::OnProgress(uint64_t key, uint64_t done, uint64_t total) {
-  ThisThreadProducer()->OnProgress(key, done, total);
+  ThisThreadProducer()->Push(TraceEvent::Progress(key, done, total));
 }
 
 void ConcurrentFrontend::BindMetrics(MetricsRegistry* metrics) {
@@ -308,44 +192,8 @@ void ConcurrentFrontend::BindMetrics(MetricsRegistry* metrics) {
   producers_gauge_ = metrics->GetGauge("intake.producers");
 }
 
-void ConcurrentFrontend::Apply(const TraceEvent& ev) {
-  replay_clock_.BeginReplay(ev.time);
-  switch (ev.kind) {
-    case TraceEventKind::kTaskRegistered:
-      runtime_.OnTaskRegistered(ev.key, ev.background, ev.cancellable);
-      break;
-    case TraceEventKind::kTaskFreed:
-      runtime_.OnTaskFreed(ev.key);
-      break;
-    case TraceEventKind::kGet:
-      runtime_.OnGet(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kFree:
-      runtime_.OnFree(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kWaitBegin:
-      runtime_.OnWaitBegin(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kWaitEnd:
-      runtime_.OnWaitEnd(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kRequestStart:
-      runtime_.OnRequestStart(ev.key, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kRequestEnd:
-      runtime_.OnRequestEnd(ev.key, ev.a, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kUsage:
-      runtime_.OnUsage(ev.key, ev.resource, ev.a, ev.b);
-      break;
-    case TraceEventKind::kProgress:
-      runtime_.OnProgress(ev.key, ev.a, ev.b);
-      break;
-  }
-}
-
 void ConcurrentFrontend::Tick() {
-  drain_buf_.clear();
+  size_t drained = 0;
   uint64_t max_depth = 0;
   uint64_t dropped = 0;
   size_t producer_count = 0;
@@ -363,16 +211,18 @@ void ConcurrentFrontend::Tick() {
       // the next Tick — removing on a post-drain observation could free a
       // ring that still holds events pushed just before the exit.
       const bool retired = p->retired_.load(std::memory_order_acquire);
-      const size_t before = drain_buf_.size();
-      // Batched drain: each PopBatch is one acquire/release pair and at most
-      // two memcpy spans, instead of a fence pair per event.
-      constexpr size_t kChunk = 256;
-      TraceEvent chunk[kChunk];
-      size_t n;
-      while ((n = p->ring_.PopBatch(chunk, kChunk)) > 0) {
-        drain_buf_.insert(drain_buf_.end(), chunk, chunk + n);
+      // Pop the ring straight into its own run: the ring is FIFO with
+      // nondecreasing stamps, so the run is already sorted.
+      const size_t available = p->ring_.SizeApprox();
+      if (drain_buf_.size() < drained + available) {
+        drain_buf_.resize(drained + available);
       }
-      max_depth = std::max<uint64_t>(max_depth, drain_buf_.size() - before);
+      const size_t n = p->ring_.PopBatch(drain_buf_.data() + drained, available);
+      if (n > 0) {
+        runs_.push_back(Run{drained, drained + n});
+        drained += n;
+      }
+      max_depth = std::max<uint64_t>(max_depth, n);
       if (retired) {
         retired_dropped_ += p->ring_.dropped();
         producers_retired_++;
@@ -388,19 +238,10 @@ void ConcurrentFrontend::Tick() {
     retired_count = producers_retired_;
   }
 
-  // Stable merge: rings are FIFO with per-ring monotone stamps, so a stable
-  // sort by time yields global timestamp order with ties broken by producer
-  // registration order — the same deterministic order the determinism test
-  // feeds a bare runtime in.
-  std::stable_sort(drain_buf_.begin(), drain_buf_.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.time < b.time; });
-  for (const TraceEvent& ev : drain_buf_) {
-    Apply(ev);
-  }
-  replay_clock_.EndReplay();
+  ApplyMerged();
 
-  intake_.drained_last_tick = drain_buf_.size();
-  intake_.drained_total += drain_buf_.size();
+  intake_.drained_last_tick = drained;
+  intake_.drained_total += drained;
   intake_.dropped_total = dropped;
   intake_.max_ring_depth = max_depth;
   intake_.producers = producer_count;
@@ -408,12 +249,38 @@ void ConcurrentFrontend::Tick() {
   intake_.producers_retired = retired_count;
   if (ring_depth_gauge_ != nullptr) {
     ring_depth_gauge_->Set(static_cast<double>(max_depth));
-    drained_gauge_->Set(static_cast<double>(intake_.drained_last_tick));
+    drained_gauge_->Set(static_cast<double>(drained));
     dropped_gauge_->Set(static_cast<double>(dropped));
     producers_gauge_->Set(static_cast<double>(producer_count));
   }
 
   runtime_.Tick();
+}
+
+// atropos-lint: alloc-free
+void ConcurrentFrontend::ApplyMerged() {
+  // Each round applies the earliest head, ties to the lower run index (the
+  // earlier-registered producer), and drops a run once it is empty.
+  while (runs_.size() > 1) {
+    size_t c = 0;
+    for (size_t r = 1; r < runs_.size(); r++) {
+      if (drain_buf_[runs_[r].next].time < drain_buf_[runs_[c].next].time) {
+        c = r;
+      }
+    }
+    Run& run = runs_[c];
+    runtime_.Apply(drain_buf_[run.next++]);
+    if (run.next == run.end) {
+      runs_.erase(runs_.begin() + static_cast<ptrdiff_t>(c));
+    }
+  }
+  // The last run (k == 1, or what outlived the others) needs no comparisons.
+  if (!runs_.empty()) {
+    for (size_t i = runs_[0].next; i < runs_[0].end; i++) {
+      runtime_.Apply(drain_buf_[i]);
+    }
+    runs_.clear();
+  }
 }
 
 }  // namespace atropos

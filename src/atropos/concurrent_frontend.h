@@ -10,9 +10,9 @@
 // ConcurrentFrontend bridges the two worlds:
 //
 //   app thread 1 ──► EventRing (SPSC) ─┐
-//   app thread 2 ──► EventRing (SPSC) ─┼─► Tick(): merge by timestamp,
-//   app thread N ──► EventRing (SPSC) ─┘   replay into AtroposRuntime,
-//                                          then run the control loop
+//   app thread 2 ──► EventRing (SPSC) ─┼─► Tick(): k-way merge by timestamp
+//   app thread N ──► EventRing (SPSC) ─┘   into AtroposRuntime::Apply, then
+//                                          run the control loop
 //
 // Each producer thread owns one fixed-capacity single-producer/single-
 // consumer ring of POD TraceEvents. The hot path is one clock read plus one
@@ -21,14 +21,22 @@
 // with-counter): under the overload conditions Atropos exists for, losing a
 // trace event is strictly better than blocking an application thread.
 //
-// Timestamps are taken at enqueue, not at drain. The drainer replays each
-// event through a ReplayClock that presents the enqueue-time clock reading
-// to the runtime, so wait/hold attribution and the §3.2 sampled/per-event
-// timestamp semantics are exactly those of an application that had called
-// the runtime directly at the moment the event happened. Drain order is a
-// stable timestamp merge across rings, which makes the pipeline
-// deterministic: the same events produce byte-for-byte the same decision
-// stream as single-threaded feeding (proved by concurrent_frontend_test).
+// Timestamps are taken once, at enqueue, and travel as data. A slot holds
+// the raw clock reading its producer took, and AtroposRuntime::Apply hands
+// that stamp to the ledger and window as the event's `now`. Wait/hold
+// attribution and the §3.2 sampled/per-event semantics are therefore those
+// of an application that had called the runtime directly at the moment the
+// event happened; drain latency never moves a stamp. The stamp stays raw:
+// the ledger quantizes it in sampled mode, never the producer.
+//
+// Drain order is a k-way merge. Tick() pops each ring straight into its own
+// run of a reusable buffer; a ring is FIFO with nondecreasing stamps, so each
+// run is already sorted. The runs are merged by (time, producer registration
+// index), which is the order a stable sort by time of the runs concatenated
+// in registration order gives, and a single non-empty run is applied as is.
+// No step allocates once the buffer has reached its high-water mark. The
+// pipeline is deterministic: the same events produce byte-for-byte the same
+// decision stream as single-threaded feeding (concurrent_frontend_test).
 //
 // Threading contract:
 //   - Instrumentation hooks: any thread; each calling thread is bound to its
@@ -52,67 +60,44 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "src/atropos/config.h"
 #include "src/atropos/controller.h"
 #include "src/atropos/malthusian_mutex.h"
 #include "src/atropos/runtime.h"
+#include "src/atropos/trace_event.h"
 #include "src/common/clock.h"
 #include "src/common/thread_annotations.h"
 #include "src/obs/metrics.h"
 
 namespace atropos {
 
-// One instrumentation call, flattened to a fixed-size POD so ring slots are
-// trivially copyable and the producer path never allocates.
-enum class TraceEventKind : uint8_t {
-  kTaskRegistered = 0,
-  kTaskFreed = 1,
-  kGet = 2,
-  kFree = 3,
-  kWaitBegin = 4,
-  kWaitEnd = 5,
-  kRequestStart = 6,
-  kRequestEnd = 7,
-  kUsage = 8,
-  kProgress = 9,
-};
-
-struct TraceEvent {
-  TimeMicros time = 0;  // clock reading at enqueue (§3.2 attribution)
-  uint64_t key = 0;
-  uint64_t a = 0;  // amount | waited | done | latency, by kind
-  uint64_t b = 0;  // used | total, by kind
-  ResourceId resource = kInvalidResourceId;
-  int32_t request_type = 0;
-  int32_t client_class = 0;
-  TraceEventKind kind = TraceEventKind::kGet;
-  bool background = false;
-  bool cancellable = true;
-};
-static_assert(std::is_trivially_copyable_v<TraceEvent>,
-              "ring slots must be memcpy-able");
-
 // Fixed-capacity single-producer/single-consumer ring. Push is producer-
-// thread-only, TryPop consumer-thread-only; the two sides synchronize through
+// thread-only, PopBatch consumer-thread-only; the two sides synchronize through
 // the head/tail indices (release on publish, acquire on read). A full ring
 // drops the event and counts it — producers never block.
 class EventRing {
  public:
   explicit EventRing(size_t capacity);
 
-  // Producer side. Returns false (and counts the drop) when full.
-  bool Push(const TraceEvent& ev);
+  // Producer side. Returns false (and counts the drop) when full. Inline so
+  // it folds into each producer hook.
+  bool Push(const TraceEvent& ev) {
+    const uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const uint64_t head = head_.load(std::memory_order_acquire);
+    if (tail - head >= slots_.size()) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    slots_[tail & mask_] = ev;
+    tail_.store(tail + 1, std::memory_order_release);
+    return true;
+  }
 
-  // Consumer side. Returns false when empty.
-  bool TryPop(TraceEvent* out);
-
-  // Consumer side, batched: pops up to `max` events into `out`, returning the
-  // number popped. One acquire load of the published tail and at most two
-  // memcpy spans (wrap-around), then a single release store of the head —
-  // amortizing the per-event fence traffic TryPop pays.
+  // Consumer side: pops up to `max` events into `out`, returning the number
+  // popped. One acquire load of the published tail and at most two memcpy
+  // spans (wrap-around), then a single release store of the head.
   size_t PopBatch(TraceEvent* out, size_t max);
 
   // Racy-but-monotone observations, safe from any thread.
@@ -128,29 +113,6 @@ class EventRing {
   alignas(64) std::atomic<uint64_t> tail_{0};  // next write (producer-owned)
   alignas(64) std::atomic<uint64_t> head_{0};  // next read (consumer-owned)
   alignas(64) std::atomic<uint64_t> dropped_{0};
-};
-
-// Clock wrapper the frontend hands to its runtime: during drain it presents
-// the event's enqueue-time reading, otherwise it delegates to the real clock.
-// Only the drainer thread touches the replay state.
-class ReplayClock final : public Clock {
- public:
-  explicit ReplayClock(Clock* real) : real_(real) {}
-
-  TimeMicros NowMicros() const override {
-    return replaying_ ? replay_time_ : real_->NowMicros();
-  }
-
-  void BeginReplay(TimeMicros t) {
-    replaying_ = true;
-    replay_time_ = t;
-  }
-  void EndReplay() { replaying_ = false; }
-
- private:
-  Clock* real_;
-  bool replaying_ = false;
-  TimeMicros replay_time_ = 0;
 };
 
 class ConcurrentFrontend final : public OverloadController {
@@ -172,29 +134,20 @@ class ConcurrentFrontend final : public OverloadController {
   // handles are held explicitly; the OverloadController hooks below bind the
   // calling thread automatically instead). Handles stay valid for the
   // frontend's lifetime. Thread-safe.
-  // Each hook returns true when the event reached the ring and false when a
-  // full ring dropped (and counted) it — callers that need loss-free delivery
-  // (benchmarks, batch loaders) can retry on false as backpressure; the
-  // OverloadController facade below ignores the result (lossy-with-counter).
   class Producer {
    public:
-    bool OnTaskRegistered(uint64_t key, bool background, bool cancellable = true);
-    bool OnTaskFreed(uint64_t key);
-    bool OnGet(uint64_t key, ResourceId resource, uint64_t amount);
-    bool OnFree(uint64_t key, ResourceId resource, uint64_t amount);
-    bool OnWaitBegin(uint64_t key, ResourceId resource);
-    bool OnWaitEnd(uint64_t key, ResourceId resource);
-    bool OnRequestStart(uint64_t key, int request_type, int client_class);
-    bool OnRequestEnd(uint64_t key, TimeMicros latency, int request_type, int client_class);
-    bool OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used);
-    bool OnProgress(uint64_t key, uint64_t done, uint64_t total);
+    // Stamps `ev.time` with the current clock reading and enqueues the event.
+    // Returns true when it reached the ring and false when a full ring
+    // dropped (and counted) it — callers that need loss-free delivery
+    // (benchmarks, batch loaders) can retry on false as backpressure; the
+    // OverloadController facade below ignores the result (lossy-with-counter).
+    bool Push(TraceEvent ev);
 
     uint64_t dropped() const { return ring_.dropped(); }
 
    private:
     friend class ConcurrentFrontend;
     Producer(Clock* clock, size_t ring_capacity) : clock_(clock), ring_(ring_capacity) {}
-    bool Push(TraceEvent ev);
 
     Clock* clock_;
     EventRing ring_;
@@ -230,9 +183,9 @@ class ConcurrentFrontend final : public OverloadController {
   void BindMetrics(MetricsRegistry* metrics);
 
   // ---- Drainer thread -----------------------------------------------------
-  // Drains all rings in one stable timestamp merge, replays the events into
-  // the runtime at their enqueue-time clock readings, then runs the
-  // runtime's control loop for the closing window.
+  // Drains all rings, applies their events to the runtime in one k-way
+  // timestamp merge, then runs the runtime's control loop for the closing
+  // window.
   void Tick() override ATROPOS_EXCLUDES(registry_mu_);
 
   bool ReexecutionRecommended() const override {  // drainer thread only
@@ -267,11 +220,12 @@ class ConcurrentFrontend final : public OverloadController {
   // frontend registry lock, so `p` cannot be concurrently destroyed). Lock-
   // free on the frontend itself: a single release store.
   void RetireProducer(Producer* p) { p->retired_.store(true, std::memory_order_release); }
-  void Apply(const TraceEvent& ev);
+  // Applies the drained runs to the runtime in (time, run index) order and
+  // empties runs_.
+  void ApplyMerged();
 
   const uint64_t instance_id_;  // never reused; keys the thread-local cache
   Clock* clock_;
-  ReplayClock replay_clock_;
   AtroposRuntime runtime_;
   Options options_;
 
@@ -287,8 +241,15 @@ class ConcurrentFrontend final : public OverloadController {
   // monotone across retirements.
   uint64_t retired_dropped_ ATROPOS_GUARDED_BY(registry_mu_) = 0;
 
-  // Drainer-thread state.
+  // Drainer-thread state. drain_buf_ only grows (to the high-water mark of
+  // one Tick's events); runs_ holds one [next, end) range of it per
+  // non-empty ring, in registration order.
+  struct Run {
+    size_t next;
+    size_t end;
+  };
   std::vector<TraceEvent> drain_buf_;
+  std::vector<Run> runs_;
   IntakeStats intake_;
   Gauge* ring_depth_gauge_ = nullptr;
   Gauge* drained_gauge_ = nullptr;

@@ -16,8 +16,8 @@ enum class PolicyKind {
 
 // Timestamping mode for the tracing APIs (§3.2 overhead discussion).
 enum class TimestampMode {
-  kSampled = 0,   // one clock read per sampling interval, shared by all events
-  kPerEvent = 1,  // clock read on every tracing call (during suspected overload)
+  kSampled = 0,   // ledger quantizes event stamps to the sampling interval
+  kPerEvent = 1,  // every event keeps its own stamp (during suspected overload)
 };
 
 struct AtroposConfig {
@@ -72,7 +72,7 @@ struct AtroposConfig {
   PolicyKind policy = PolicyKind::kMultiObjective;
 
   TimestampMode timestamp_mode = TimestampMode::kSampled;
-  // In sampled mode, how often a fresh timestamp is taken.
+  // In sampled mode, the quantum the ledger rounds event stamps down to.
   TimeMicros timestamp_sample_interval = Millis(1);
 
   // Candidates whose predicted future resource gain is insignificant are

@@ -15,9 +15,13 @@ double FutureFactor(double progress) {
 
 }  // namespace
 
-Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
-                                      TimeMicros window_start, TimeMicros now) {
-  Output out;
+const Estimator::Output& Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
+                                             TimeMicros window_start, TimeMicros now) {
+  Output& out = out_;
+  out.all_resources.clear();
+  out.policy_input.resources.clear();
+  out.policy_input.candidates.clear();
+  out.resource_overload = false;
   const size_t resource_count = ledger.resource_count();
 
   // ---- Per-resource window wait/hold: closed intervals were folded into
@@ -25,11 +29,8 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
   // live tasks, clipped to this window. Deltas are dense (indexed by
   // resource slot = id - 1); untouched usage cells are all-zero and
   // contribute nothing, exactly like absent map entries did.
-  struct Delta {
-    TimeMicros wait = 0;
-    TimeMicros hold = 0;
-  };
-  std::vector<Delta> deltas(resource_count);
+  deltas_.assign(resource_count, Delta{});
+  Delta* deltas = deltas_.data();  // a raw pointer keeps the loop free of reloads
   for (uint32_t slot = ledger.live_head(); slot != TaskLedger::kNilSlot;
        slot = ledger.next_live(slot)) {
     const TaskResourceUsage* row = ledger.usage_row(slot);

@@ -10,6 +10,7 @@
 #define SRC_ATROPOS_ESTIMATOR_H_
 
 #include <map>
+#include <vector>
 
 #include "src/atropos/accounting.h"
 #include "src/atropos/config.h"
@@ -49,10 +50,20 @@ class Estimator {
   // bounded and per-resource. `window_start` clips the open wait/hold
   // intervals of live tasks to this window; closed intervals are expected in
   // the resources' window counters.
-  Output Estimate(TaskLedger& ledger, TimeMicros exec_time, TimeMicros window_start,
-                  TimeMicros now);
+  //
+  // The result lives in the estimator and is overwritten by the next call;
+  // its buffers are reused, so a window with no overloaded resource
+  // allocates nothing once they have reached their size.
+  const Output& Estimate(TaskLedger& ledger, TimeMicros exec_time, TimeMicros window_start,
+                         TimeMicros now);
 
  private:
+  // Open wait/hold time of one resource in the window being estimated.
+  struct Delta {
+    TimeMicros wait = 0;
+    TimeMicros hold = 0;
+  };
+
   AtroposConfig config_;
   bool calibrating_ = true;
   struct Baseline {
@@ -60,6 +71,8 @@ class Estimator {
     uint64_t windows = 0;
   };
   std::map<ResourceId, Baseline> baseline_contention_;
+  std::vector<Delta> deltas_;  // indexed by resource slot (id - 1)
+  Output out_;
 };
 
 }  // namespace atropos

@@ -4,11 +4,8 @@
 
 namespace atropos {
 
-TaskLedger::TaskLedger(Clock* clock, const AtroposConfig& config, AtroposStats* stats)
-    : clock_(clock), config_(config), stats_(stats), effective_mode_(config.timestamp_mode) {
-  window_start_ = clock_->NowMicros();
-  cached_now_ = window_start_;
-  trace_now_fn_ = &TaskLedger::TraceNowPerEvent;  // overwritten just below
+TaskLedger::TaskLedger(TimeMicros start, const AtroposConfig& config, AtroposStats* stats)
+    : config_(config), stats_(stats), window_start_(start), cached_now_(start) {
   SetEffectiveMode(config.timestamp_mode);
 }
 
@@ -52,37 +49,17 @@ TaskRecord* TaskLedger::FindTaskById(TaskId id) {
   return slot == kNilSlot ? nullptr : &task_slots_[slot];
 }
 
-TimeMicros TaskLedger::TraceNowPerEvent(TaskLedger* self) {
-  self->cached_now_ = self->clock_->NowMicros();
-  return self->cached_now_;
-}
-
-TimeMicros TaskLedger::TraceNowSampled(TaskLedger* self) {
-  // Sampled mode: reuse the cached timestamp within the sampling interval —
-  // the batching that amortizes timestamp retrieval (§3.2). In a real
-  // deployment the refresh is driven by a timer; here the cached-deadline
-  // compare plays that role without a second clock source.
-  const TimeMicros now = self->clock_->NowMicros();
-  if (now >= self->sample_deadline_) {
-    self->cached_now_ = now - now % self->config_.timestamp_sample_interval;
-    self->sample_deadline_ = self->cached_now_ + self->config_.timestamp_sample_interval;
-  }
-  return self->cached_now_;
-}
-
 void TaskLedger::SetEffectiveMode(TimestampMode mode) {
   effective_mode_ = mode;
-  if (mode == TimestampMode::kPerEvent) {
-    trace_now_fn_ = &TaskLedger::TraceNowPerEvent;
-  } else {
-    trace_now_fn_ = &TaskLedger::TraceNowSampled;
+  if (mode == TimestampMode::kSampled) {
     // Rearm the deadline against the current cached stamp, preserving the
     // "refresh once now >= cached + interval" semantics across mode flips.
     sample_deadline_ = cached_now_ + config_.timestamp_sample_interval;
   }
 }
 
-void TaskLedger::RegisterTask(uint64_t key, bool background, bool cancellable) {
+void TaskLedger::RegisterTask(uint64_t key, bool background, bool cancellable,
+                              TimeMicros now) {
   TaskId id = next_task_id_++;
   // Replace any stale registration under the same key.
   const uint32_t stale = key_index_.Find(key);
@@ -104,7 +81,7 @@ void TaskLedger::RegisterTask(uint64_t key, bool background, bool cancellable) {
   rec = TaskRecord{};
   rec.id = id;
   rec.key = key;
-  rec.created_at = clock_->NowMicros();
+  rec.created_at = now;
   rec.background = background;
   rec.cancellable = cancellable;
   // Append at the live-list tail: ids are monotone, so the head-to-tail walk
@@ -215,13 +192,14 @@ TaskResourceUsage* TaskLedger::UsageFor(uint64_t key, ResourceId resource) {
 }
 
 // atropos-lint: alloc-free
-void TaskLedger::RecordGet(uint64_t key, ResourceId resource, uint64_t amount) {
+void TaskLedger::RecordGet(uint64_t key, ResourceId resource, uint64_t amount,
+                           TimeMicros now) {
   stats_->trace_events++;
   TaskResourceUsage* usage = UsageFor(key, resource);
   if (usage == nullptr) {
     return;
   }
-  TimeMicros now = TraceNow();
+  now = Quantize(now);
   usage->acquired += amount;
   if (usage->active_units == 0) {
     usage->hold_started_at = now;
@@ -236,13 +214,14 @@ void TaskLedger::RecordGet(uint64_t key, ResourceId resource, uint64_t amount) {
 }
 
 // atropos-lint: alloc-free
-void TaskLedger::RecordFree(uint64_t key, ResourceId resource, uint64_t amount) {
+void TaskLedger::RecordFree(uint64_t key, ResourceId resource, uint64_t amount,
+                            TimeMicros now) {
   stats_->trace_events++;
   TaskResourceUsage* usage = UsageFor(key, resource);
   if (usage == nullptr) {
     return;
   }
-  TimeMicros now = TraceNow();
+  now = Quantize(now);
   usage->released += amount;
   uint64_t dec = std::min(usage->active_units, amount);
   usage->active_units -= dec;
@@ -262,24 +241,24 @@ void TaskLedger::RecordFree(uint64_t key, ResourceId resource, uint64_t amount) 
 }
 
 // atropos-lint: alloc-free
-void TaskLedger::RecordWaitBegin(uint64_t key, ResourceId resource) {
+void TaskLedger::RecordWaitBegin(uint64_t key, ResourceId resource, TimeMicros now) {
   stats_->trace_events++;
   TaskResourceUsage* usage = UsageFor(key, resource);
   if (usage == nullptr || usage->waiting) {
     return;
   }
   usage->waiting = true;
-  usage->wait_started_at = TraceNow();
+  usage->wait_started_at = Quantize(now);
 }
 
 // atropos-lint: alloc-free
-void TaskLedger::RecordWaitEnd(uint64_t key, ResourceId resource) {
+void TaskLedger::RecordWaitEnd(uint64_t key, ResourceId resource, TimeMicros now) {
   stats_->trace_events++;
   TaskResourceUsage* usage = UsageFor(key, resource);
   if (usage == nullptr || !usage->waiting) {
     return;
   }
-  TimeMicros now = TraceNow();
+  now = Quantize(now);
   usage->waiting = false;
   if (now > usage->wait_started_at) {
     usage->wait_time += now - usage->wait_started_at;

@@ -21,6 +21,10 @@
 // allocation-free: allocation happens only on first-touch growth (more live
 // tasks or resources than ever before).
 //
+// Time is data: every timed hook takes the event's raw stamp as `now`, and
+// the ledger holds no clock. Sampled-mode quantization (§3.2) is a pure
+// function of the sequence of stamps the get/free/wait hooks see.
+//
 // Threading: single-threaded by design — the ledger is owned by whichever
 // thread drives the runtime (the drainer thread behind ConcurrentFrontend,
 // or the caller in single-threaded embeddings). It holds no mutexes, so it
@@ -64,7 +68,8 @@ class TaskLedger {
   // End-of-list sentinel for the live-task slot walk.
   static constexpr uint32_t kNilSlot = DenseKeyIndex::kNotFound;
 
-  TaskLedger(Clock* clock, const AtroposConfig& config, AtroposStats* stats);
+  // `start` opens the first window.
+  TaskLedger(TimeMicros start, const AtroposConfig& config, AtroposStats* stats);
 
   // ---- Resource registry ---------------------------------------------------
   ResourceId RegisterResource(std::string name, ResourceClass cls);
@@ -73,29 +78,25 @@ class TaskLedger {
   // ---- Task registry -------------------------------------------------------
   // `cancellable` is the already-resolved flag: the façade consults the
   // dispatcher's §4 cancelled-key memo before registering.
-  void RegisterTask(uint64_t key, bool background, bool cancellable);
+  void RegisterTask(uint64_t key, bool background, bool cancellable, TimeMicros now);
   void FreeTask(uint64_t key);
   const TaskRecord* FindTask(uint64_t key) const;
   TaskRecord* FindTaskById(TaskId id);
   size_t live_task_count() const { return key_index_.size(); }
 
   // ---- Usage tracing (§3.2) ------------------------------------------------
-  void RecordGet(uint64_t key, ResourceId resource, uint64_t amount);
-  void RecordFree(uint64_t key, ResourceId resource, uint64_t amount);
-  void RecordWaitBegin(uint64_t key, ResourceId resource);
-  void RecordWaitEnd(uint64_t key, ResourceId resource);
+  void RecordGet(uint64_t key, ResourceId resource, uint64_t amount, TimeMicros now);
+  void RecordFree(uint64_t key, ResourceId resource, uint64_t amount, TimeMicros now);
+  void RecordWaitBegin(uint64_t key, ResourceId resource, TimeMicros now);
+  void RecordWaitEnd(uint64_t key, ResourceId resource, TimeMicros now);
   void RecordUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used);
   void RecordProgress(uint64_t key, uint64_t done, uint64_t total);
 
   // ---- Timestamp-mode handling (§3.2) --------------------------------------
   // The façade escalates to per-event timestamps while an overload is
-  // suspected; the ledger owns the cached-timestamp machinery. The mode
-  // selects a function pointer, so TraceNow itself is branch-free; sampled
-  // mode refreshes against a cached deadline instead of re-deriving the
-  // interval arithmetic per event.
+  // suspected; the ledger owns the cached-timestamp machinery.
   void SetEffectiveMode(TimestampMode mode);
   TimestampMode effective_mode() const { return effective_mode_; }
-  TimeMicros TraceNow() { return trace_now_fn_(this); }
 
   // ---- Window boundary -----------------------------------------------------
   // Resets the per-resource window counters; closed wait/hold intervals are
@@ -134,9 +135,19 @@ class TaskLedger {
   std::vector<ResourceAudit> AuditAccounting() const;
 
  private:
-  using TraceNowFn = TimeMicros (*)(TaskLedger*);
-  static TimeMicros TraceNowPerEvent(TaskLedger* self);
-  static TimeMicros TraceNowSampled(TaskLedger* self);
+  // The timestamp the usage books record for an event stamped `now`: `now`
+  // itself in per-event mode. Sampled mode keeps one stamp per sampling
+  // interval: it reuses the cached stamp and refreshes it to `now` rounded
+  // down to the interval once `now` reaches the deadline.
+  TimeMicros Quantize(TimeMicros now) {
+    if (effective_mode_ == TimestampMode::kPerEvent) {
+      cached_now_ = now;
+    } else if (now >= sample_deadline_) {
+      cached_now_ = now - now % config_.timestamp_sample_interval;
+      sample_deadline_ = cached_now_ + config_.timestamp_sample_interval;
+    }
+    return cached_now_;
+  }
 
   TaskRecord* Lookup(uint64_t key);
   TaskResourceUsage* UsageFor(uint64_t key, ResourceId resource);
@@ -153,7 +164,6 @@ class TaskLedger {
   // registration only), repacking existing rows.
   void Restride(size_t new_stride);
 
-  Clock* clock_;
   const AtroposConfig config_;
   AtroposStats* stats_;
 
@@ -182,7 +192,6 @@ class TaskLedger {
 
   // Timestamp sampling (§3.2).
   TimestampMode effective_mode_;
-  TraceNowFn trace_now_fn_;
   TimeMicros cached_now_ = 0;
   TimeMicros sample_deadline_ = 0;  // cached_now_ + sample interval
 };

@@ -48,8 +48,9 @@ class EstimationStage {
   virtual ~EstimationStage() = default;
   virtual std::string_view name() const = 0;
   virtual void SetCalibrating(bool calibrating) = 0;
-  virtual Estimator::Output Estimate(TaskLedger& ledger, TimeMicros exec_time,
-                                     TimeMicros window_start, TimeMicros now) = 0;
+  // The result stays valid until the next call.
+  virtual const Estimator::Output& Estimate(TaskLedger& ledger, TimeMicros exec_time,
+                                            TimeMicros window_start, TimeMicros now) = 0;
 };
 
 // §3.5: picks the victim among the estimator's candidates.
@@ -85,8 +86,8 @@ class GainEstimationStage final : public EstimationStage {
   explicit GainEstimationStage(const AtroposConfig& config) : estimator_(config) {}
   std::string_view name() const override { return "gain"; }
   void SetCalibrating(bool calibrating) override { estimator_.SetCalibrating(calibrating); }
-  Estimator::Output Estimate(TaskLedger& ledger, TimeMicros exec_time,
-                             TimeMicros window_start, TimeMicros now) override {
+  const Estimator::Output& Estimate(TaskLedger& ledger, TimeMicros exec_time,
+                                    TimeMicros window_start, TimeMicros now) override {
     return estimator_.Estimate(ledger, exec_time, window_start, now);
   }
 

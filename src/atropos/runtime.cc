@@ -26,25 +26,11 @@ AtroposRuntime::AtroposRuntime(Clock* clock, AtroposConfig config)
 AtroposRuntime::AtroposRuntime(Clock* clock, AtroposConfig config, DecisionPipeline pipeline)
     : clock_(clock),
       config_(config),
-      ledger_(clock, config, &stats_),
-      window_(clock, config, &stats_),
+      ledger_(clock->NowMicros(), config, &stats_),
+      window_(clock->NowMicros(), config, &stats_),
       pipeline_(std::move(pipeline)),
       breakwater_(dynamic_cast<const BreakwaterDetectionStage*>(pipeline_.detection.get())),
       dispatcher_(config, &stats_) {}
-
-void AtroposRuntime::OnTaskRegistered(uint64_t key, bool background, bool cancellable) {
-  // §4: a re-executed (previously cancelled) task is non-cancellable so the
-  // next overload targets a different culprit.
-  if (dispatcher_.ConsumeCancelledKey(key)) {
-    cancellable = false;
-  }
-  ledger_.RegisterTask(key, background, cancellable);
-}
-
-void AtroposRuntime::OnTaskFreed(uint64_t key) {
-  ledger_.FreeTask(key);
-  window_.DropKey(key);
-}
 
 void AtroposRuntime::Tick() {
   TimeMicros now = clock_->NowMicros();
@@ -93,7 +79,7 @@ void AtroposRuntime::Tick() {
   // blocked time is deliberately excluded — it shows up as the per-resource
   // delay D_r, not in the shared denominator.
   pipeline_.estimation->SetCalibrating(!pipeline_.detection->calibrated());
-  Estimator::Output est = pipeline_.estimation->Estimate(
+  const Estimator::Output& est = pipeline_.estimation->Estimate(
       ledger_, window_.ExecTimeFloored(now), ledger_.window_start(), now);
   last_metrics_ = est.all_resources;
 

@@ -39,6 +39,7 @@
 #include "src/atropos/ledger.h"
 #include "src/atropos/pipeline.h"
 #include "src/atropos/stats.h"
+#include "src/atropos/trace_event.h"
 #include "src/atropos/window.h"
 #include "src/common/clock.h"
 #include "src/obs/flight_recorder.h"
@@ -68,36 +69,45 @@ class AtroposRuntime final : public OverloadController {
   }
   const ResourceRecord* FindResource(ResourceId id) const { return ledger_.FindResource(id); }
 
-  // ---- Instrumentation stream (OverloadController) ------------------------
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable = true) override;
-  void OnTaskFreed(uint64_t key) override;
+  // ---- Instrumentation stream ---------------------------------------------
+  // Applies one timestamped event, with `ev.time` as the event's `now`. The
+  // single entry point of the stream: ConcurrentFrontend's drainer calls it
+  // with the stamps its producers took. The OverloadController hooks below
+  // call it too: those whose event the ledger or window times stamp the
+  // clock once first; OnTaskFreed, OnUsage and OnProgress read no clock.
+  [[gnu::always_inline]] void Apply(const TraceEvent& ev);
+
+  void OnTaskRegistered(uint64_t key, bool background, bool cancellable = true) override {
+    ApplyNow(TraceEvent::TaskRegistered(key, background, cancellable));
+  }
+  void OnTaskFreed(uint64_t key) override { Apply(TraceEvent::TaskFreed(key)); }
   void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override {
-    ledger_.RecordGet(key, resource, amount);
+    ApplyNow(TraceEvent::Get(key, resource, amount));
   }
   void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override {
-    ledger_.RecordFree(key, resource, amount);
+    ApplyNow(TraceEvent::Free(key, resource, amount));
   }
   void OnWaitBegin(uint64_t key, ResourceId resource) override {
-    ledger_.RecordWaitBegin(key, resource);
+    ApplyNow(TraceEvent::WaitBegin(key, resource));
   }
   void OnWaitEnd(uint64_t key, ResourceId resource) override {
-    ledger_.RecordWaitEnd(key, resource);
+    ApplyNow(TraceEvent::WaitEnd(key, resource));
   }
   void OnRequestStart(uint64_t key, int request_type, int client_class) override {
-    window_.OnRequestStart(key, client_class);
+    ApplyNow(TraceEvent::RequestStart(key, request_type, client_class));
   }
   void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
                     int client_class) override {
-    window_.OnRequestEnd(key, latency, client_class);
+    ApplyNow(TraceEvent::RequestEnd(key, latency, request_type, client_class));
   }
   void OnProgress(uint64_t key, uint64_t done, uint64_t total) override {
-    ledger_.RecordProgress(key, done, total);
+    Apply(TraceEvent::Progress(key, done, total));
   }
 
   // Completed wait+use report in one call; used by CPU/IO adapters that learn
   // both durations only after the fact.
   void OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used) override {
-    ledger_.RecordUsage(key, resource, waited, used);
+    Apply(TraceEvent::Usage(key, resource, waited, used));
   }
 
   // ---- Control loop --------------------------------------------------------
@@ -156,6 +166,11 @@ class AtroposRuntime final : public OverloadController {
   void SetRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
  private:
+  [[gnu::always_inline]] void ApplyNow(TraceEvent ev) {
+    ev.time = clock_->NowMicros();
+    Apply(ev);
+  }
+
   Clock* clock_;
   AtroposConfig config_;
   AtroposStats stats_;
@@ -173,6 +188,50 @@ class AtroposRuntime final : public OverloadController {
 
   std::vector<ResourceMetrics> last_metrics_;
 };
+
+// Always inlined: the constant kind of each hook then folds the switch away,
+// so a hook costs at most one clock read and one ledger or window call — also
+// where a wrapper calls the hooks through the runtime's concrete type.
+inline void AtroposRuntime::Apply(const TraceEvent& ev) {
+  switch (ev.kind) {
+    case TraceEventKind::kTaskRegistered: {
+      // §4: a re-executed (previously cancelled) task is non-cancellable so
+      // the next overload targets a different culprit. The memo entry is
+      // consumed either way.
+      const bool reexecuted = dispatcher_.ConsumeCancelledKey(ev.key);
+      ledger_.RegisterTask(ev.key, ev.background, ev.cancellable && !reexecuted, ev.time);
+      break;
+    }
+    case TraceEventKind::kTaskFreed:
+      ledger_.FreeTask(ev.key);
+      window_.DropKey(ev.key);
+      break;
+    case TraceEventKind::kGet:
+      ledger_.RecordGet(ev.key, ev.resource, ev.a, ev.time);
+      break;
+    case TraceEventKind::kFree:
+      ledger_.RecordFree(ev.key, ev.resource, ev.a, ev.time);
+      break;
+    case TraceEventKind::kWaitBegin:
+      ledger_.RecordWaitBegin(ev.key, ev.resource, ev.time);
+      break;
+    case TraceEventKind::kWaitEnd:
+      ledger_.RecordWaitEnd(ev.key, ev.resource, ev.time);
+      break;
+    case TraceEventKind::kRequestStart:
+      window_.OnRequestStart(ev.key, ev.client_class, ev.time);
+      break;
+    case TraceEventKind::kRequestEnd:
+      window_.OnRequestEnd(ev.key, ev.a, ev.client_class, ev.time);
+      break;
+    case TraceEventKind::kUsage:
+      ledger_.RecordUsage(ev.key, ev.resource, ev.a, ev.b);
+      break;
+    case TraceEventKind::kProgress:
+      ledger_.RecordProgress(ev.key, ev.a, ev.b);
+      break;
+  }
+}
 
 }  // namespace atropos
 

@@ -4,11 +4,9 @@
 
 namespace atropos {
 
-WindowAggregator::WindowAggregator(Clock* clock, const AtroposConfig& config,
+WindowAggregator::WindowAggregator(TimeMicros start, const AtroposConfig& config,
                                    AtroposStats* stats)
-    : clock_(clock), config_(config), stats_(stats) {
-  window_start_ = clock_->NowMicros();
-}
+    : config_(config), stats_(stats), window_start_(start) {}
 
 // atropos-lint: alloc-free
 void WindowAggregator::ReleaseRequestSlot(uint32_t slot) {
@@ -27,8 +25,7 @@ void WindowAggregator::ReleaseRequestSlot(uint32_t slot) {
   free_req_slots_.push_back(slot);
 }
 
-void WindowAggregator::OnRequestStart(uint64_t key, int client_class) {
-  const TimeMicros now = clock_->NowMicros();
+void WindowAggregator::OnRequestStart(uint64_t key, int client_class, TimeMicros now) {
   const uint32_t existing = inflight_index_.Find(key);
   if (existing != kNilSlot) {
     // A second start under a live key: the application reused the key without
@@ -65,14 +62,14 @@ void WindowAggregator::OnRequestStart(uint64_t key, int client_class) {
 }
 
 // atropos-lint: alloc-free
-void WindowAggregator::OnRequestEnd(uint64_t key, TimeMicros latency, int client_class) {
+void WindowAggregator::OnRequestEnd(uint64_t key, TimeMicros latency, int client_class,
+                                    TimeMicros now) {
   if (config_.slo_client_class < 0 || client_class == config_.slo_client_class) {
     window_latency_.Record(latency);
     window_completions_++;
   }
   // T_exec contribution, clipped to the window so long requests don't inflate
   // the denominator with execution that belongs to earlier windows.
-  TimeMicros now = clock_->NowMicros();
   TimeMicros in_window = now > window_start_ ? now - window_start_ : 0;
   window_exec_time_ += std::min(latency, in_window);
   const uint32_t slot = inflight_index_.Find(key);

@@ -12,6 +12,9 @@
 // slot pool (DenseKeyIndex + intrusive live list) so the steady-state request
 // lifecycle — start, end, drop — is allocation-free and CountOverdue walks a
 // contiguous live list instead of a node-based hash map.
+//
+// Like the TaskLedger it holds no clock: request hooks take the event's raw
+// stamp as `now`.
 
 #ifndef SRC_ATROPOS_WINDOW_H_
 #define SRC_ATROPOS_WINDOW_H_
@@ -28,11 +31,12 @@ namespace atropos {
 
 class WindowAggregator {
  public:
-  WindowAggregator(Clock* clock, const AtroposConfig& config, AtroposStats* stats);
+  // `start` opens the first window.
+  WindowAggregator(TimeMicros start, const AtroposConfig& config, AtroposStats* stats);
 
   // ---- Request lifecycle ---------------------------------------------------
-  void OnRequestStart(uint64_t key, int client_class);
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int client_class);
+  void OnRequestStart(uint64_t key, int client_class, TimeMicros now);
+  void OnRequestEnd(uint64_t key, TimeMicros latency, int client_class, TimeMicros now);
   // Task teardown: any in-flight request under the key leaves with it.
   void DropKey(uint64_t key);
 
@@ -59,7 +63,6 @@ class WindowAggregator {
   // Unlinks and recycles an in-flight slot. Allocation-free.
   void ReleaseRequestSlot(uint32_t slot);
 
-  Clock* clock_;
   const AtroposConfig config_;
   AtroposStats* stats_;
 

@@ -1,5 +1,6 @@
 #include "src/live/live_run.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -69,10 +70,16 @@ LiveRunResult RunLiveScenario(const LiveScenario& scenario, const LiveRunOptions
   }
 
   std::atomic<bool> stop_drainer{false};
+  // Ticks on a fixed schedule, one per window, so a window lasts
+  // `config.window` however long the Tick itself took. A drainer that falls
+  // behind skips the missed ticks instead of running them back to back.
   std::thread drainer([&frontend, &stop_drainer, &config] {
+    const auto period = std::chrono::microseconds(config.window);
+    auto next = std::chrono::steady_clock::now();
     while (!stop_drainer.load(std::memory_order_acquire)) {
       frontend.Tick();
-      std::this_thread::sleep_for(std::chrono::microseconds(config.window));
+      next = std::max(next + period, std::chrono::steady_clock::now());
+      std::this_thread::sleep_until(next);
     }
   });
 

@@ -12,17 +12,23 @@
 // operator new affects the whole program; keeping it isolated means the main
 // suites run against the stock allocator.
 //
-// Deliberately NOT inside the armed region: Tick()/estimation (the estimator
-// builds per-window candidate vectors by design — once per window, off the
-// per-event path) and first-touch growth (new tasks/resources beyond the
-// high-water mark).
+// The drained intake path is armed too: warm producer pushes, the Tick()
+// k-way merge into AtroposRuntime::Apply, and the control loop over calm
+// windows (no recorder attached, no resource overloaded).
+//
+// Deliberately NOT inside the armed region: the overload path of Tick() (the
+// estimator builds per-window candidate vectors for the policy by design —
+// once per window, only while a resource is overloaded) and first-touch
+// growth (new tasks/resources/producers beyond the high-water mark).
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/atropos/concurrent_frontend.h"
 #include "src/atropos/ledger.h"
 #include "src/atropos/window.h"
 #include "src/common/clock.h"
@@ -74,10 +80,10 @@ class AllocArmed {
 };
 
 TEST(AllocOracleTest, LedgerSteadyStateIsAllocationFree) {
-  ManualClock clock;
   AtroposConfig config;
   AtroposStats stats;
-  TaskLedger ledger(&clock, config, &stats);
+  TimeMicros now = 0;
+  TaskLedger ledger(now, config, &stats);
 
   const ResourceId lock = ledger.RegisterResource("lock", ResourceClass::kLock);
   const ResourceId pool = ledger.RegisterResource("pool", ResourceClass::kMemory);
@@ -87,10 +93,10 @@ TEST(AllocOracleTest, LedgerSteadyStateIsAllocationFree) {
   // indexes forced through their growth doublings.
   constexpr uint64_t kWarmTasks = 64;
   for (uint64_t k = 0; k < kWarmTasks; k++) {
-    ledger.RegisterTask(1000 + k, false, true);
-    ledger.RecordGet(1000 + k, lock, 1);
-    ledger.RecordGet(1000 + k, pool, 16);
-    ledger.RecordFree(1000 + k, lock, 1);
+    ledger.RegisterTask(1000 + k, false, true, now);
+    ledger.RecordGet(1000 + k, lock, 1, now);
+    ledger.RecordGet(1000 + k, pool, 16, now);
+    ledger.RecordFree(1000 + k, lock, 1, now);
   }
   for (uint64_t k = 0; k < kWarmTasks; k++) {
     ledger.FreeTask(1000 + k);
@@ -102,19 +108,19 @@ TEST(AllocOracleTest, LedgerSteadyStateIsAllocationFree) {
   for (int round = 0; round < 1000; round++) {
     const uint64_t a = 2000 + static_cast<uint64_t>(round % 32);
     const uint64_t b = 3000 + static_cast<uint64_t>(round % 32);
-    ledger.RegisterTask(a, false, true);
-    ledger.RegisterTask(b, false, true);
-    ledger.RecordGet(a, lock, 1);
-    ledger.RecordWaitBegin(b, lock);
-    clock.Advance(100);
-    ledger.RecordWaitEnd(b, lock);
-    ledger.RecordGet(b, pool, 8);
+    ledger.RegisterTask(a, false, true, now);
+    ledger.RegisterTask(b, false, true, now);
+    ledger.RecordGet(a, lock, 1, now);
+    ledger.RecordWaitBegin(b, lock, now);
+    now += 100;
+    ledger.RecordWaitEnd(b, lock, now);
+    ledger.RecordGet(b, pool, 8, now);
     ledger.RecordUsage(a, pool, 5, 20);
     ledger.RecordProgress(a, static_cast<uint64_t>(round), 1000);
-    ledger.RecordFree(a, lock, 1);
-    ledger.RecordFree(b, pool, 8);
+    ledger.RecordFree(a, lock, 1, now);
+    ledger.RecordFree(b, pool, 8, now);
     if (round % 16 == 15) {
-      ledger.RollWindow(clock.NowMicros());
+      ledger.RollWindow(now);
     }
     ledger.FreeTask(a);
     ledger.FreeTask(b);
@@ -124,31 +130,31 @@ TEST(AllocOracleTest, LedgerSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocOracleTest, WindowAggregatorSteadyStateIsAllocationFree) {
-  ManualClock clock;
   AtroposConfig config;
   AtroposStats stats;
-  WindowAggregator window(&clock, config, &stats);
+  TimeMicros now = 0;
+  WindowAggregator window(now, config, &stats);
 
   // Warm the in-flight slot pool and the epoch histogram's (fixed) buckets.
   for (uint64_t k = 0; k < 64; k++) {
-    window.OnRequestStart(100 + k, 0);
+    window.OnRequestStart(100 + k, 0, now);
   }
   for (uint64_t k = 0; k < 64; k++) {
-    clock.Advance(50);
-    window.OnRequestEnd(100 + k, 500, 0);
+    now += 50;
+    window.OnRequestEnd(100 + k, 500, 0, now);
   }
-  window.Roll(clock.NowMicros());
+  window.Roll(now);
 
   AllocArmed armed;
   for (int round = 0; round < 2000; round++) {
     const uint64_t key = 500 + static_cast<uint64_t>(round % 48);
-    window.OnRequestStart(key, 0);
-    clock.Advance(25);
-    window.OnRequestEnd(key, 1000 + static_cast<TimeMicros>(round % 997), 0);
+    window.OnRequestStart(key, 0, now);
+    now += 25;
+    window.OnRequestEnd(key, 1000 + static_cast<TimeMicros>(round % 997), 0, now);
     if (round % 64 == 63) {
       (void)window.P99();
-      (void)window.CountOverdue(clock.NowMicros(), 10000);
-      window.Roll(clock.NowMicros());  // epoch bump, no memset, no alloc
+      (void)window.CountOverdue(now, 10000);
+      window.Roll(now);  // epoch bump, no memset, no alloc
     }
   }
   EXPECT_EQ(armed.count(), 0u)
@@ -158,15 +164,14 @@ TEST(AllocOracleTest, WindowAggregatorSteadyStateIsAllocationFree) {
 // Slot recycling keeps the ledger allocation-free even when the *set* of live
 // keys churns completely — distinct keys forever, bounded concurrency.
 TEST(AllocOracleTest, KeyChurnOverRecycledSlotsIsAllocationFree) {
-  ManualClock clock;
   AtroposConfig config;
   AtroposStats stats;
-  TaskLedger ledger(&clock, config, &stats);
+  TaskLedger ledger(/*start=*/0, config, &stats);
   const ResourceId lock = ledger.RegisterResource("lock", ResourceClass::kLock);
 
   // Warm: the key index must have grown past the live-set size it will see.
   for (uint64_t k = 0; k < 128; k++) {
-    ledger.RegisterTask(k, false, true);
+    ledger.RegisterTask(k, false, true, /*now=*/0);
   }
   for (uint64_t k = 0; k < 128; k++) {
     ledger.FreeTask(k);
@@ -176,13 +181,68 @@ TEST(AllocOracleTest, KeyChurnOverRecycledSlotsIsAllocationFree) {
   uint64_t next_key = 1000000;
   for (int round = 0; round < 5000; round++) {
     const uint64_t key = next_key++;  // never-repeating keys
-    ledger.RegisterTask(key, false, true);
-    ledger.RecordGet(key, lock, 1);
-    ledger.RecordFree(key, lock, 1);
+    ledger.RegisterTask(key, false, true, /*now=*/0);
+    ledger.RecordGet(key, lock, 1, /*now=*/0);
+    ledger.RecordFree(key, lock, 1, /*now=*/0);
     ledger.FreeTask(key);
   }
   EXPECT_EQ(armed.count(), 0u)
       << "key churn over recycled slots allocated after warm-up";
+}
+
+// Warm ConcurrentFrontend pushes plus Tick() in calm windows: ring pops into
+// the reused merge buffer, the merge of three interleaved runs, explicit-time
+// apply into the ledger and window, detection and estimation.
+TEST(AllocOracleTest, FrontendCalmTicksAreAllocationFree) {
+  ManualClock clock;
+  AtroposConfig config;
+  config.window = Millis(10);
+  ConcurrentFrontend frontend(&clock, config);
+  const ResourceId lock = frontend.RegisterResource("lock", ResourceClass::kLock);
+  constexpr int kProducers = 3;
+  std::vector<ConcurrentFrontend::Producer*> producers;
+  for (int p = 0; p < kProducers; p++) {
+    producers.push_back(frontend.RegisterProducer());
+  }
+
+  // One window: every producer runs 32 short uncontended requests, their
+  // events interleaved in time with the other producers'.
+  TimeMicros tick_at = 0;
+  auto run_window = [&] {
+    for (uint64_t j = 0; j < 32; j++) {
+      for (int p = 0; p < kProducers; p++) {
+        const uint64_t key = 1000 * static_cast<uint64_t>(p + 1) + j;
+        ConcurrentFrontend::Producer* producer = producers[p];
+        producer->Push(TraceEvent::TaskRegistered(key, false, true));
+        producer->Push(TraceEvent::RequestStart(key, 0, 0));
+        producer->Push(TraceEvent::Get(key, lock, 1));
+        clock.Advance(10);
+        producer->Push(TraceEvent::Free(key, lock, 1));
+        producer->Push(TraceEvent::RequestEnd(key, 10, 0, 0));
+        producer->Push(TraceEvent::TaskFreed(key));
+      }
+    }
+    tick_at += config.window;
+    clock.SetTime(tick_at);
+    frontend.Tick();
+  };
+
+  // Warm past detector calibration and every buffer's high-water mark.
+  for (int w = 0; w < 2 * config.calibration_windows; w++) {
+    run_window();
+  }
+  const uint64_t drained_before = frontend.intake_stats().drained_total;
+  {
+    AllocArmed armed;
+    for (int w = 0; w < 100; w++) {
+      run_window();
+    }
+    EXPECT_EQ(armed.count(), 0u) << "calm frontend pushes + Tick allocated after warm-up";
+  }
+  EXPECT_EQ(frontend.intake_stats().drained_total - drained_before, 100u * kProducers * 32 * 6);
+  EXPECT_EQ(frontend.intake_stats().dropped_total, 0u);
+  EXPECT_EQ(frontend.runtime().stats().resource_overload_windows, 0u);
+  EXPECT_EQ(frontend.runtime().live_task_count(), 0u);
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/obs/export.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -21,8 +23,8 @@ AtroposConfig TestConfig() {
   cfg.slo_latency_increase = 0.20;
   cfg.contention_threshold = 0.10;
   cfg.min_cancel_interval = Millis(200);
-  // Sampled mode on purpose: the determinism proof must cover the §3.2
-  // quantizing TraceNow path, not just raw per-event stamps.
+  // Sampled mode on purpose: the determinism proof must cover the ledger's
+  // §3.2 quantization of the raw stamps, not just per-event stamps.
   cfg.timestamp_mode = TimestampMode::kSampled;
   cfg.timestamp_sample_interval = Millis(1);
   return cfg;
@@ -114,45 +116,14 @@ void ApplyDirect(AtroposRuntime& rt, const TraceEvent& ev) {
 }
 
 void ApplyViaProducer(ConcurrentFrontend::Producer* p, const TraceEvent& ev) {
-  switch (ev.kind) {
-    case TraceEventKind::kTaskRegistered:
-      p->OnTaskRegistered(ev.key, ev.background, ev.cancellable);
-      break;
-    case TraceEventKind::kTaskFreed:
-      p->OnTaskFreed(ev.key);
-      break;
-    case TraceEventKind::kGet:
-      p->OnGet(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kFree:
-      p->OnFree(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kWaitBegin:
-      p->OnWaitBegin(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kWaitEnd:
-      p->OnWaitEnd(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kRequestStart:
-      p->OnRequestStart(ev.key, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kRequestEnd:
-      p->OnRequestEnd(ev.key, ev.a, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kUsage:
-      p->OnUsage(ev.key, ev.resource, ev.a, ev.b);
-      break;
-    case TraceEventKind::kProgress:
-      p->OnProgress(ev.key, ev.a, ev.b);
-      break;
-  }
+  p->Push(ev);  // restamps ev.time from the clock, which the caller set to it
 }
 
 // The tentpole property: draining N producers' rings produces decisions
 // byte-for-byte identical (on the flight-recorder JSONL) to feeding the same
 // events to a bare AtroposRuntime in timestamp order. Covers ring merge
-// order, enqueue-time stamping, the ReplayClock, and the sampled-mode
-// TraceNow replay.
+// order, enqueue-time stamping, explicit-time apply, and the ledger's
+// sampled-mode quantization of the carried stamps.
 TEST(ConcurrentFrontendDeterminism, DrainedDecisionsMatchDirectFeeding) {
   const int kProducers = 4;
   const TimeMicros kTick = Millis(100);
@@ -230,6 +201,88 @@ TEST(ConcurrentFrontendDeterminism, DrainedDecisionsMatchDirectFeeding) {
   EXPECT_EQ(frontend.intake_stats().dropped_total, 0u);
 }
 
+// Merge-order property over seeded random scripts. Every scripted event
+// registers a fresh task key, so the TaskIds the runtime hands out record the
+// exact order Apply saw the events in, and created_at the stamp it applied
+// each at. Scripts vary the producer count (0-8), share stamps across rings,
+// leave rings empty, overflow rings, and let producer threads exit (retiring
+// their rings) between their last push and the Tick. The applied order must
+// be a stable sort by time of the runs concatenated in registration order.
+TEST(ConcurrentFrontendMerge, AppliedOrderIsStableSortOfRunsInRegistrationOrder) {
+  constexpr size_t kRingCapacity = 16;
+  for (uint64_t seed = 1; seed <= 300; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ManualClock clock(0);
+    ConcurrentFrontend::Options opt;
+    opt.ring_capacity = kRingCapacity;
+    ConcurrentFrontend frontend(&clock, TestConfig(), opt);
+
+    struct Applied {
+      uint64_t key;
+      TimeMicros time;
+    };
+    std::vector<Applied> expected;  // drained runs, in registration order
+    uint64_t pushed = 0;
+    const int producers = static_cast<int>(rng.NextBounded(9));
+    for (int p = 0; p < producers; p++) {
+      // Nondecreasing stamps from a narrow range: ties across rings are the
+      // common case, not the exception.
+      const size_t events = rng.NextBernoulli(0.2) ? 0 : rng.NextBounded(2 * kRingCapacity);
+      std::vector<TimeMicros> times(events);
+      for (TimeMicros& t : times) {
+        t = rng.NextBounded(12);
+      }
+      std::sort(times.begin(), times.end());
+      auto key_of = [p](size_t i) { return 1000 * static_cast<uint64_t>(p + 1) + i; };
+      if (events > 0 && rng.NextBernoulli(0.4)) {
+        // Auto-bound through the hooks; the thread's exit retires the ring.
+        std::thread worker([&] {
+          for (size_t i = 0; i < events; i++) {
+            clock.SetTime(times[i]);
+            frontend.OnTaskRegistered(key_of(i), false);
+          }
+        });
+        worker.join();
+      } else {
+        ConcurrentFrontend::Producer* handle = frontend.RegisterProducer();
+        for (size_t i = 0; i < events; i++) {
+          clock.SetTime(times[i]);
+          handle->Push(TraceEvent::TaskRegistered(key_of(i), false, true));
+        }
+      }
+      // Nothing drains before the Tick, so a ring keeps its first
+      // kRingCapacity events and drops the rest.
+      for (size_t i = 0; i < std::min(events, kRingCapacity); i++) {
+        expected.push_back(Applied{key_of(i), times[i]});
+      }
+      pushed += events;
+    }
+    clock.SetTime(Millis(100));
+    frontend.Tick();
+
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Applied& a, const Applied& b) { return a.time < b.time; });
+    std::vector<std::pair<TaskId, Applied>> by_id;
+    for (const Applied& e : expected) {
+      const TaskRecord* task = frontend.runtime().FindTask(e.key);
+      ASSERT_NE(task, nullptr) << "key " << e.key;
+      by_id.push_back({task->id, Applied{e.key, task->created_at}});
+    }
+    std::sort(by_id.begin(), by_id.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (size_t i = 0; i < expected.size(); i++) {
+      EXPECT_EQ(by_id[i].second.key, expected[i].key) << "position " << i;
+      EXPECT_EQ(by_id[i].second.time, expected[i].time) << "position " << i;
+    }
+
+    const ConcurrentFrontend::IntakeStats& intake = frontend.intake_stats();
+    EXPECT_EQ(intake.drained_total, expected.size());
+    EXPECT_EQ(intake.drained_total + intake.dropped_total, pushed);
+    EXPECT_EQ(frontend.runtime().live_task_count(), expected.size());
+  }
+}
+
 // Ring overflow is lossy-with-counter: a full ring drops the event, counts
 // it, and the drain/gauge accounting reconciles drops against drains.
 TEST(ConcurrentFrontendTest, RingOverflowDropsAreCounted) {
@@ -242,10 +295,10 @@ TEST(ConcurrentFrontendTest, RingOverflowDropsAreCounted) {
   frontend.BindMetrics(&metrics);
 
   ConcurrentFrontend::Producer* p = frontend.RegisterProducer();
-  p->OnTaskRegistered(1, false);
+  p->Push(TraceEvent::TaskRegistered(1, false, true));
   for (int i = 0; i < 19; i++) {
     clock.Advance(10);
-    p->OnGet(1, lock, 1);
+    p->Push(TraceEvent::Get(1, lock, 1));
   }
   EXPECT_EQ(p->dropped(), 12u);  // 20 pushes into an 8-slot ring
 
@@ -397,13 +450,13 @@ TEST(ConcurrentFrontendStress, ExplicitProducerHandleSurvivesTicks) {
   ResourceId lock = frontend.RegisterResource("l", ResourceClass::kLock);
 
   ConcurrentFrontend::Producer* p = frontend.RegisterProducer();
-  std::thread worker([&] { p->OnGet(7, lock, 1); });
+  std::thread worker([&] { p->Push(TraceEvent::Get(7, lock, 1)); });
   worker.join();
   frontend.Tick();
   EXPECT_EQ(frontend.live_producer_count(), 1u);
 
   // The handle is still usable from another thread after the first exited.
-  std::thread worker2([&] { p->OnFree(7, lock, 1); });
+  std::thread worker2([&] { p->Push(TraceEvent::Free(7, lock, 1)); });
   worker2.join();
   frontend.Tick();
   EXPECT_EQ(frontend.intake_stats().drained_total, 2u);

@@ -18,11 +18,11 @@ class EstimatorTest : public ::testing::Test {
   EstimatorTest() {
     config_.contention_threshold = 0.10;
     config_.default_progress = 0.5;
-    ledger_ = std::make_unique<TaskLedger>(&clock_, config_, &stats_);
+    ledger_ = std::make_unique<TaskLedger>(/*start=*/0, config_, &stats_);
   }
 
   void AddTask(uint64_t key, bool cancellable = true) {
-    ledger_->RegisterTask(key, /*background=*/false, cancellable);
+    ledger_->RegisterTask(key, /*background=*/false, cancellable, /*now=*/0);
   }
 
   ResourceId AddResource(ResourceClass cls) {
@@ -44,7 +44,6 @@ class EstimatorTest : public ::testing::Test {
   }
 
   AtroposConfig config_;
-  ManualClock clock_;
   AtroposStats stats_;
   std::unique_ptr<TaskLedger> ledger_;
 };
