@@ -2,10 +2,10 @@
 //
 // Real OS threads hammer the §3.2 instrumentation hooks while one drainer
 // thread runs Tick() concurrently, measuring the producer-side cost the
-// paper's overhead argument depends on: a trace call must stay a clock read
-// plus one SPSC ring write, with no shared cache lines between producers, so
-// aggregate throughput scales with producer count instead of collapsing onto
-// a lock.
+// paper's overhead argument depends on: a trace call must stay a hardware
+// counter read plus one SPSC ring write, with no shared cache lines between
+// producers, so aggregate throughput scales with producer count instead of
+// collapsing onto a lock.
 //
 // Each thread count is measured in two modes:
 //

@@ -36,6 +36,8 @@ void BM_CounterInc(benchmark::State& state) {
   Counter* counter = registry.GetCounter("bench.counter");
   for (auto _ : state) {
     counter->Inc();
+    // Each increment must reach memory, or the loop folds into one add.
+    benchmark::ClobberMemory();
   }
   benchmark::DoNotOptimize(counter->value());
 }
@@ -119,7 +121,10 @@ ObsMicroCosts MeasureObsMicroCosts() {
   {
     MetricsRegistry registry;
     Counter* counter = registry.GetCounter("bench.counter");
-    costs.counter_inc_ns = TimeLoopNs(kIters, [&] { counter->Inc(); });
+    costs.counter_inc_ns = TimeLoopNs(kIters, [&] {
+      counter->Inc();
+      benchmark::ClobberMemory();  // one observable store per iteration
+    });
     benchmark::DoNotOptimize(counter->value());
   }
   {

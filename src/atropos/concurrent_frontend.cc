@@ -59,6 +59,15 @@ struct CapturedTlsBindings {
   }
 };
 
+namespace {
+
+CapturedTlsBindings& ThisThreadBindings() {
+  thread_local CapturedTlsBindings tls;
+  return tls;
+}
+
+}  // namespace
+
 // ---- EventRing -------------------------------------------------------------
 
 EventRing::EventRing(size_t capacity) : slots_(RoundUpPow2(std::max<size_t>(capacity, 2))) {
@@ -92,20 +101,15 @@ size_t EventRing::SizeApprox() const {
   return tail >= head ? static_cast<size_t>(tail - head) : 0;
 }
 
-// ---- Producer --------------------------------------------------------------
-
-bool ConcurrentFrontend::Producer::Push(TraceEvent ev) {
-  ev.time = clock_->NowMicros();
-  return ring_.Push(ev);
-}
-
 // ---- ConcurrentFrontend ----------------------------------------------------
 
 ConcurrentFrontend::ConcurrentFrontend(Clock* clock, AtroposConfig config, Options options)
     : instance_id_(g_next_frontend_id.fetch_add(1, std::memory_order_relaxed)),
       clock_(clock),
       runtime_(clock, config),
-      options_(options) {
+      options_(options),
+      anchor_ticks_(clock->NowTicks()),
+      anchor_micros_(clock->NowMicros()) {
   std::lock_guard<std::mutex> lock(FrontendRegistryMu());
   FrontendRegistry().emplace(instance_id_, this);
 }
@@ -137,15 +141,28 @@ ConcurrentFrontend::Producer* ConcurrentFrontend::ThisThreadProducer() {
   // Keyed by a never-reused instance id so a binding to a destroyed frontend
   // can go stale but never alias a live one. The wrapper's destructor retires
   // the bindings at thread exit (see CapturedTlsBindings).
-  thread_local CapturedTlsBindings tls;
+  CapturedTlsBindings& tls = ThisThreadBindings();
   for (const CapturedTlsBindings::Binding& b : tls.bindings) {
     if (b.frontend_id == instance_id_) {
       return b.producer;
     }
   }
   Producer* p = RegisterProducer();
+  {
+    // Binding is rare (once per thread per frontend), so it is where the
+    // bindings to frontends destroyed since are dropped: a long-lived thread
+    // that feeds many short-lived frontends keeps a short list to scan.
+    std::lock_guard<std::mutex> lock(FrontendRegistryMu());
+    std::erase_if(tls.bindings, [](const CapturedTlsBindings::Binding& b) {
+      return !FrontendRegistry().contains(b.frontend_id);
+    });
+  }
   tls.bindings.push_back(CapturedTlsBindings::Binding{instance_id_, p});
   return p;
+}
+
+size_t ConcurrentFrontend::ThisThreadBindingCount() {
+  return ThisThreadBindings().bindings.size();
 }
 
 void ConcurrentFrontend::OnTaskRegistered(uint64_t key, bool background, bool cancellable) {
@@ -238,7 +255,12 @@ void ConcurrentFrontend::Tick() {
     retired_count = producers_retired_;
   }
 
-  ApplyMerged();
+  // Every stamp popped above was taken before this anchor.
+  const uint64_t ticks = clock_->NowTicks();
+  const TimeMicros micros = clock_->NowMicros();
+  ApplyMerged(ticks, micros);
+  anchor_ticks_ = ticks;
+  anchor_micros_ = micros;
 
   intake_.drained_last_tick = drained;
   intake_.drained_total += drained;
@@ -258,7 +280,23 @@ void ConcurrentFrontend::Tick() {
 }
 
 // atropos-lint: alloc-free
-void ConcurrentFrontend::ApplyMerged() {
+void ConcurrentFrontend::ApplyMerged(uint64_t ticks, TimeMicros micros) {
+  // Stamps map linearly from [t0, t1] ticks onto [u0, u1] µs, clamped to that
+  // interval, with the slope in 32.32 fixed point and the product rounded to
+  // the nearest µs. When ticks are µs the slope is exactly 1 and the mapping
+  // the identity; a clock that did not advance maps every stamp to u0.
+  using U128 = unsigned __int128;
+  const uint64_t t0 = anchor_ticks_;
+  const TimeMicros u0 = anchor_micros_;
+  const uint64_t span = micros > u0 ? micros - u0 : 0;
+  const uint64_t mult =
+      ticks > t0 ? static_cast<uint64_t>((static_cast<U128>(span) << 32) / (ticks - t0)) : 0;
+  auto apply = [&](TraceEvent& ev) {
+    const uint64_t dt = ev.time > t0 ? ev.time - t0 : 0;
+    const U128 du = (static_cast<U128>(dt) * mult + (U128{1} << 31)) >> 32;
+    ev.time = u0 + static_cast<TimeMicros>(du < span ? du : span);
+    runtime_.Apply(ev);
+  };
   // Each round applies the earliest head, ties to the lower run index (the
   // earlier-registered producer), and drops a run once it is empty.
   while (runs_.size() > 1) {
@@ -269,7 +307,7 @@ void ConcurrentFrontend::ApplyMerged() {
       }
     }
     Run& run = runs_[c];
-    runtime_.Apply(drain_buf_[run.next++]);
+    apply(drain_buf_[run.next++]);
     if (run.next == run.end) {
       runs_.erase(runs_.begin() + static_cast<ptrdiff_t>(c));
     }
@@ -277,7 +315,7 @@ void ConcurrentFrontend::ApplyMerged() {
   // The last run (k == 1, or what outlived the others) needs no comparisons.
   if (!runs_.empty()) {
     for (size_t i = runs_[0].next; i < runs_[0].end; i++) {
-      runtime_.Apply(drain_buf_[i]);
+      apply(drain_buf_[i]);
     }
     runs_.clear();
   }

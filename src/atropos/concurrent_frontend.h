@@ -15,28 +15,35 @@
 //                                          run the control loop
 //
 // Each producer thread owns one fixed-capacity single-producer/single-
-// consumer ring of POD TraceEvents. The hot path is one clock read plus one
-// ring slot write — no locks, no allocation, no shared cache lines between
-// producers. When a ring is full the event is dropped and counted (lossy-
-// with-counter): under the overload conditions Atropos exists for, losing a
-// trace event is strictly better than blocking an application thread.
+// consumer ring of POD TraceEvents. The hot path is one hardware counter
+// read (Clock::NowTicks) plus one ring slot write — no locks, no allocation,
+// no shared cache lines between producers. When a ring is full the event is
+// dropped and counted (lossy-with-counter): under the overload conditions
+// Atropos exists for, losing a trace event is strictly better than blocking
+// an application thread.
 //
-// Timestamps are taken once, at enqueue, and travel as data. A slot holds
-// the raw clock reading its producer took, and AtroposRuntime::Apply hands
-// that stamp to the ledger and window as the event's `now`. Wait/hold
-// attribution and the §3.2 sampled/per-event semantics are therefore those
-// of an application that had called the runtime directly at the moment the
-// event happened; drain latency never moves a stamp. The stamp stays raw:
-// the ledger quantizes it in sampled mode, never the producer.
+// Timestamps are taken once, at enqueue, and travel as data: raw ticks on the
+// ring, microseconds at Apply. Tick() reads one (NowTicks, NowMicros) anchor
+// pair after its last pop, so every drained stamp was taken before it, and
+// maps each stamp it applies linearly between the previous Tick's anchor and
+// this one, clamped to that interval; AtroposRuntime::Apply hands the result
+// to the ledger and window as the event's `now`. Wait/hold attribution and
+// the §3.2 sampled/per-event semantics are therefore those of an application
+// that had called the runtime directly at the moment the event happened;
+// drain latency never moves a stamp. The converted stamp is unquantized: the
+// ledger quantizes it in sampled mode, never the producer. Under a clock
+// whose ticks are microseconds (ManualClock, the simulator) the mapping is
+// exactly the identity.
 //
 // Drain order is a k-way merge. Tick() pops each ring straight into its own
 // run of a reusable buffer; a ring is FIFO with nondecreasing stamps, so each
-// run is already sorted. The runs are merged by (time, producer registration
-// index), which is the order a stable sort by time of the runs concatenated
-// in registration order gives, and a single non-empty run is applied as is.
-// No step allocates once the buffer has reached its high-water mark. The
-// pipeline is deterministic: the same events produce byte-for-byte the same
-// decision stream as single-threaded feeding (concurrent_frontend_test).
+// run is already sorted. The runs are merged on the raw ticks by (time,
+// producer registration index), which is the order a stable sort by time of
+// the runs concatenated in registration order gives, and a single non-empty
+// run is applied as is. No step allocates once the buffer has reached its
+// high-water mark. The pipeline is deterministic: the same events produce
+// byte-for-byte the same decision stream as single-threaded feeding
+// (concurrent_frontend_test).
 //
 // Threading contract:
 //   - Instrumentation hooks: any thread; each calling thread is bound to its
@@ -136,12 +143,16 @@ class ConcurrentFrontend final : public OverloadController {
   // frontend's lifetime. Thread-safe.
   class Producer {
    public:
-    // Stamps `ev.time` with the current clock reading and enqueues the event.
-    // Returns true when it reached the ring and false when a full ring
-    // dropped (and counted) it — callers that need loss-free delivery
-    // (benchmarks, batch loaders) can retry on false as backpressure; the
-    // OverloadController facade below ignores the result (lossy-with-counter).
-    bool Push(TraceEvent ev);
+    // Stamps `ev.time` with the clock's raw ticks (Tick() turns them into
+    // microseconds) and enqueues the event. Returns true when it reached the
+    // ring and false when a full ring dropped (and counted) it — callers that
+    // need loss-free delivery (benchmarks, batch loaders) can retry on false
+    // as backpressure; the OverloadController facade below ignores the result
+    // (lossy-with-counter). Inline so it folds into each producer hook.
+    bool Push(TraceEvent ev) {
+      ev.time = clock_->NowTicks();
+      return ring_.Push(ev);
+    }
 
     uint64_t dropped() const { return ring_.dropped(); }
 
@@ -183,9 +194,9 @@ class ConcurrentFrontend final : public OverloadController {
   void BindMetrics(MetricsRegistry* metrics);
 
   // ---- Drainer thread -----------------------------------------------------
-  // Drains all rings, applies their events to the runtime in one k-way
-  // timestamp merge, then runs the runtime's control loop for the closing
-  // window.
+  // Drains all rings, reads this Tick's clock anchor, applies their events to
+  // the runtime in one k-way timestamp merge, then runs the runtime's control
+  // loop for the closing window.
   void Tick() override ATROPOS_EXCLUDES(registry_mu_);
 
   bool ReexecutionRecommended() const override {  // drainer thread only
@@ -214,15 +225,20 @@ class ConcurrentFrontend final : public OverloadController {
 
  private:
   friend struct CapturedTlsBindings;
+  friend struct ConcurrentFrontendTestPeer;
 
   Producer* ThisThreadProducer() ATROPOS_EXCLUDES(registry_mu_);
+  // Producer bindings the calling thread holds: one per frontend it has fed
+  // that was still alive when the thread last bound a new one (tests).
+  static size_t ThisThreadBindingCount();
   // Called from an exiting thread's TLS destructor (under the process-wide
   // frontend registry lock, so `p` cannot be concurrently destroyed). Lock-
   // free on the frontend itself: a single release store.
   void RetireProducer(Producer* p) { p->retired_.store(true, std::memory_order_release); }
-  // Applies the drained runs to the runtime in (time, run index) order and
-  // empties runs_.
-  void ApplyMerged();
+  // Applies the drained runs to the runtime in (time, run index) order, each
+  // stamp converted to microseconds against the anchors (anchor_ticks_,
+  // anchor_micros_) and (ticks, micros), and empties runs_.
+  void ApplyMerged(uint64_t ticks, TimeMicros micros);
 
   const uint64_t instance_id_;  // never reused; keys the thread-local cache
   Clock* clock_;
@@ -250,6 +266,9 @@ class ConcurrentFrontend final : public OverloadController {
   };
   std::vector<TraceEvent> drain_buf_;
   std::vector<Run> runs_;
+  // The clock reading pair the last Tick (or the constructor) anchored at.
+  uint64_t anchor_ticks_;
+  TimeMicros anchor_micros_;
   IntakeStats intake_;
   Gauge* ring_depth_gauge_ = nullptr;
   Gauge* drained_gauge_ = nullptr;

@@ -72,7 +72,7 @@ class AtroposRuntime final : public OverloadController {
   // ---- Instrumentation stream ---------------------------------------------
   // Applies one timestamped event, with `ev.time` as the event's `now`. The
   // single entry point of the stream: ConcurrentFrontend's drainer calls it
-  // with the stamps its producers took. The OverloadController hooks below
+  // with the stamps its producers took, converted to µs. The OverloadController hooks below
   // call it too: those whose event the ledger or window times stamp the
   // clock once first; OnTaskFreed, OnUsage and OnProgress read no clock.
   [[gnu::always_inline]] void Apply(const TraceEvent& ev);

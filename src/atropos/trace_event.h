@@ -1,11 +1,13 @@
 // One instrumentation call as a timestamped record (paper §3.2).
 //
 // A TraceEvent is the single unit of work from the producer hook to the
-// ledger: ConcurrentFrontend's producers stamp it and push it through a ring,
-// AtroposRuntime's own hooks stamp it and apply it in place, and either way
-// AtroposRuntime::Apply hands `time` to the ledger and window as the event's
-// `now`. The stamp is the raw clock reading; the ledger applies the §3.2
-// sampled-mode quantization, never the producer.
+// ledger: ConcurrentFrontend's producers stamp it with raw clock ticks and
+// push it through a ring, and its drainer converts the stamp to microseconds
+// once per Tick before applying it; AtroposRuntime's own hooks stamp it in
+// microseconds and apply it in place. Either way AtroposRuntime::Apply hands
+// `time` to the ledger and window as the event's `now`. The stamp is
+// unquantized; the ledger applies the §3.2 sampled-mode quantization, never
+// the producer.
 
 #ifndef SRC_ATROPOS_TRACE_EVENT_H_
 #define SRC_ATROPOS_TRACE_EVENT_H_
@@ -34,7 +36,9 @@ enum class TraceEventKind : uint8_t {
 // Fixed-size POD so ring slots are trivially copyable and the producer path
 // never allocates. The factories leave `time` at 0 for the stamping site.
 struct TraceEvent {
-  TimeMicros time = 0;  // raw clock reading when the hook ran
+  // When the hook ran: raw Clock::NowTicks() on a ConcurrentFrontend ring,
+  // µs at Apply (the drainer converts once per Tick).
+  TimeMicros time = 0;
   uint64_t key = 0;
   uint64_t a = 0;  // amount | waited | done | latency, by kind
   uint64_t b = 0;  // used | total, by kind

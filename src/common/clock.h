@@ -34,6 +34,12 @@ class Clock {
  public:
   virtual ~Clock() = default;
   virtual TimeMicros NowMicros() const = 0;
+  // A monotonic counter in unspecified units, as cheap to read as the clock
+  // allows. Only the difference of two readings means anything; turning one
+  // into microseconds takes a (NowTicks, NowMicros) pair read at a known
+  // point (ConcurrentFrontend does this once per Tick). By default a tick is
+  // a microsecond.
+  virtual uint64_t NowTicks() const { return NowMicros(); }
 };
 
 // Clock backed by std::chrono::steady_clock, for real deployments and for
@@ -44,6 +50,23 @@ class SteadyClock final : public Clock {
     auto d = std::chrono::steady_clock::now().time_since_epoch();
     return static_cast<TimeMicros>(
         std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+  }
+  // The CPU's invariant counter, cheaper to read than steady_clock: the TSC
+  // on x86-64, the virtual counter on aarch64, steady_clock nanoseconds
+  // elsewhere. Not serializing, so a reading may move by a few cycles
+  // against neighbouring instructions.
+  uint64_t NowTicks() const override {
+#if defined(__x86_64__)
+    return __builtin_ia32_rdtsc();
+#elif defined(__aarch64__)
+    uint64_t ticks;
+    asm volatile("mrs %0, cntvct_el0" : "=r"(ticks));
+    return ticks;
+#else
+    auto d = std::chrono::steady_clock::now().time_since_epoch();
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+#endif
   }
 };
 

@@ -4,7 +4,7 @@
 // a live run's timestamps start near zero exactly like the simulator's
 // virtual clock. That alignment is what lets the sim-vs-live digest
 // cross-check compare event times as fractions of the run without carrying
-// absolute epochs around.
+// absolute epochs around. Its ticks are SteadyClock's hardware counter.
 
 #ifndef SRC_LIVE_LIVE_CLOCK_H_
 #define SRC_LIVE_LIVE_CLOCK_H_
@@ -21,6 +21,8 @@ class RunClock final : public Clock {
     const TimeMicros now = base_.NowMicros();
     return now >= epoch_ ? now - epoch_ : 0;
   }
+  // Ticks need no rebasing: only their differences are ever used.
+  uint64_t NowTicks() const override { return base_.NowTicks(); }
 
  private:
   SteadyClock base_;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -115,8 +117,117 @@ void ApplyDirect(AtroposRuntime& rt, const TraceEvent& ev) {
   }
 }
 
-void ApplyViaProducer(ConcurrentFrontend::Producer* p, const TraceEvent& ev) {
-  p->Push(ev);  // restamps ev.time from the clock, which the caller set to it
+// A manually set clock whose ticks are not microseconds: three per µs from
+// an offset of 2^40, so Tick() has a real conversion to make. Optionally runs
+// a hook once, right after the next NowMicros() read — the drainer's second
+// anchor read — to model a producer that stamps and pushes just as the
+// drainer anchors.
+class ScaledClock final : public Clock {
+ public:
+  static constexpr uint64_t kOffset = uint64_t{1} << 40;
+
+  TimeMicros NowMicros() const override {
+    const TimeMicros now = now_;
+    if (on_micros_read_) {
+      std::function<void()> hook = std::move(on_micros_read_);
+      on_micros_read_ = nullptr;
+      hook();
+    }
+    return now;
+  }
+  uint64_t NowTicks() const override { return 3 * now_ + kOffset; }
+
+  void SetTime(TimeMicros t) { now_ = t; }
+  void RunAfterNextMicrosRead(std::function<void()> hook) { on_micros_read_ = std::move(hook); }
+
+ private:
+  TimeMicros now_ = 0;
+  mutable std::function<void()> on_micros_read_;
+};
+
+// What one run of ConvoyScript decided.
+struct ConvoyOutcome {
+  std::vector<uint64_t> cancels;
+  std::string jsonl;
+  AtroposStats stats;
+};
+
+constexpr TimeMicros kScriptTick = Millis(100);
+constexpr int kScriptWindows = 4;
+
+// Pipeline run: ConvoyScript through four producers' rings, one Tick per
+// 100 ms window. Each Push restamps ev.time from the clock, which is set to
+// the scripted time first.
+template <typename TestClock>
+ConvoyOutcome RunConvoyThroughRings(ConcurrentFrontend::IntakeStats* intake) {
+  TestClock clock;
+  ConcurrentFrontend frontend(&clock, TestConfig());
+  ResourceId lock = frontend.RegisterResource("table_lock", ResourceClass::kLock);
+  FlightRecorder rec;
+  frontend.runtime().SetRecorder(&rec);
+  ConvoyOutcome out;
+  // atropos-lint: allow(cancel-action-safety)
+  frontend.runtime().SetCancelAction([&](uint64_t key) { out.cancels.push_back(key); });
+  std::vector<ConcurrentFrontend::Producer*> producers;
+  for (int i = 0; i < 4; i++) {
+    producers.push_back(frontend.RegisterProducer());
+  }
+  std::vector<ScriptOp> script = ConvoyScript(lock);
+  size_t next = 0;
+  for (int w = 1; w <= kScriptWindows; w++) {
+    const TimeMicros tick_at = w * kScriptTick;
+    while (next < script.size() && script[next].ev.time < tick_at) {
+      clock.SetTime(script[next].ev.time);
+      producers[script[next].producer]->Push(script[next].ev);
+      next++;
+    }
+    clock.SetTime(tick_at);
+    frontend.Tick();
+  }
+  EXPECT_EQ(next, script.size()) << "script must fit in the ticked horizon";
+  out.jsonl = EventsToJsonl(rec.Snapshot());
+  out.stats = frontend.runtime().stats();
+  *intake = frontend.intake_stats();
+  return out;
+}
+
+// Reference run: the same events fed to a bare runtime in global timestamp
+// order — what the concurrent pipeline must be indistinguishable from.
+ConvoyOutcome RunConvoyDirect() {
+  ManualClock clock(0);
+  AtroposRuntime runtime(&clock, TestConfig());
+  ResourceId lock = runtime.RegisterResource("table_lock", ResourceClass::kLock);
+  FlightRecorder rec;
+  runtime.SetRecorder(&rec);
+  ConvoyOutcome out;
+  // atropos-lint: allow(cancel-action-safety)
+  runtime.SetCancelAction([&](uint64_t key) { out.cancels.push_back(key); });
+  std::vector<ScriptOp> sorted = ConvoyScript(lock);
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const ScriptOp& a, const ScriptOp& b) { return a.ev.time < b.ev.time; });
+  size_t next = 0;
+  for (int w = 1; w <= kScriptWindows; w++) {
+    const TimeMicros tick_at = w * kScriptTick;
+    while (next < sorted.size() && sorted[next].ev.time < tick_at) {
+      clock.SetTime(sorted[next].ev.time);
+      ApplyDirect(runtime, sorted[next].ev);
+      next++;
+    }
+    clock.SetTime(tick_at);
+    runtime.Tick();
+  }
+  out.jsonl = EventsToJsonl(rec.Snapshot());
+  out.stats = runtime.stats();
+  return out;
+}
+
+void ExpectSameDecisions(const ConvoyOutcome& a, const ConvoyOutcome& b) {
+  EXPECT_EQ(a.cancels, b.cancels);
+  EXPECT_EQ(a.jsonl, b.jsonl);
+  EXPECT_EQ(a.stats.trace_events, b.stats.trace_events);
+  EXPECT_EQ(a.stats.ignored_events, b.stats.ignored_events);
+  EXPECT_EQ(a.stats.cancels_issued, b.stats.cancels_issued);
+  EXPECT_EQ(a.stats.resource_overload_windows, b.stats.resource_overload_windows);
 }
 
 // The tentpole property: draining N producers' rings produces decisions
@@ -125,80 +236,28 @@ void ApplyViaProducer(ConcurrentFrontend::Producer* p, const TraceEvent& ev) {
 // order, enqueue-time stamping, explicit-time apply, and the ledger's
 // sampled-mode quantization of the carried stamps.
 TEST(ConcurrentFrontendDeterminism, DrainedDecisionsMatchDirectFeeding) {
-  const int kProducers = 4;
-  const TimeMicros kTick = Millis(100);
-  const int kWindows = 4;
-
-  // --- Pipeline run: scripted events through per-producer rings.
-  ManualClock clock_a(0);
-  ConcurrentFrontend frontend(&clock_a, TestConfig());
-  ResourceId lock_a = frontend.RegisterResource("table_lock", ResourceClass::kLock);
-  FlightRecorder rec_a;
-  frontend.runtime().SetRecorder(&rec_a);
-  std::vector<uint64_t> cancels_a;
-  // atropos-lint: allow(cancel-action-safety)
-  frontend.runtime().SetCancelAction([&](uint64_t key) { cancels_a.push_back(key); });
-  std::vector<ConcurrentFrontend::Producer*> producers;
-  for (int i = 0; i < kProducers; i++) {
-    producers.push_back(frontend.RegisterProducer());
-  }
-
-  std::vector<ScriptOp> script = ConvoyScript(lock_a);
-  size_t next = 0;
-  for (int w = 1; w <= kWindows; w++) {
-    const TimeMicros tick_at = w * kTick;
-    while (next < script.size() && script[next].ev.time < tick_at) {
-      clock_a.SetTime(script[next].ev.time);
-      ApplyViaProducer(producers[script[next].producer], script[next].ev);
-      next++;
-    }
-    clock_a.SetTime(tick_at);
-    frontend.Tick();
-  }
-  ASSERT_EQ(next, script.size()) << "script must fit in the ticked horizon";
-
-  // --- Reference run: same events, bare runtime, global timestamp order.
-  ManualClock clock_b(0);
-  AtroposRuntime runtime(&clock_b, TestConfig());
-  ResourceId lock_b = runtime.RegisterResource("table_lock", ResourceClass::kLock);
-  ASSERT_EQ(lock_a, lock_b);
-  FlightRecorder rec_b;
-  runtime.SetRecorder(&rec_b);
-  std::vector<uint64_t> cancels_b;
-  // atropos-lint: allow(cancel-action-safety)
-  runtime.SetCancelAction([&](uint64_t key) { cancels_b.push_back(key); });
-
-  std::vector<ScriptOp> sorted = script;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const ScriptOp& a, const ScriptOp& b) { return a.ev.time < b.ev.time; });
-  next = 0;
-  for (int w = 1; w <= kWindows; w++) {
-    const TimeMicros tick_at = w * kTick;
-    while (next < sorted.size() && sorted[next].ev.time < tick_at) {
-      clock_b.SetTime(sorted[next].ev.time);
-      ApplyDirect(runtime, sorted[next].ev);
-      next++;
-    }
-    clock_b.SetTime(tick_at);
-    runtime.Tick();
-  }
+  ConcurrentFrontend::IntakeStats intake;
+  const ConvoyOutcome rings = RunConvoyThroughRings<ManualClock>(&intake);
+  const ConvoyOutcome direct = RunConvoyDirect();
 
   // The scenario must actually decide something, or the comparison is hollow.
-  ASSERT_EQ(cancels_b.size(), 1u);
-  EXPECT_EQ(cancels_b[0], 100u);  // the lock holder, not a waiter
-  EXPECT_EQ(cancels_a, cancels_b);
+  ASSERT_EQ(direct.cancels.size(), 1u);
+  EXPECT_EQ(direct.cancels[0], 100u);  // the lock holder, not a waiter
+  ExpectSameDecisions(rings, direct);
+  EXPECT_EQ(intake.drained_total, ConvoyScript(0).size());
+  EXPECT_EQ(intake.dropped_total, 0u);
+}
 
-  EXPECT_EQ(EventsToJsonl(rec_a.Snapshot()), EventsToJsonl(rec_b.Snapshot()));
-
-  const AtroposStats& sa = frontend.runtime().stats();
-  const AtroposStats& sb = runtime.stats();
-  EXPECT_EQ(sa.trace_events, sb.trace_events);
-  EXPECT_EQ(sa.ignored_events, sb.ignored_events);
-  EXPECT_EQ(sa.cancels_issued, sb.cancels_issued);
-  EXPECT_EQ(sa.resource_overload_windows, sb.resource_overload_windows);
-
-  EXPECT_EQ(frontend.intake_stats().drained_total, script.size());
-  EXPECT_EQ(frontend.intake_stats().dropped_total, 0u);
+// The same scripts under a clock whose ticks are not microseconds: the
+// per-Tick conversion hands the ledger exactly the µs each hook ran at, so
+// nothing downstream can tell the difference.
+TEST(ConcurrentFrontendDeterminism, DrainedDecisionsMatchDirectFeedingUnderScaledTicks) {
+  ConcurrentFrontend::IntakeStats intake;
+  const ConvoyOutcome rings = RunConvoyThroughRings<ScaledClock>(&intake);
+  const ConvoyOutcome direct = RunConvoyDirect();
+  ASSERT_EQ(direct.cancels.size(), 1u);
+  ExpectSameDecisions(rings, direct);
+  EXPECT_EQ(intake.dropped_total, 0u);
 }
 
 // Merge-order property over seeded random scripts. Every scripted event
@@ -283,6 +342,160 @@ TEST(ConcurrentFrontendMerge, AppliedOrderIsStableSortOfRunsInRegistrationOrder)
   }
 }
 
+// ---- Tick-time conversion of raw ticks --------------------------------------
+
+// The µs each pushed key's task was created at: the stamp Apply handed the
+// ledger. Every test below registers a fresh key per event.
+TimeMicros AppliedAt(const ConcurrentFrontend& frontend, uint64_t key) {
+  const TaskRecord* task = frontend.runtime().FindTask(key);
+  EXPECT_NE(task, nullptr) << "key " << key;
+  return task == nullptr ? 0 : task->created_at;
+}
+
+// Seeded scripts: three producers push at irregular µs over Ticks at
+// irregular intervals, and one more push lands right after each Tick's anchor
+// read (so it is drained by the next Tick). Every applied stamp must be the
+// µs its hook ran at, to within 1.
+TEST(ConcurrentFrontendTicks, AppliedStampIsTheMicrosecondTheHookRanAt) {
+  for (uint64_t seed = 1; seed <= 50; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ScaledClock clock;
+    ConcurrentFrontend frontend(&clock, TestConfig());
+    std::vector<ConcurrentFrontend::Producer*> producers;
+    for (int p = 0; p < 3; p++) {
+      producers.push_back(frontend.RegisterProducer());
+    }
+    std::vector<std::pair<uint64_t, TimeMicros>> pushed;  // key, µs at the hook
+    uint64_t key = 1;
+    TimeMicros now = 0;
+    for (int tick = 0; tick < 8; tick++) {
+      const uint64_t events = rng.NextBounded(40);
+      for (uint64_t i = 0; i < events; i++) {
+        now += 1 + rng.NextBounded(5000);
+        clock.SetTime(now);
+        producers[rng.NextBounded(3)]->Push(TraceEvent::TaskRegistered(key, false, true));
+        pushed.push_back({key++, now});
+      }
+      now += 1 + rng.NextBounded(20000);
+      clock.SetTime(now);
+      const TimeMicros late = now + 2 + rng.NextBounded(100);
+      ConcurrentFrontend::Producer* straggler = producers[rng.NextBounded(3)];
+      const uint64_t late_key = key++;
+      clock.RunAfterNextMicrosRead([&clock, late, straggler, late_key] {
+        clock.SetTime(late);
+        straggler->Push(TraceEvent::TaskRegistered(late_key, false, true));
+      });
+      pushed.push_back({late_key, late});
+      frontend.Tick();
+      now = late;
+    }
+    clock.SetTime(now + 1000);
+    frontend.Tick();  // drains the last straggler
+
+    for (const auto& [k, at] : pushed) {
+      const TimeMicros applied = AppliedAt(frontend, k);
+      EXPECT_LE(applied, at + 1) << "key " << k;
+      EXPECT_GE(applied + 1, at) << "key " << k;
+    }
+  }
+}
+
+// A stamp can fall outside the Tick that drains it: taken before the previous
+// anchor (pushed between that Tick's pops and its anchor read), or after this
+// one when counters are skewed across cores. It clamps to the nearer anchor.
+TEST(ConcurrentFrontendTicks, StampsOutsideTheTickClampToItsAnchors) {
+  ScaledClock clock;
+  ConcurrentFrontend frontend(&clock, TestConfig());
+  ConcurrentFrontend::Producer* p = frontend.RegisterProducer();
+  clock.SetTime(500);
+  frontend.Tick();  // anchors at 500 µs
+  clock.SetTime(300);
+  p->Push(TraceEvent::TaskRegistered(1, false, true));
+  clock.SetTime(700);
+  p->Push(TraceEvent::TaskRegistered(2, false, true));
+  clock.SetTime(1200);
+  p->Push(TraceEvent::TaskRegistered(3, false, true));
+  clock.SetTime(1000);
+  frontend.Tick();  // anchors at 1000 µs
+
+  EXPECT_EQ(AppliedAt(frontend, 1), 500u);
+  EXPECT_EQ(AppliedAt(frontend, 2), 700u);
+  EXPECT_EQ(AppliedAt(frontend, 3), 1000u);
+}
+
+// Seeded scripts whose stamps stray up to 2 ms either side of the Tick that
+// drains them, on three rings. In the order Apply saw them (TaskId order)
+// the applied times never decrease, within a Tick or across Ticks.
+TEST(ConcurrentFrontendTicks, AppliedTimesNeverDecreaseAcrossTicks) {
+  for (uint64_t seed = 1; seed <= 50; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ScaledClock clock;
+    ConcurrentFrontend frontend(&clock, TestConfig());
+    std::vector<ConcurrentFrontend::Producer*> producers;
+    for (int p = 0; p < 3; p++) {
+      producers.push_back(frontend.RegisterProducer());
+    }
+    TimeMicros last[3] = {};  // a ring's stamps are nondecreasing
+    uint64_t key = 1;
+    TimeMicros now = 10000;
+    for (int tick = 0; tick < 10; tick++) {
+      const uint64_t events = rng.NextBounded(30);
+      for (uint64_t i = 0; i < events; i++) {
+        const size_t p = rng.NextBounded(3);
+        const TimeMicros stamp = std::max(last[p], now - 2000 + rng.NextBounded(4000));
+        clock.SetTime(stamp);
+        producers[p]->Push(TraceEvent::TaskRegistered(key++, false, true));
+        last[p] = stamp;
+      }
+      now += 1000 + rng.NextBounded(5000);
+      clock.SetTime(now);
+      frontend.Tick();
+    }
+
+    std::vector<std::pair<TaskId, TimeMicros>> applied;
+    for (uint64_t k = 1; k < key; k++) {
+      const TaskRecord* task = frontend.runtime().FindTask(k);
+      ASSERT_NE(task, nullptr) << "key " << k;
+      applied.push_back({task->id, task->created_at});
+    }
+    std::sort(applied.begin(), applied.end());
+    for (size_t i = 1; i < applied.size(); i++) {
+      EXPECT_LE(applied[i - 1].second, applied[i].second) << "position " << i;
+    }
+  }
+}
+
+// SteadyClock's ticks are the hardware counter: nondecreasing on one thread,
+// and an event stamped between two Ticks 20 ms apart converts to about the
+// µs it was pushed at.
+TEST(ConcurrentFrontendTicks, SteadyClockTicksConvertAcrossASleep) {
+  SteadyClock clock;
+  uint64_t prev = clock.NowTicks();
+  for (int i = 0; i < 100000; i++) {
+    const uint64_t t = clock.NowTicks();
+    ASSERT_GE(t, prev);
+    prev = t;
+  }
+
+  ConcurrentFrontend frontend(&clock, TestConfig());
+  ConcurrentFrontend::Producer* p = frontend.RegisterProducer();
+  frontend.Tick();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const TimeMicros before = clock.NowMicros();
+  p->Push(TraceEvent::TaskRegistered(1, false, true));
+  const TimeMicros after = clock.NowMicros();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  frontend.Tick();
+
+  // Loose: a preempted anchor read skews the slope, never by whole seconds
+  // or by a unit mix-up.
+  const TimeMicros applied = AppliedAt(frontend, 1);
+  EXPECT_GE(applied + Millis(5), before);
+  EXPECT_LE(applied, after + Millis(5));
+}
+
 // Ring overflow is lossy-with-counter: a full ring drops the event, counts
 // it, and the drain/gauge accounting reconciles drops against drains.
 TEST(ConcurrentFrontendTest, RingOverflowDropsAreCounted) {
@@ -343,6 +556,37 @@ TEST(ConcurrentFrontendTest, HooksAutoRegisterCallingThread) {
   EXPECT_EQ(frontend.intake_stats().producers, 1u);
   EXPECT_EQ(frontend.intake_stats().drained_total, 4u);
   EXPECT_EQ(frontend.runtime().live_task_count(), 2u);
+}
+
+}  // namespace
+
+// Reads the calling thread's producer-binding count for the test below.
+struct ConcurrentFrontendTestPeer {
+  static size_t ThisThreadBindingCount() { return ConcurrentFrontend::ThisThreadBindingCount(); }
+};
+
+namespace {
+
+// A long-lived thread that feeds many short-lived frontends in turn keeps
+// only the binding to the live one: each new binding drops those to
+// frontends destroyed since.
+TEST(ConcurrentFrontendTest, ThreadFeedingManyFrontendsKeepsOneBinding) {
+  ManualClock clock(0);
+  ConcurrentFrontend::Options opt;
+  opt.ring_capacity = 8;
+  size_t max_bindings = 0;
+  std::thread worker([&] {
+    for (uint64_t i = 0; i < 1000; i++) {
+      ConcurrentFrontend frontend(&clock, TestConfig(), opt);
+      frontend.OnTaskRegistered(i, false);
+      max_bindings =
+          std::max(max_bindings, ConcurrentFrontendTestPeer::ThisThreadBindingCount());
+      frontend.Tick();
+      EXPECT_NE(frontend.runtime().FindTask(i), nullptr);
+    }
+  });
+  worker.join();
+  EXPECT_EQ(max_bindings, 1u);
 }
 
 // Multi-producer stress with a concurrent drainer: real OS threads hammer
