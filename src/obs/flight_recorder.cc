@@ -33,41 +33,43 @@ std::string_view ObsEventKindName(ObsEventKind kind) {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder(size_t capacity) : ring_(std::max<size_t>(capacity, 1)) {}
+FlightRecorder::FlightRecorder(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {
+  ring_.reserve(capacity_);
+}
 
 void FlightRecorder::Record(FlightEvent ev) {
   if (!enabled_) {
     return;
   }
   ev.seq = total_++;
-  ring_[head_] = std::move(ev);
-  head_ = (head_ + 1) % ring_.size();
-  if (size_ < ring_.size()) {
-    size_++;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(ev));
+  } else {
+    ring_[head_] = std::move(ev);
+  }
+  if (++head_ == capacity_) {
+    head_ = 0;
   }
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   std::vector<FlightEvent> out;
-  out.reserve(size_);
-  // Oldest event sits at head_ once the ring has wrapped, else at 0.
-  size_t start = size_ == ring_.size() ? head_ : 0;
-  for (size_t i = 0; i < size_; i++) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
+  out.reserve(ring_.size());
+  ForEach([&out](const FlightEvent& ev) { out.push_back(ev); });
   return out;
 }
 
 void FlightRecorder::ForEach(const std::function<void(const FlightEvent&)>& fn) const {
-  size_t start = size_ == ring_.size() ? head_ : 0;
-  for (size_t i = 0; i < size_; i++) {
-    fn(ring_[(start + i) % ring_.size()]);
+  // Oldest event sits at head_ once every slot is built, else at 0.
+  size_t start = ring_.size() == capacity_ ? head_ : 0;
+  for (size_t i = 0; i < ring_.size(); i++) {
+    fn(ring_[(start + i) % capacity_]);
   }
 }
 
 void FlightRecorder::AnnotateLast(ObsEventKind kind, const std::string& label) {
-  for (size_t i = 0; i < size_; i++) {
-    size_t idx = (head_ + ring_.size() - 1 - i) % ring_.size();
+  for (size_t i = 0; i < ring_.size(); i++) {
+    size_t idx = (head_ + capacity_ - 1 - i) % capacity_;
     if (ring_[idx].kind == kind) {
       if (ring_[idx].label.empty()) {
         ring_[idx].label = label;
@@ -78,8 +80,8 @@ void FlightRecorder::AnnotateLast(ObsEventKind kind, const std::string& label) {
 }
 
 void FlightRecorder::Clear() {
+  ring_.clear();  // keeps the reservation
   head_ = 0;
-  size_ = 0;
   total_ = 0;
 }
 

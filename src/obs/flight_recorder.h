@@ -1,9 +1,12 @@
-// Fixed-capacity ring buffer of FlightEvents — the decision flight recorder.
+// The decision flight recorder: a bounded ring of FlightEvents whose slots
+// are built on first record. The constructor reserves `capacity` slots but
+// constructs none, so a recorder costs only what it has recorded.
 //
 // Record() is O(1) and allocation-free apart from the event payload the
-// caller already built; when the ring is full the oldest event is
-// overwritten, so a recorder can stay attached to a long-running system and
-// always hold the most recent history (the post-mortem that matters).
+// caller already built (the reservation means no slot ever moves); when the
+// ring is full the oldest event is overwritten, so a recorder can stay
+// attached to a long-running system and always hold the most recent history
+// (the post-mortem that matters).
 // A disabled recorder reduces every Record call at the emission site to one
 // branch — emitters are expected to guard payload construction with
 // `recorder->enabled()` so an idle recorder costs nothing measurable.
@@ -46,20 +49,23 @@ class FlightRecorder {
   // control loop.
   void AnnotateLast(ObsEventKind kind, const std::string& label);
 
+  // Drops every event and built slot; the reservation stays.
   void Clear();
 
-  size_t size() const { return size_; }
-  size_t capacity() const { return ring_.size(); }
+  size_t size() const { return ring_.size(); }
+  // The bound on held events. The ring is a bounded ring whose slots are
+  // built on first record, so the bound is reserved, not constructed.
+  size_t capacity() const { return capacity_; }
   uint64_t total_recorded() const { return total_; }
   // Events lost to wraparound since the last Clear().
-  uint64_t overwritten() const { return total_ - size_; }
+  uint64_t overwritten() const { return total_ - ring_.size(); }
 
   static constexpr size_t kDefaultCapacity = 4096;
 
  private:
-  std::vector<FlightEvent> ring_;
-  size_t head_ = 0;  // next write position
-  size_t size_ = 0;
+  size_t capacity_;
+  std::vector<FlightEvent> ring_;  // built slots, at most capacity_
+  size_t head_ = 0;                // next write position
   uint64_t total_ = 0;
   bool enabled_ = true;
 };

@@ -91,9 +91,11 @@ FuzzRunResult RunPlan(const FuzzPlan& plan) {
   AuditController audit(runtime);
   audit.InjectDropFreeForType(plan.faults.drop_free_request_type);
 
-  // The oracles audit the *complete* decision history, so the recorder is
-  // sized to the run instead of the post-mortem default (overflow would
-  // itself be flagged by the detector-monotonicity oracle).
+  // The oracles audit the *complete* decision history, so the recorder's
+  // bound is far above any run instead of the post-mortem default (overflow
+  // would itself be flagged by the detector-monotonicity oracle). It is a
+  // bounded ring whose slots are built on first record: the bound costs only
+  // what the run records.
   Observability obs(1 << 17);
   runtime.SetRecorder(&obs.recorder);
   runtime.SetCancelObserver(

@@ -161,6 +161,61 @@ TEST(FlightRecorderTest, ClearResetsCounters) {
   EXPECT_TRUE(recorder.Snapshot().empty());
 }
 
+// The capacity is a bound, not a built ring: a large recorder holding a few
+// events reports the bound, the events actually held, and them oldest first.
+TEST(FlightRecorderTest, LargeBoundHoldsOnlyWhatWasRecorded) {
+  FlightRecorder recorder(1 << 20);
+  for (int i = 0; i < 3; i++) {
+    recorder.Record(Event(ObsEventKind::kWindowClosed, i));
+  }
+  EXPECT_EQ(recorder.capacity(), 1u << 20);
+  EXPECT_EQ(recorder.size(), 3u);
+  EXPECT_EQ(recorder.overwritten(), 0u);
+  std::vector<FlightEvent> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  for (size_t i = 0; i < events.size(); i++) {
+    EXPECT_EQ(events[i].seq, i);
+  }
+}
+
+TEST(FlightRecorderTest, ClearThenWrapAgainKeepsOrder) {
+  FlightRecorder recorder(4);
+  for (int i = 0; i < 6; i++) {
+    recorder.Record(Event(ObsEventKind::kWindowClosed, i));
+  }
+  recorder.Clear();
+  for (int i = 0; i < 9; i++) {
+    recorder.Record(Event(ObsEventKind::kWindowClosed, 100 + i));
+  }
+  EXPECT_EQ(recorder.capacity(), 4u);
+  EXPECT_EQ(recorder.size(), 4u);
+  EXPECT_EQ(recorder.total_recorded(), 9u);
+  EXPECT_EQ(recorder.overwritten(), 5u);
+  // Seqs restart at 0 after Clear(); the newest four are 5..8, oldest first.
+  std::vector<FlightEvent> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  for (size_t i = 0; i < events.size(); i++) {
+    EXPECT_EQ(events[i].seq, 5 + i);
+    EXPECT_EQ(events[i].time, static_cast<TimeMicros>(105 + i));
+  }
+}
+
+TEST(FlightRecorderTest, AnnotateLastAfterClearOnPartlyFilledRing) {
+  FlightRecorder recorder(8);
+  for (int i = 0; i < 10; i++) {
+    recorder.Record(Event(ObsEventKind::kCancelIssued, i));
+  }
+  recorder.Clear();
+  recorder.Record(Event(ObsEventKind::kCancelIssued, 0));
+  recorder.Record(Event(ObsEventKind::kWindowClosed, 1));
+  recorder.AnnotateLast(ObsEventKind::kCancelIssued, "victim");
+  std::vector<FlightEvent> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].seq, 0u);
+  EXPECT_EQ(events[0].label, "victim");
+  EXPECT_EQ(events[1].label, "");
+}
+
 // ---------------------------------------------------------------------------
 // Exporters.
 
