@@ -63,6 +63,18 @@ struct Delay {
   void await_resume() const noexcept {}
 };
 
+// Suspends the process until absolute time `at`, ordered by a tie-break seq
+// reserved earlier with Executor::ReserveSeqs.
+struct ResumeAtReserved {
+  Executor& executor;
+  TimeMicros at;
+  uint64_t seq;
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const { executor.ResumeAt(at, h, seq); }
+  void await_resume() const noexcept {}
+};
+
 // Yields the processor: re-schedules at the current virtual time, behind any
 // already-queued events. Useful to break ties deterministically.
 struct YieldNow {

@@ -4,6 +4,10 @@
 // equal timestamps fire in submission order (FIFO tie-break by sequence
 // number), which makes every simulation bit-for-bit reproducible for a given
 // seed — the property all the paper-reproduction benches rely on.
+//
+// The order key is (time, seq). A producer that knows its schedule up front
+// reserves its seqs (ReserveSeqs) and pushes each event only when it is next,
+// so the heap holds in-flight work instead of the whole future schedule.
 
 #ifndef SRC_SIM_EXECUTOR_H_
 #define SRC_SIM_EXECUTOR_H_
@@ -33,6 +37,19 @@ class Executor {
     events_.push(Event{ClampToNow(t), next_seq_++, h, {}});
   }
   void ResumeAfter(TimeMicros delay, std::coroutine_handle<> h) { ResumeAt(now() + delay, h); }
+
+  // Reserves `n` consecutive tie-break seqs and returns the first. Resuming
+  // with a reserved seq orders the event as if it had been pushed at the
+  // moment of reservation, provided it is pushed before any event that would
+  // follow it has fired.
+  uint64_t ReserveSeqs(size_t n) {
+    uint64_t base = next_seq_;
+    next_seq_ += n;
+    return base;
+  }
+  void ResumeAt(TimeMicros t, std::coroutine_handle<> h, uint64_t reserved_seq) {
+    events_.push(Event{ClampToNow(t), reserved_seq, h, {}});
+  }
 
   // Runs an arbitrary callback at absolute virtual time `t`.
   void CallAt(TimeMicros t, std::function<void()> fn) {

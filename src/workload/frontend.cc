@@ -19,9 +19,7 @@ RunMetrics Frontend::Run() {
       GenerateTraffic(spec, root.Fork());
     }
   }
-  for (const OneShotSpec& spec : oneshots_) {
-    FireOneShot(spec);
-  }
+  FireOneShots(oneshots_);
   TickLoop();
 
   // Phase 1: run through the experiment horizon.
@@ -88,16 +86,28 @@ Coro Frontend::ClosedLoopClient(TrafficSpec spec, Rng rng) {
   }
 }
 
-Coro Frontend::FireOneShot(OneShotSpec spec) {
+// One process feeds all one-shots, so the heap holds only the next one
+// instead of the whole schedule. The seqs are reserved at spawn, in Run()'s
+// spawn order, and shot i of the (at, insertion)-sorted list fires at key
+// (start + at, base + i): the order it would have had if every shot had been
+// pushed up front.
+Coro Frontend::FireOneShots(std::vector<OneShotSpec> shots) {
   co_await BindExecutor{executor_};
-  co_await Delay{executor_, spec.at};
-  AppRequest req;
-  req.key = next_key_++;
-  req.type = spec.type;
-  req.client_class = spec.client_class;
-  req.arg = spec.arg;
-  req.non_cancellable = spec.non_cancellable;
-  Submit(req, executor_.now(), spec.background, /*is_retry=*/false);
+  std::stable_sort(shots.begin(), shots.end(),
+                   [](const OneShotSpec& a, const OneShotSpec& b) { return a.at < b.at; });
+  const TimeMicros start = executor_.now();
+  const uint64_t base = executor_.ReserveSeqs(shots.size());
+  for (size_t i = 0; i < shots.size(); i++) {
+    const OneShotSpec& spec = shots[i];
+    co_await ResumeAtReserved{executor_, start + spec.at, base + i};
+    AppRequest req;
+    req.key = next_key_++;
+    req.type = spec.type;
+    req.client_class = spec.client_class;
+    req.arg = spec.arg;
+    req.non_cancellable = spec.non_cancellable;
+    Submit(req, executor_.now(), spec.background, /*is_retry=*/false);
+  }
 }
 
 Coro Frontend::TickLoop() {
@@ -146,6 +156,9 @@ void Frontend::Submit(AppRequest req, TimeMicros first_arrival, bool background,
       completion->Set();
     }
     return;
+  }
+  if (req.key >= key_types_.size()) {
+    key_types_.resize(req.key + 1, -1);
   }
   key_types_[req.key] = req.type;
   controller_.OnTaskRegistered(req.key, background, !req.non_cancellable);

@@ -8,7 +8,6 @@
 
 #include <deque>
 #include <limits>
-#include <unordered_map>
 #include <memory>
 #include <vector>
 
@@ -91,8 +90,7 @@ class Frontend {
 
   // Request type of a submitted key (diagnostics; -1 if unknown).
   int TypeOfKey(uint64_t key) const {
-    auto it = key_types_.find(key);
-    return it == key_types_.end() ? -1 : it->second;
+    return key < key_types_.size() ? key_types_[key] : -1;
   }
 
   // Attach an observability bundle (non-owning): the app starts maintaining
@@ -118,7 +116,8 @@ class Frontend {
 
   Coro GenerateTraffic(TrafficSpec spec, Rng rng);
   Coro ClosedLoopClient(TrafficSpec spec, Rng rng);
-  Coro FireOneShot(OneShotSpec spec);
+  // Fires every one-shot from one process, in (at, insertion) order.
+  Coro FireOneShots(std::vector<OneShotSpec> shots);
   Coro TickLoop();
   // Conservative re-execution scheduler (§4): retries run one at a time,
   // each gated on sustained resource availability, and are dropped once they
@@ -147,7 +146,7 @@ class Frontend {
   std::vector<TrafficSpec> traffic_;
   std::vector<OneShotSpec> oneshots_;
   uint64_t next_key_ = 1;
-  std::unordered_map<uint64_t, int> key_types_;
+  std::vector<int> key_types_;  // indexed by key (keys are dense from 1); -1 = unknown
   bool stop_ticking_ = false;
   std::deque<PendingRetry> retry_queue_;
   bool retry_worker_active_ = false;

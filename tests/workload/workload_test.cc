@@ -135,6 +135,112 @@ TEST_F(FrontendTest, ClosedLoopBacksOffUnderSlowdown) {
   EXPECT_NEAR(m.ThroughputQps(), 100, 10);
 }
 
+// App that logs every arrival and completes it on the spot, so a test sees
+// exactly when and under which key the frontend submitted each request.
+class ArrivalLogApp : public App {
+ public:
+  struct Arrival {
+    uint64_t key;
+    uint64_t arg;
+    TimeMicros time;
+    bool operator==(const Arrival&) const = default;
+  };
+
+  ArrivalLogApp(Executor& executor, OverloadController* controller)
+      : App(executor, controller) {}
+
+  std::string_view name() const override { return "arrival_log"; }
+  void Start(const AppRequest& req, CompletionFn done) override {
+    arrivals.push_back({req.key, req.arg, executor_.now()});
+    done(req, OutcomeKind::kCompleted);
+  }
+  void Shutdown() override {}
+
+  std::vector<Arrival> arrivals;
+};
+
+OneShotSpec Shot(uint64_t id, TimeMicros at) {
+  OneShotSpec shot;
+  shot.type = static_cast<int>(id);
+  shot.at = at;
+  shot.arg = id;
+  return shot;
+}
+
+TEST(FrontendOneShotTest, FireInAtThenInsertionOrderWithPinnedKeys) {
+  Executor ex;
+  RecordingController ctl;
+  ArrivalLogApp app(ex, &ctl);
+  FrontendOptions fopt;
+  fopt.duration = Seconds(1);
+  fopt.warmup = 0;
+  Frontend frontend(ex, app, ctl, fopt);
+  // Added out of `at` order, with three shots tied at 1 ms and two at 2 ms.
+  const TimeMicros at[] = {3000, 1000, 2000, 1000, 0, 2000, 1000};
+  for (uint64_t id = 0; id < 7; id++) {
+    frontend.AddOneShot(Shot(id, at[id]));
+  }
+  frontend.Run();
+  // Keys go out in firing order; ties keep insertion order.
+  const std::vector<ArrivalLogApp::Arrival> expected = {
+      {1, 4, 0},    {2, 1, 1000}, {3, 3, 1000}, {4, 6, 1000},
+      {5, 2, 2000}, {6, 5, 2000}, {7, 0, 3000},
+  };
+  EXPECT_EQ(app.arrivals, expected);
+  for (const ArrivalLogApp::Arrival& a : expected) {
+    EXPECT_EQ(frontend.TypeOfKey(a.key), static_cast<int>(a.arg));
+  }
+  EXPECT_EQ(frontend.TypeOfKey(0), -1);
+  EXPECT_EQ(frontend.TypeOfKey(8), -1);
+  EXPECT_EQ(frontend.TypeOfKey(kBackgroundKeyBase), -1);
+  EXPECT_EQ(ex.live_procs(), 0);
+  EXPECT_FALSE(ex.has_pending());
+}
+
+TEST(FrontendOneShotTest, AtIsRelativeToRunStart) {
+  Executor ex;
+  ex.CallAt(Seconds(1), [] {});
+  ex.Run();
+  ASSERT_EQ(ex.now(), Seconds(1));
+  RecordingController ctl;
+  ArrivalLogApp app(ex, &ctl);
+  FrontendOptions fopt;
+  fopt.duration = Seconds(3);
+  fopt.warmup = 0;
+  Frontend frontend(ex, app, ctl, fopt);
+  frontend.AddOneShot(Shot(1, Millis(500)));
+  frontend.AddOneShot(Shot(2, 0));
+  frontend.Run();
+  const std::vector<ArrivalLogApp::Arrival> expected = {
+      {1, 2, Seconds(1)},
+      {2, 1, Seconds(1) + Millis(500)},
+  };
+  EXPECT_EQ(app.arrivals, expected);
+  EXPECT_EQ(ex.live_procs(), 0);
+}
+
+TEST(FrontendOneShotTest, HeapHoldsOnlyInFlightShots) {
+  Executor ex;
+  RecordingController ctl;
+  ArrivalLogApp app(ex, &ctl);
+  FrontendOptions fopt;
+  fopt.duration = Seconds(6);
+  fopt.warmup = 0;
+  Frontend frontend(ex, app, ctl, fopt);
+  constexpr uint64_t kShots = 5000;
+  for (uint64_t i = 0; i < kShots; i++) {
+    // Scattered over 0..5 s, inserted out of order.
+    frontend.AddOneShot(Shot(i, ((i * 7919) % kShots) * Millis(1)));
+  }
+  size_t pending_mid_run = 0;
+  ex.CallAt(Millis(2500) + 1, [&] { pending_mid_run = ex.pending_count(); });
+  frontend.Run();
+  EXPECT_EQ(app.arrivals.size(), kShots);
+  EXPECT_GT(pending_mid_run, 0u);
+  EXPECT_LE(pending_mid_run, 64u);
+  EXPECT_EQ(ex.live_procs(), 0);
+}
+
 // Controller that cancels a specific key at a specific tick, for retry tests.
 class CancelOnceController : public RecordingController {
  public:
@@ -237,6 +343,9 @@ TEST(FrontendAdmissionTest, ShedRequestsCountAsDrops) {
   RunMetrics m = frontend.Run();
   EXPECT_NEAR(m.DropRate(), 0.5, 0.1);
   EXPECT_NEAR(static_cast<double>(m.completed), static_cast<double>(m.dropped), 30.0);
+  // Shed requests never register, so their keys stay unknown.
+  EXPECT_EQ(frontend.TypeOfKey(1), kKvPointOp);
+  EXPECT_EQ(frontend.TypeOfKey(2), -1);
 }
 
 // --------------------------------------------------------------------------
