@@ -24,15 +24,10 @@ std::string_view OutcomeName(OutcomeKind outcome) {
 
 void App::Cancel(uint64_t key) {
   auto it = live_.find(key);
-  if (it == live_.end()) {
-    return;
+  if (it == live_.end() || !it->second.cancellable) {
+    return;  // gone, or explicitly excluded from cancellation (§3.5 safety contract)
   }
-  auto c = cancellable_.find(key);
-  if (c != cancellable_.end() && !c->second) {
-    return;  // explicitly excluded from cancellation (§3.5 safety contract)
-  }
-  it->second.cancelled = true;
-  it->second.token->Cancel();
+  it->second.token.Cancel();
 }
 
 void App::ThrottleTask(uint64_t key, double factor) {
@@ -51,20 +46,20 @@ void App::CancelTask(uint64_t key, CancelReason reason) {
 }
 
 CancelToken* App::BeginTask(uint64_t key, bool cancellable) {
-  LiveTask task;
-  task.token = std::make_unique<CancelToken>(executor_);
-  CancelToken* token = task.token.get();
-  live_[key] = std::move(task);
-  cancellable_[key] = cancellable;
-  return token;
+  auto [it, inserted] = live_.try_emplace(key, executor_, cancellable);
+  if (!inserted) {
+    live_.erase(it);
+    it = live_.try_emplace(key, executor_, cancellable).first;
+  }
+  return &it->second.token;
 }
 
 void App::FinishTask(const AppRequest& req, const CompletionFn& done, const Status& status) {
   OutcomeKind outcome = OutcomeKind::kCompleted;
-  auto it = live_.find(req.key);
   CancelReason reason = CancelReason::kCulprit;
-  if (it != live_.end()) {
+  if (auto it = live_.find(req.key); it != live_.end()) {
     reason = it->second.cancel_reason;
+    live_.erase(it);
   }
   switch (status.code()) {
     case StatusCode::kOk:
@@ -81,8 +76,6 @@ void App::FinishTask(const AppRequest& req, const CompletionFn& done, const Stat
       outcome = OutcomeKind::kDropped;
       break;
   }
-  live_.erase(req.key);
-  cancellable_.erase(req.key);
   if (metrics_ != nullptr) {
     Counter*& by_type = type_counters_[req.type];
     if (by_type == nullptr) {
@@ -112,7 +105,7 @@ TimeMicros App::Scaled(uint64_t key, TimeMicros t) const {
 
 CancelToken* App::TokenOf(uint64_t key) {
   auto it = live_.find(key);
-  return it == live_.end() ? nullptr : it->second.token.get();
+  return it == live_.end() ? nullptr : &it->second.token;
 }
 
 void App::InitClientGates(int num_classes, int64_t parties_capacity) {

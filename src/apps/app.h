@@ -83,20 +83,23 @@ class App : public ControlSurface {
   void SetClientShare(int client_class, double share) override;
 
  protected:
-  // Book-keeping for an in-flight request or background task.
+  // Book-keeping for an in-flight request or background task. The token
+  // lives in the map node, whose address is stable until the entry is erased.
   struct LiveTask {
-    std::unique_ptr<CancelToken> token;
+    LiveTask(Executor& executor, bool cancellable) : token(executor), cancellable(cancellable) {}
+
+    CancelToken token;
     CancelReason cancel_reason = CancelReason::kCulprit;
-    bool cancelled = false;
+    bool cancellable;
     double throttle = 1.0;
   };
 
   explicit App(Executor& executor, OverloadController* controller)
       : executor_(executor), controller_(controller) {}
 
-  // Creates the live entry + cancel token for `key`; pre-cancelled entries
-  // are not created for non-cancellable requests — they still get a token
-  // but Cancel() on them is a no-op (the app-level safety contract).
+  // Creates the live entry + cancel token for `key`, replacing any entry
+  // still live under it. Non-cancellable requests still get a token, but
+  // Cancel() on them is a no-op (the app-level safety contract).
   CancelToken* BeginTask(uint64_t key, bool cancellable = true);
 
   // Maps the handler's final status to an OutcomeKind using the recorded
@@ -125,7 +128,6 @@ class App : public ControlSurface {
   std::unordered_map<int, Counter*> type_counters_;
   std::array<Counter*, 4> outcome_counters_{};
   std::unordered_map<uint64_t, LiveTask> live_;
-  std::unordered_map<uint64_t, bool> cancellable_;
   std::vector<std::unique_ptr<AdjustableLimiter>> class_gates_;
   int64_t gate_slots_ = 0;
 };

@@ -33,9 +33,9 @@ std::string Status::ToString() const {
     return "ok";
   }
   std::string out(StatusCodeName(code_));
-  if (!message_.empty()) {
+  if (message_ != nullptr) {
     out += ": ";
-    out += message_;
+    out += *message_;
   }
   return out;
 }

@@ -7,6 +7,7 @@
 #define SRC_COMMON_STATUS_H_
 
 #include <cassert>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -30,12 +31,17 @@ enum class StatusCode {
 std::string_view StatusCodeName(StatusCode code);
 
 // Value type carrying a StatusCode and an optional human-readable message.
-// The common success value is cheap to construct and copy (no allocation).
+// The message is immutable and shared between copies; it is null when empty,
+// so a status without one (every OK status) holds no heap state and a move
+// is a pointer move.
 class Status {
  public:
   Status() : code_(StatusCode::kOk) {}
   explicit Status(StatusCode code) : code_(code) {}
-  Status(StatusCode code, std::string message) : code_(code), message_(std::move(message)) {}
+  Status(StatusCode code, std::string message)
+      : code_(code),
+        message_(message.empty() ? nullptr
+                                 : std::make_shared<const std::string>(std::move(message))) {}
 
   static Status Ok() { return Status(); }
   static Status Cancelled(std::string msg = "") { return Status(StatusCode::kCancelled, std::move(msg)); }
@@ -60,7 +66,10 @@ class Status {
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const {
+    static const std::string kNoMessage;
+    return message_ != nullptr ? *message_ : kNoMessage;
+  }
 
   bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
   bool IsTimeout() const { return code_ == StatusCode::kTimeout; }
@@ -72,7 +81,7 @@ class Status {
 
  private:
   StatusCode code_;
-  std::string message_;
+  std::shared_ptr<const std::string> message_;
 };
 
 // Holds either a value of type T or a non-OK Status explaining its absence.

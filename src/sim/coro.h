@@ -3,7 +3,8 @@
 // A Coro is an eagerly-started, self-destroying coroutine — the SimPy-style
 // "process". Application request handlers and background tasks are Coros; they
 // suspend on awaitables (Delay, lock acquires, queue pops) and are resumed by
-// the Executor at the right virtual time.
+// the Executor at the right virtual time. Frames come from the per-thread
+// frame pool (frame_pool.h).
 
 #ifndef SRC_SIM_CORO_H_
 #define SRC_SIM_CORO_H_
@@ -13,6 +14,7 @@
 
 #include "src/common/clock.h"
 #include "src/sim/executor.h"
+#include "src/sim/frame_pool.h"
 
 namespace atropos {
 
@@ -22,7 +24,7 @@ namespace atropos {
 // a metrics callback) — exactly how real request handlers report completion.
 class Coro {
  public:
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Executor* executor = nullptr;
 
     Coro get_return_object() { return Coro{}; }

@@ -3,7 +3,8 @@
 // Task<T> is a lazy coroutine: it starts when awaited and resumes its awaiter
 // when it finishes (symmetric transfer). Application helpers (acquire-a-page,
 // consume-cpu, write-wal, ...) return Task<Status> so request handlers — which
-// are detached Coros — can compose them with plain co_await.
+// are detached Coros — can compose them with plain co_await. Frames come from
+// the per-thread frame pool (frame_pool.h).
 
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
@@ -11,6 +12,8 @@
 #include <coroutine>
 #include <optional>
 #include <utility>
+
+#include "src/sim/frame_pool.h"
 
 namespace atropos {
 
@@ -20,7 +23,7 @@ class Task;
 namespace internal {
 
 template <typename T>
-struct TaskPromiseBase {
+struct TaskPromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
 
   std::suspend_always initial_suspend() noexcept { return {}; }

@@ -226,9 +226,21 @@ FuzzPlan PlanFromSeed(uint64_t seed, const FuzzPlanOptions& options) {
 }
 
 FuzzPlan RestrictPlan(const FuzzPlan& plan, const std::vector<size_t>& keep) {
-  FuzzPlan out = plan;
-  out.requests.clear();
-  out.kept.clear();
+  // Field by field, so the seed's whole schedule is never copied; only the
+  // kept requests are. Every corpus scenario is a restricted plan, so the
+  // corpus digests pin this copy.
+  FuzzPlan out;
+  out.seed = plan.seed;
+  out.mode = plan.mode;
+  out.config = plan.config;
+  out.duration = plan.duration;
+  out.warmup = plan.warmup;
+  out.tick_window = plan.tick_window;
+  out.retry_cancelled = plan.retry_cancelled;
+  out.max_retry_wait = plan.max_retry_wait;
+  out.faults = plan.faults;
+  out.requests.reserve(keep.size());
+  out.kept.reserve(keep.size());
   for (size_t idx : keep) {
     if (idx >= plan.requests.size()) {
       continue;

@@ -71,6 +71,7 @@ struct FuzzFaults {
   int drop_free_request_type = -1;
 };
 
+// RestrictPlan copies the fields by name: a new field must be added there.
 struct FuzzPlan {
   uint64_t seed = 0;
   FuzzAppMode mode = FuzzAppMode::kKvLock;

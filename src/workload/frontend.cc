@@ -1,6 +1,7 @@
 #include "src/workload/frontend.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace atropos {
 
@@ -19,7 +20,7 @@ RunMetrics Frontend::Run() {
       GenerateTraffic(spec, root.Fork());
     }
   }
-  FireOneShots(oneshots_);
+  FireOneShots(std::move(oneshots_));
   TickLoop();
 
   // Phase 1: run through the experiment horizon.

@@ -103,7 +103,8 @@ class Frontend {
   }
 
   // Runs the whole experiment to completion (drains the simulation) and
-  // returns the measured-window metrics.
+  // returns the measured-window metrics. Single-shot: the one-shots are
+  // handed to the run, and the app is shut down at its end.
   RunMetrics Run();
 
  private:

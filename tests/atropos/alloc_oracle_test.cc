@@ -16,6 +16,10 @@
 // k-way merge into AtroposRuntime::Apply, and the control loop over calm
 // windows (no recorder attached, no resource overloaded).
 //
+// The simulator's per-await path is armed as well: warm wake push/fire
+// cycles on an Executor, and nested Task<Status> awaits whose frames come
+// from the per-thread frame pool.
+//
 // Deliberately NOT inside the armed region: the overload path of Tick() (the
 // estimator builds per-window candidate vectors for the policy by design —
 // once per window, only while a resource is overloaded) and first-touch
@@ -32,6 +36,10 @@
 #include "src/atropos/ledger.h"
 #include "src/atropos/window.h"
 #include "src/common/clock.h"
+#include "src/common/status.h"
+#include "src/sim/coro.h"
+#include "src/sim/executor.h"
+#include "src/sim/task.h"
 
 namespace {
 
@@ -243,6 +251,85 @@ TEST(AllocOracleTest, FrontendCalmTicksAreAllocationFree) {
   EXPECT_EQ(frontend.intake_stats().dropped_total, 0u);
   EXPECT_EQ(frontend.runtime().stats().resource_overload_windows, 0u);
   EXPECT_EQ(frontend.runtime().live_task_count(), 0u);
+}
+
+Coro Sleeper(Executor& ex, int wakes) {
+  co_await BindExecutor{ex};
+  for (int i = 0; i < wakes; i++) {
+    co_await Delay{ex, static_cast<TimeMicros>(1 + i % 3)};
+  }
+}
+
+// A warm executor's wake heap reuses its storage: a push and a fire of a
+// coroutine wake allocate nothing.
+TEST(AllocOracleTest, WarmExecutorWakesAreAllocationFree) {
+  constexpr int kSleepers = 8;
+  Executor ex;
+  for (int i = 0; i < kSleepers; i++) {
+    Sleeper(ex, 4);
+  }
+  ex.Run();
+  for (int i = 0; i < kSleepers; i++) {
+    Sleeper(ex, 1250);
+  }
+  uint64_t fired = 0;
+  {
+    AllocArmed armed;
+    fired = ex.Run();
+    EXPECT_EQ(armed.count(), 0u) << "warm wake push/fire cycles allocated";
+  }
+  EXPECT_EQ(fired, uint64_t{kSleepers} * 1250);
+  EXPECT_EQ(ex.live_procs(), 0);
+}
+
+Task<Status> Leaf(Executor& ex, int i) {
+  co_await Delay{ex, 1};
+  co_return i % 5 == 0 ? Status::Cancelled() : Status::Ok();
+}
+
+Task<Status> Middle(Executor& ex, int i) {
+  Status first = co_await Leaf(ex, i);
+  if (!first.ok()) {
+    co_return first;
+  }
+  Status second = co_await Leaf(ex, i + 1);
+  co_return second;
+}
+
+Coro Request(Executor& ex, int rounds, int* ok) {
+  co_await BindExecutor{ex};
+  for (int i = 0; i < rounds; i++) {
+    Status s = co_await Middle(ex, i);
+    if (s.ok()) {
+      ++*ok;
+    }
+  }
+}
+
+// Nested Task<Status> awaits inside spawned request coroutines: once the
+// frame pool holds a block of each frame size, neither frames nor statuses
+// allocate.
+TEST(AllocOracleTest, WarmNestedTaskAwaitsAreAllocationFree) {
+  constexpr int kRequests = 16;
+  constexpr int kRounds = 200;
+  Executor ex;
+  int ok = 0;
+  for (int r = 0; r < kRequests; r++) {
+    Request(ex, 2, &ok);
+  }
+  ex.Run();
+  ok = 0;
+  {
+    AllocArmed armed;
+    for (int r = 0; r < kRequests; r++) {
+      Request(ex, kRounds, &ok);
+    }
+    ex.Run();
+    EXPECT_EQ(armed.count(), 0u) << "warm nested Task<Status> awaits allocated";
+  }
+  // Leaf(i) fails when i % 5 == 0, Leaf(i + 1) when i % 5 == 4: 3 of 5 pass.
+  EXPECT_EQ(ok, kRequests * kRounds * 3 / 5);
+  EXPECT_EQ(ex.live_procs(), 0);
 }
 
 }  // namespace

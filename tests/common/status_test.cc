@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 namespace atropos {
 namespace {
 
@@ -23,6 +26,29 @@ TEST(StatusTest, FactoryConstructorsCarryCodeAndMessage) {
 TEST(StatusTest, EqualityComparesCodesOnly) {
   EXPECT_EQ(Status::Timeout("a"), Status::Timeout("b"));
   EXPECT_FALSE(Status::Timeout() == Status::Cancelled());
+}
+
+TEST(StatusTest, CopiesShareTheMessageAndMovesLeaveNoHeapState) {
+  Status a = Status::Internal("ledger out of sync");
+  Status copy = a;
+  EXPECT_EQ(copy.code(), StatusCode::kInternal);
+  EXPECT_EQ(copy.message(), "ledger out of sync");
+  EXPECT_EQ(&copy.message(), &a.message());  // one immutable message, shared
+
+  Status moved = std::move(a);
+  EXPECT_EQ(moved.message(), "ledger out of sync");
+  EXPECT_EQ(&moved.message(), &copy.message());
+
+  copy = Status::Ok();
+  EXPECT_TRUE(copy.ok());
+  EXPECT_EQ(copy.message(), "");
+  EXPECT_EQ(moved.ToString(), "internal: ledger out of sync");
+
+  // An empty message is no message: it reads back empty and prints none.
+  Status bare = Status::Cancelled("");
+  EXPECT_EQ(bare.message(), "");
+  EXPECT_EQ(bare.ToString(), "cancelled");
+  EXPECT_EQ(Status(StatusCode::kTimeout).ToString(), "timeout");
 }
 
 TEST(StatusTest, AllCodesHaveNames) {

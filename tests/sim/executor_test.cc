@@ -163,6 +163,58 @@ TEST(ExecutorTest, ReservedSeqOrdersAsIfPushedAtReservation) {
   EXPECT_EQ(ex.live_procs(), 0);
 }
 
+Coro WakeAt(Executor& ex, TimeMicros t, std::vector<int>& order, int id) {
+  co_await BindExecutor{ex};
+  co_await Delay{ex, t - ex.now()};
+  order.push_back(id);
+}
+
+// Callbacks and wakes sit in separate heaps; a tie on time is broken by the
+// seq, which both draw from one counter, whichever queue was pushed first.
+TEST(ExecutorTest, CallbackAndWakeTiedOnTimeFireInSeqOrder) {
+  {
+    Executor ex;
+    std::vector<int> order;
+    ex.CallAt(100, [&] { order.push_back(1); });
+    WakeAt(ex, 100, order, 2);
+    ex.CallAt(100, [&] { order.push_back(3); });
+    ex.Run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  }
+  {
+    Executor ex;
+    std::vector<int> order;
+    WakeAt(ex, 100, order, 1);
+    ex.CallAt(100, [&] { order.push_back(2); });
+    WakeAt(ex, 100, order, 3);
+    ex.Run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(ex.live_procs(), 0);
+  }
+}
+
+TEST(ExecutorTest, RunUntilLeavesTheQueuePastTheHorizon) {
+  for (bool wake_first : {true, false}) {
+    Executor ex;
+    std::vector<int> order;
+    if (wake_first) {
+      WakeAt(ex, 100, order, 1);
+      ex.CallAt(900, [&] { order.push_back(2); });
+    } else {
+      ex.CallAt(100, [&] { order.push_back(1); });
+      WakeAt(ex, 900, order, 2);
+    }
+    EXPECT_EQ(ex.Run(500), 1u);
+    EXPECT_EQ(order, (std::vector<int>{1}));
+    EXPECT_EQ(ex.now(), 500u);
+    EXPECT_EQ(ex.pending_count(), 1u);
+    EXPECT_EQ(ex.Run(), 1u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(ex.now(), 900u);
+    EXPECT_FALSE(ex.has_pending());
+  }
+}
+
 // Differential test: random pushes (fresh and reserved seqs, many tied
 // times, some from inside firing events) interleaved with Run(until) steps,
 // checked against a std::set model of (time, seq) keys. Every firing event
