@@ -21,6 +21,10 @@
 //
 //   // control loop, once per window:
 //   runtime.Tick();
+//
+// Each named hook is a spelling of OverloadController::OnEvent: OnGet(...)
+// is OnEvent(TraceEvent::Get(...)), so every controller, Atropos or a
+// baseline, consumes the same event stream through its one OnEvent.
 
 #ifndef SRC_ATROPOS_ATROPOS_H_
 #define SRC_ATROPOS_ATROPOS_H_
@@ -33,7 +37,6 @@
 #include "src/atropos/estimator.h"    // IWYU pragma: export
 #include "src/atropos/policy.h"       // IWYU pragma: export
 #include "src/atropos/runtime.h"      // IWYU pragma: export
-#include "src/atropos/task_tree.h"    // IWYU pragma: export
 #include "src/atropos/types.h"        // IWYU pragma: export
 
 #endif  // SRC_ATROPOS_ATROPOS_H_

@@ -165,38 +165,7 @@ size_t ConcurrentFrontend::ThisThreadBindingCount() {
   return ThisThreadBindings().bindings.size();
 }
 
-void ConcurrentFrontend::OnTaskRegistered(uint64_t key, bool background, bool cancellable) {
-  ThisThreadProducer()->Push(TraceEvent::TaskRegistered(key, background, cancellable));
-}
-void ConcurrentFrontend::OnTaskFreed(uint64_t key) {
-  ThisThreadProducer()->Push(TraceEvent::TaskFreed(key));
-}
-void ConcurrentFrontend::OnGet(uint64_t key, ResourceId resource, uint64_t amount) {
-  ThisThreadProducer()->Push(TraceEvent::Get(key, resource, amount));
-}
-void ConcurrentFrontend::OnFree(uint64_t key, ResourceId resource, uint64_t amount) {
-  ThisThreadProducer()->Push(TraceEvent::Free(key, resource, amount));
-}
-void ConcurrentFrontend::OnWaitBegin(uint64_t key, ResourceId resource) {
-  ThisThreadProducer()->Push(TraceEvent::WaitBegin(key, resource));
-}
-void ConcurrentFrontend::OnWaitEnd(uint64_t key, ResourceId resource) {
-  ThisThreadProducer()->Push(TraceEvent::WaitEnd(key, resource));
-}
-void ConcurrentFrontend::OnRequestStart(uint64_t key, int request_type, int client_class) {
-  ThisThreadProducer()->Push(TraceEvent::RequestStart(key, request_type, client_class));
-}
-void ConcurrentFrontend::OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                                      int client_class) {
-  ThisThreadProducer()->Push(TraceEvent::RequestEnd(key, latency, request_type, client_class));
-}
-void ConcurrentFrontend::OnUsage(uint64_t key, ResourceId resource, TimeMicros waited,
-                                 TimeMicros used) {
-  ThisThreadProducer()->Push(TraceEvent::Usage(key, resource, waited, used));
-}
-void ConcurrentFrontend::OnProgress(uint64_t key, uint64_t done, uint64_t total) {
-  ThisThreadProducer()->Push(TraceEvent::Progress(key, done, total));
-}
+void ConcurrentFrontend::OnEvent(const TraceEvent& ev) { ThisThreadProducer()->Push(ev); }
 
 void ConcurrentFrontend::BindMetrics(MetricsRegistry* metrics) {
   if (metrics == nullptr) {

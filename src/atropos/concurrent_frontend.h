@@ -80,6 +80,9 @@
 
 namespace atropos {
 
+static_assert(sizeof(TraceEvent) == 48,
+              "EventRing::Push copies TraceEvent field by field: add a new field there");
+
 // Fixed-capacity single-producer/single-consumer ring. Push is producer-
 // thread-only, PopBatch consumer-thread-only; the two sides synchronize through
 // the head/tail indices (release on publish, acquire on read). A full ring
@@ -88,16 +91,31 @@ class EventRing {
  public:
   explicit EventRing(size_t capacity);
 
-  // Producer side. Returns false (and counts the drop) when full. Inline so
-  // it folds into each producer hook.
-  bool Push(const TraceEvent& ev) {
+  // Producer side: stores `ev` stamped with `time`. Returns false (and counts
+  // the drop) when full. Inline so it folds into the producer's OnEvent.
+  // `ev` was usually stored field by field just before (a named hook builds
+  // it on the caller's stack), so it is copied field by field: a whole-struct
+  // copy reads it with 16-byte loads that span several of those stores and
+  // stall on store forwarding, which cost ~5–15 ns per event on the `ingest`
+  // benchmark.
+  bool Push(const TraceEvent& ev, uint64_t time) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     const uint64_t head = head_.load(std::memory_order_acquire);
     if (tail - head >= slots_.size()) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    slots_[tail & mask_] = ev;
+    TraceEvent& slot = slots_[tail & mask_];
+    slot.time = time;
+    slot.key = ev.key;
+    slot.a = ev.a;
+    slot.b = ev.b;
+    slot.resource = ev.resource;
+    slot.request_type = ev.request_type;
+    slot.client_class = ev.client_class;
+    slot.kind = ev.kind;
+    slot.background = ev.background;
+    slot.cancellable = ev.cancellable;
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -138,21 +156,18 @@ class ConcurrentFrontend final : public OverloadController {
 
   // Explicit per-thread producer handle. One handle == one SPSC ring == one
   // producing thread (the SPSC discipline is the caller's responsibility when
-  // handles are held explicitly; the OverloadController hooks below bind the
-  // calling thread automatically instead). Handles stay valid for the
-  // frontend's lifetime. Thread-safe.
+  // handles are held explicitly; OnEvent below binds the calling thread
+  // automatically instead). Handles stay valid for the frontend's lifetime.
+  // Thread-safe.
   class Producer {
    public:
-    // Stamps `ev.time` with the clock's raw ticks (Tick() turns them into
-    // microseconds) and enqueues the event. Returns true when it reached the
-    // ring and false when a full ring dropped (and counted) it — callers that
-    // need loss-free delivery (benchmarks, batch loaders) can retry on false
-    // as backpressure; the OverloadController facade below ignores the result
-    // (lossy-with-counter). Inline so it folds into each producer hook.
-    bool Push(TraceEvent ev) {
-      ev.time = clock_->NowTicks();
-      return ring_.Push(ev);
-    }
+    // Enqueues the event stamped with the clock's raw ticks (Tick() turns
+    // them into microseconds). Returns true when it reached the ring and
+    // false when a full ring dropped (and counted) it — callers that need
+    // loss-free delivery (benchmarks, batch loaders) can retry on false as
+    // backpressure; OnEvent below ignores the result (lossy-with-counter).
+    // Inline so it folds into OnEvent.
+    bool Push(const TraceEvent& ev) { return ring_.Push(ev, clock_->NowTicks()); }
 
     uint64_t dropped() const { return ring_.dropped(); }
 
@@ -171,19 +186,9 @@ class ConcurrentFrontend final : public OverloadController {
   Producer* RegisterProducer() ATROPOS_EXCLUDES(registry_mu_);
 
   // ---- OverloadController: producer side ----------------------------------
-  // Each hook stamps the current time and enqueues on the calling thread's
-  // ring, auto-registering the thread on first use.
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable = true) override;
-  void OnTaskFreed(uint64_t key) override;
-  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override;
-  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override;
-  void OnWaitBegin(uint64_t key, ResourceId resource) override;
-  void OnWaitEnd(uint64_t key, ResourceId resource) override;
-  void OnRequestStart(uint64_t key, int request_type, int client_class) override;
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override;
-  void OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used) override;
-  void OnProgress(uint64_t key, uint64_t done, uint64_t total) override;
+  // Stamps the event and enqueues it on the calling thread's ring,
+  // auto-registering the thread on first use.
+  void OnEvent(const TraceEvent& ev) override;
 
   // ---- Setup (single-threaded, before producers start) --------------------
   ResourceId RegisterResource(std::string name, ResourceClass cls) override {

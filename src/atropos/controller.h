@@ -6,6 +6,15 @@
 // stream, which keeps the comparison fair (§5.1 "we carefully integrate each
 // of these frameworks into our test applications").
 //
+// The stream has one entry point: OnEvent(const TraceEvent&), meaning "this
+// event happens now". The named hooks (OnTaskRegistered … OnProgress, the
+// paper's Fig 6 calls) are non-virtual spellings that build the event with
+// its TraceEvent:: factory and pass it to OnEvent. The caller's `ev.time` is
+// ignored: a controller that needs the event's time reads its own clock when
+// OnEvent runs (AtroposRuntime, the baselines), or stamps and queues it
+// (ConcurrentFrontend). Derived classes override OnEvent only; redeclaring
+// a named hook would hide the base spelling.
+//
 // Controllers act back on the application through a ControlSurface the
 // application implements: cancelling a task always goes through the
 // application's own safe cancellation initiator (§3.6).
@@ -18,6 +27,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "src/atropos/trace_event.h"
 #include "src/atropos/types.h"
 #include "src/common/clock.h"
 
@@ -52,8 +62,8 @@ class ControlSurface {
   virtual void SetClientShare(int client_class, double share) {}
 };
 
-// Event stream + periodic tick. All hooks default to no-ops so controllers
-// implement only what they use.
+// Event stream + periodic tick. Every virtual defaults to a no-op or a
+// permissive answer so controllers implement only what they use.
 class OverloadController {
  public:
   virtual ~OverloadController() = default;
@@ -70,54 +80,52 @@ class OverloadController {
     return id;
   }
 
+  // The instrumentation stream's one entry point: `ev` happens now.
+  virtual void OnEvent(const TraceEvent& ev) {}
+
   // Task lifecycle (paper Fig 6a: createCancel / freeCancel). Only tasks
   // registered cancellable are ever considered by cancellation policies
   // (§3.5: tasks not marked as such are excluded from the algorithm).
-  virtual void OnTaskRegistered(uint64_t key, bool background, bool cancellable = true) {}
-  virtual void OnTaskFreed(uint64_t key) {}
+  void OnTaskRegistered(uint64_t key, bool background, bool cancellable = true) {
+    OnEvent(TraceEvent::TaskRegistered(key, background, cancellable));
+  }
+  void OnTaskFreed(uint64_t key) { OnEvent(TraceEvent::TaskFreed(key)); }
 
   // Resource tracing (paper Fig 6b: getResource / freeResource /
   // slowByResource). Waits are bracketed so in-progress stalls are visible.
-  virtual void OnGet(uint64_t key, ResourceId resource, uint64_t amount) {}
-  virtual void OnFree(uint64_t key, ResourceId resource, uint64_t amount) {}
-  virtual void OnWaitBegin(uint64_t key, ResourceId resource) {}
-  virtual void OnWaitEnd(uint64_t key, ResourceId resource) {}
+  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) {
+    OnEvent(TraceEvent::Get(key, resource, amount));
+  }
+  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) {
+    OnEvent(TraceEvent::Free(key, resource, amount));
+  }
+  void OnWaitBegin(uint64_t key, ResourceId resource) {
+    OnEvent(TraceEvent::WaitBegin(key, resource));
+  }
+  void OnWaitEnd(uint64_t key, ResourceId resource) {
+    OnEvent(TraceEvent::WaitEnd(key, resource));
+  }
 
   // Request lifecycle, for end-to-end detection. `request_type` is an
   // app-defined class (e.g. point-select vs dump), `client_class` a tenant id.
-  virtual void OnRequestStart(uint64_t key, int request_type, int client_class) {}
-  virtual void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                            int client_class) {}
-
-  // After-the-fact observations of a completed wait / hold with known
-  // durations. These are the lowering targets of OnUsage: baselines that
-  // measure durations themselves (wall-clocking the OnWaitBegin/OnWaitEnd
-  // bracket) override these to credit the reported magnitudes instead — the
-  // default bracket lowering is zero-width, so a clock-based controller
-  // would otherwise observe every after-the-fact wait as 0 µs.
-  virtual void OnWaitObserved(uint64_t key, ResourceId resource, TimeMicros waited) {
-    OnWaitBegin(key, resource);
-    OnWaitEnd(key, resource);
+  void OnRequestStart(uint64_t key, int request_type, int client_class) {
+    OnEvent(TraceEvent::RequestStart(key, request_type, client_class));
   }
-  virtual void OnHoldObserved(uint64_t key, ResourceId resource, TimeMicros used) {
-    OnGet(key, resource, 1);
-    OnFree(key, resource, 1);
+  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type, int client_class) {
+    OnEvent(TraceEvent::RequestEnd(key, latency, request_type, client_class));
   }
 
-  // Completed wait+use report in one call, used by CPU/IO adapters that learn
-  // both durations only after the fact. The default forwards the magnitudes
-  // to the observation hooks above so simple controllers see the durations,
-  // not just the events; AtroposRuntime overrides with precise duration
-  // accounting.
-  virtual void OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used) {
-    if (waited > 0) {
-      OnWaitObserved(key, resource, waited);
-    }
-    OnHoldObserved(key, resource, used);
+  // Completed wait+use report with both durations known after the fact
+  // (CPU/IO adapters): one kUsage event carrying `waited` in `a` and `used`
+  // in `b`.
+  void OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used) {
+    OnEvent(TraceEvent::Usage(key, resource, waited, used));
   }
 
   // GetNext progress (§3.4).
-  virtual void OnProgress(uint64_t key, uint64_t done, uint64_t total) {}
+  void OnProgress(uint64_t key, uint64_t done, uint64_t total) {
+    OnEvent(TraceEvent::Progress(key, done, total));
+  }
 
   // Admission decision for a new request (admission-control baselines).
   // Returning false sheds the request before it enters the server.

@@ -78,9 +78,8 @@ void UsageReporter::OnUsage(TimeMicros waited, TimeMicros used) {
   if (tracer_ == nullptr) {
     return;
   }
-  // Virtual dispatch: the runtime gets precise durations, generic controllers
-  // the lowered bracketing form, and forwarding wrappers (the fuzz harness's
-  // audit controller) see the event instead of having it tunnel past them.
+  // One kUsage event with both durations: every controller, and forwarding
+  // wrappers (the fuzz harness's audit controller), see the magnitudes.
   tracer_->OnUsage(key_, resource_, waited, used);
 }
 

@@ -70,44 +70,24 @@ class AtroposRuntime final : public OverloadController {
   const ResourceRecord* FindResource(ResourceId id) const { return ledger_.FindResource(id); }
 
   // ---- Instrumentation stream ---------------------------------------------
-  // Applies one timestamped event, with `ev.time` as the event's `now`. The
-  // single entry point of the stream: ConcurrentFrontend's drainer calls it
-  // with the stamps its producers took, converted to µs. The OverloadController hooks below
-  // call it too: those whose event the ledger or window times stamp the
-  // clock once first; OnTaskFreed, OnUsage and OnProgress read no clock.
+  // Applies one timestamped event, with `ev.time` as the event's `now`.
+  // ConcurrentFrontend's drainer calls it with the stamps its producers took,
+  // converted to µs.
   [[gnu::always_inline]] void Apply(const TraceEvent& ev);
 
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable = true) override {
-    ApplyNow(TraceEvent::TaskRegistered(key, background, cancellable));
-  }
-  void OnTaskFreed(uint64_t key) override { Apply(TraceEvent::TaskFreed(key)); }
-  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override {
-    ApplyNow(TraceEvent::Get(key, resource, amount));
-  }
-  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override {
-    ApplyNow(TraceEvent::Free(key, resource, amount));
-  }
-  void OnWaitBegin(uint64_t key, ResourceId resource) override {
-    ApplyNow(TraceEvent::WaitBegin(key, resource));
-  }
-  void OnWaitEnd(uint64_t key, ResourceId resource) override {
-    ApplyNow(TraceEvent::WaitEnd(key, resource));
-  }
-  void OnRequestStart(uint64_t key, int request_type, int client_class) override {
-    ApplyNow(TraceEvent::RequestStart(key, request_type, client_class));
-  }
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override {
-    ApplyNow(TraceEvent::RequestEnd(key, latency, request_type, client_class));
-  }
-  void OnProgress(uint64_t key, uint64_t done, uint64_t total) override {
-    Apply(TraceEvent::Progress(key, done, total));
-  }
-
-  // Completed wait+use report in one call; used by CPU/IO adapters that learn
-  // both durations only after the fact.
-  void OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used) override {
-    Apply(TraceEvent::Usage(key, resource, waited, used));
+  // Stamps the clock once for the kinds the ledger or window time, then
+  // applies; TaskFreed, Usage and Progress read no clock. Always inlined, so
+  // OnEvent(TraceEvent::Get(...)) called on the runtime's concrete type folds
+  // to at most one clock read and one ledger or window call. A named hook
+  // reaches the out-of-line copy through the vtable: GCC does not
+  // devirtualize a call made inside an inlined base-class method.
+  [[gnu::always_inline]] void OnEvent(const TraceEvent& ev) override {
+    TraceEvent stamped = ev;
+    if (ev.kind != TraceEventKind::kTaskFreed && ev.kind != TraceEventKind::kUsage &&
+        ev.kind != TraceEventKind::kProgress) {
+      stamped.time = clock_->NowMicros();
+    }
+    Apply(stamped);
   }
 
   // ---- Control loop --------------------------------------------------------
@@ -166,11 +146,6 @@ class AtroposRuntime final : public OverloadController {
   void SetRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
  private:
-  [[gnu::always_inline]] void ApplyNow(TraceEvent ev) {
-    ev.time = clock_->NowMicros();
-    Apply(ev);
-  }
-
   Clock* clock_;
   AtroposConfig config_;
   AtroposStats stats_;
@@ -189,9 +164,7 @@ class AtroposRuntime final : public OverloadController {
   std::vector<ResourceMetrics> last_metrics_;
 };
 
-// Always inlined: the constant kind of each hook then folds the switch away,
-// so a hook costs at most one clock read and one ledger or window call — also
-// where a wrapper calls the hooks through the runtime's concrete type.
+// Always inlined: a constant kind then folds the switch away.
 inline void AtroposRuntime::Apply(const TraceEvent& ev) {
   switch (ev.kind) {
     case TraceEventKind::kTaskRegistered: {

@@ -59,35 +59,7 @@ class RuntimeGroup final : public OverloadController {
   ResourceId RegisterResource(std::string name, ResourceClass cls) override;
 
   // ---- Instrumentation stream, routed by key -------------------------------
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable = true) override {
-    route(key).OnTaskRegistered(key, background, cancellable);
-  }
-  void OnTaskFreed(uint64_t key) override { route(key).OnTaskFreed(key); }
-  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override {
-    route(key).OnGet(key, resource, amount);
-  }
-  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override {
-    route(key).OnFree(key, resource, amount);
-  }
-  void OnWaitBegin(uint64_t key, ResourceId resource) override {
-    route(key).OnWaitBegin(key, resource);
-  }
-  void OnWaitEnd(uint64_t key, ResourceId resource) override {
-    route(key).OnWaitEnd(key, resource);
-  }
-  void OnRequestStart(uint64_t key, int request_type, int client_class) override {
-    route(key).OnRequestStart(key, request_type, client_class);
-  }
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override {
-    route(key).OnRequestEnd(key, latency, request_type, client_class);
-  }
-  void OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used) override {
-    route(key).OnUsage(key, resource, waited, used);
-  }
-  void OnProgress(uint64_t key, uint64_t done, uint64_t total) override {
-    route(key).OnProgress(key, done, total);
-  }
+  void OnEvent(const TraceEvent& ev) override { route(ev.key).OnEvent(ev); }
 
   // Closes every shard's window: each tenant detects, estimates, and cancels
   // over its own books only.

@@ -1,10 +1,11 @@
 // One instrumentation call as a timestamped record (paper §3.2).
 //
 // A TraceEvent is the single unit of work from the producer hook to the
-// ledger: ConcurrentFrontend's producers stamp it with raw clock ticks and
-// push it through a ring, and its drainer converts the stamp to microseconds
-// once per Tick before applying it; AtroposRuntime's own hooks stamp it in
-// microseconds and apply it in place. Either way AtroposRuntime::Apply hands
+// ledger, and what every controller's OverloadController::OnEvent consumes:
+// ConcurrentFrontend's producers stamp it with raw clock ticks and push it
+// through a ring, and its drainer converts the stamp to microseconds once per
+// Tick before applying it; AtroposRuntime::OnEvent stamps it in microseconds
+// and applies it in place. Either way AtroposRuntime::Apply hands
 // `time` to the ledger and window as the event's `now`. The stamp is
 // unquantized; the ledger applies the §3.2 sampled-mode quantization, never
 // the producer.

@@ -34,11 +34,12 @@ class Darc final : public OverloadController {
 
   std::string_view name() const override { return "darc"; }
 
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override {
-    Profile& p = profiles_[request_type];
-    p.count++;
-    p.total += latency;
+  void OnEvent(const TraceEvent& ev) override {
+    if (ev.kind == TraceEventKind::kRequestEnd) {
+      Profile& p = profiles_[ev.request_type];
+      p.count++;
+      p.total += ev.a;
+    }
   }
 
   void Tick() override;

@@ -17,10 +17,11 @@ double Parties::ShareOf(int client_class) const {
   return it == shares_.end() ? 0.0 : it->second;
 }
 
-void Parties::OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                           int client_class) {
-  window_latency_[client_class].Record(latency);
-  window_completions_++;
+void Parties::OnEvent(const TraceEvent& ev) {
+  if (ev.kind == TraceEventKind::kRequestEnd) {
+    window_latency_[ev.client_class].Record(ev.a);
+    window_completions_++;
+  }
 }
 
 void Parties::Tick() {

@@ -30,8 +30,7 @@ class Parties final : public OverloadController {
 
   std::string_view name() const override { return "parties"; }
 
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override;
+  void OnEvent(const TraceEvent& ev) override;
   void Tick() override;
 
   double ShareOf(int client_class) const;

@@ -7,64 +7,68 @@ namespace atropos {
 PBox::PBox(Clock* clock, ControlSurface* surface, PBoxConfig config)
     : clock_(clock), surface_(surface), config_(config), window_start_(clock->NowMicros()) {}
 
-void PBox::OnTaskRegistered(uint64_t key, bool background, bool cancellable) {
-  usage_[key];
-}
-
-void PBox::OnTaskFreed(uint64_t key) {
-  usage_.erase(key);
-  wait_start_.erase(key);
-  penalized_.erase(key);
-}
-
-void PBox::OnGet(uint64_t key, ResourceId resource, uint64_t amount) {
-  auto it = usage_.find(key);
-  if (it == usage_.end()) {
-    return;
+void PBox::OnEvent(const TraceEvent& ev) {
+  switch (ev.kind) {
+    case TraceEventKind::kTaskRegistered:
+      usage_[ev.key];
+      break;
+    case TraceEventKind::kTaskFreed:
+      usage_.erase(ev.key);
+      wait_start_.erase(ev.key);
+      penalized_.erase(ev.key);
+      break;
+    case TraceEventKind::kGet: {
+      auto it = usage_.find(ev.key);
+      if (it == usage_.end()) {
+        break;
+      }
+      Usage& u = it->second[ev.resource];
+      if (u.held == 0) {
+        u.hold_started = clock_->NowMicros();
+      }
+      u.held += ev.a;
+      break;
+    }
+    case TraceEventKind::kFree: {
+      auto it = usage_.find(ev.key);
+      if (it == usage_.end()) {
+        break;
+      }
+      Usage& u = it->second[ev.resource];
+      uint64_t dec = std::min(u.held, ev.a);
+      u.held -= dec;
+      if (u.held == 0 && dec > 0) {
+        u.hold_time += clock_->NowMicros() - u.hold_started;
+      }
+      break;
+    }
+    case TraceEventKind::kWaitBegin:
+      wait_start_.emplace(ev.key, clock_->NowMicros());
+      break;
+    case TraceEventKind::kWaitEnd: {
+      auto it = wait_start_.find(ev.key);
+      if (it == wait_start_.end()) {
+        break;
+      }
+      window_wait_[ev.resource] += clock_->NowMicros() - it->second;
+      wait_start_.erase(it);
+      break;
+    }
+    case TraceEventKind::kUsage: {
+      // An after-the-fact report carries its durations: credit them directly
+      // instead of wall-clocking a zero-width bracket.
+      if (ev.a > 0) {
+        window_wait_[ev.resource] += ev.a;
+      }
+      auto it = usage_.find(ev.key);
+      if (it != usage_.end()) {
+        it->second[ev.resource].hold_time += ev.b;
+      }
+      break;
+    }
+    default:
+      break;
   }
-  Usage& u = it->second[resource];
-  if (u.held == 0) {
-    u.hold_started = clock_->NowMicros();
-  }
-  u.held += amount;
-}
-
-void PBox::OnFree(uint64_t key, ResourceId resource, uint64_t amount) {
-  auto it = usage_.find(key);
-  if (it == usage_.end()) {
-    return;
-  }
-  Usage& u = it->second[resource];
-  uint64_t dec = std::min(u.held, amount);
-  u.held -= dec;
-  if (u.held == 0 && dec > 0) {
-    u.hold_time += clock_->NowMicros() - u.hold_started;
-  }
-}
-
-void PBox::OnWaitBegin(uint64_t key, ResourceId resource) {
-  wait_start_.emplace(key, clock_->NowMicros());
-}
-
-void PBox::OnWaitEnd(uint64_t key, ResourceId resource) {
-  auto it = wait_start_.find(key);
-  if (it == wait_start_.end()) {
-    return;
-  }
-  window_wait_[resource] += clock_->NowMicros() - it->second;
-  wait_start_.erase(it);
-}
-
-void PBox::OnWaitObserved(uint64_t key, ResourceId resource, TimeMicros waited) {
-  window_wait_[resource] += waited;
-}
-
-void PBox::OnHoldObserved(uint64_t key, ResourceId resource, TimeMicros used) {
-  auto it = usage_.find(key);
-  if (it == usage_.end()) {
-    return;
-  }
-  it->second[resource].hold_time += used;
 }
 
 void PBox::Tick() {

@@ -33,16 +33,7 @@ class PBox final : public OverloadController {
 
   std::string_view name() const override { return "pbox"; }
 
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable) override;
-  void OnTaskFreed(uint64_t key) override;
-  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override;
-  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override;
-  void OnWaitBegin(uint64_t key, ResourceId resource) override;
-  void OnWaitEnd(uint64_t key, ResourceId resource) override;
-  // After-the-fact observations carry their durations; credit them directly
-  // instead of wall-clocking zero-width brackets.
-  void OnWaitObserved(uint64_t key, ResourceId resource, TimeMicros waited) override;
-  void OnHoldObserved(uint64_t key, ResourceId resource, TimeMicros used) override;
+  void OnEvent(const TraceEvent& ev) override;
   void Tick() override;
 
   uint64_t penalties_issued() const { return penalties_; }

@@ -23,12 +23,6 @@ bool Protego::AdmitRequest(uint64_t key, int request_type, int client_class) {
   return true;
 }
 
-void Protego::OnRequestStart(uint64_t key, int request_type, int client_class) {
-  if (client_class != 0) {
-    client_class_[key] = client_class;
-  }
-}
-
 TimeMicros Protego::slo_latency() const {
   return static_cast<TimeMicros>(static_cast<double>(baseline_p99_) *
                                  (1.0 + config_.slo_latency_increase));
@@ -44,45 +38,52 @@ bool Protego::IsLockLike(ResourceId resource) const {
   return it->second == ResourceClass::kLock;
 }
 
-void Protego::OnWaitBegin(uint64_t key, ResourceId resource) {
-  if (!IsLockLike(resource)) {
-    return;
+void Protego::OnEvent(const TraceEvent& ev) {
+  switch (ev.kind) {
+    case TraceEventKind::kRequestStart:
+      if (ev.client_class != 0) {
+        client_class_[ev.key] = ev.client_class;
+      }
+      break;
+    case TraceEventKind::kWaitBegin:
+      if (IsLockLike(ev.resource)) {
+        waiting_.emplace(ev.key, clock_->NowMicros());
+      }
+      break;
+    case TraceEventKind::kWaitEnd: {
+      if (!IsLockLike(ev.resource)) {
+        break;
+      }
+      auto it = waiting_.find(ev.key);
+      if (it == waiting_.end()) {
+        break;
+      }
+      lock_delay_[ev.key] += clock_->NowMicros() - it->second;
+      waiting_.erase(it);
+      break;
+    }
+    case TraceEventKind::kUsage:
+      // An after-the-fact wait carries its duration: credit it directly
+      // instead of wall-clocking a zero-width bracket.
+      if (ev.a > 0 && IsLockLike(ev.resource)) {
+        lock_delay_[ev.key] += ev.a;
+      }
+      break;
+    case TraceEventKind::kRequestEnd:
+      if (ev.client_class == 0) {
+        window_latency_.Record(ev.a);
+        window_completions_++;
+      }
+      lock_delay_.erase(ev.key);
+      break;
+    case TraceEventKind::kTaskFreed:
+      waiting_.erase(ev.key);
+      lock_delay_.erase(ev.key);
+      client_class_.erase(ev.key);
+      break;
+    default:
+      break;
   }
-  waiting_.emplace(key, clock_->NowMicros());
-}
-
-void Protego::OnWaitEnd(uint64_t key, ResourceId resource) {
-  if (!IsLockLike(resource)) {
-    return;
-  }
-  auto it = waiting_.find(key);
-  if (it == waiting_.end()) {
-    return;
-  }
-  lock_delay_[key] += clock_->NowMicros() - it->second;
-  waiting_.erase(it);
-}
-
-void Protego::OnWaitObserved(uint64_t key, ResourceId resource, TimeMicros waited) {
-  if (!IsLockLike(resource)) {
-    return;
-  }
-  lock_delay_[key] += waited;
-}
-
-void Protego::OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                           int client_class) {
-  if (client_class == 0) {
-    window_latency_.Record(latency);
-    window_completions_++;
-  }
-  lock_delay_.erase(key);
-}
-
-void Protego::OnTaskFreed(uint64_t key) {
-  waiting_.erase(key);
-  lock_delay_.erase(key);
-  client_class_.erase(key);
 }
 
 void Protego::Tick() {
@@ -135,8 +136,8 @@ void Protego::Tick() {
     }
   }
   // Requests not waiting right now can still be past the threshold on
-  // accumulated delay alone — closed brackets and after-the-fact
-  // OnWaitObserved reports land here.
+  // accumulated delay alone — closed brackets and after-the-fact kUsage
+  // reports land here.
   for (const auto& [key, acc] : lock_delay_) {
     if (waiting_.count(key) != 0 || client_class_.count(key) != 0) {
       continue;

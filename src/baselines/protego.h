@@ -39,15 +39,7 @@ class Protego final : public OverloadController {
   std::string_view name() const override { return "protego"; }
 
   bool AdmitRequest(uint64_t key, int request_type, int client_class) override;
-  void OnRequestStart(uint64_t key, int request_type, int client_class) override;
-  void OnWaitBegin(uint64_t key, ResourceId resource) override;
-  void OnWaitEnd(uint64_t key, ResourceId resource) override;
-  // After-the-fact waits carry their duration; credit it directly instead of
-  // wall-clocking a zero-width bracket.
-  void OnWaitObserved(uint64_t key, ResourceId resource, TimeMicros waited) override;
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override;
-  void OnTaskFreed(uint64_t key) override;
+  void OnEvent(const TraceEvent& ev) override;
   void Tick() override;
 
   uint64_t drops_issued() const { return drops_; }

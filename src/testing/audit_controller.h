@@ -2,7 +2,7 @@
 // invariant oracles.
 //
 // The fuzz harness inserts one of these between the application/frontend and
-// the AtroposRuntime under test. Every hook forwards unchanged, but the audit
+// the AtroposRuntime under test. Every event forwards unchanged, but the audit
 // keeps its own independently derived view — task epochs with the §4
 // cancellability override replayed, a per-resource get/free ledger, and a
 // snapshot of runtime-visible state at every issued cancellation — which the
@@ -93,76 +93,61 @@ class AuditController final : public OverloadController {
     return id;
   }
 
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable) override {
-    auto it = live_.find(key);
-    if (it != live_.end()) {
-      epochs_[it->second].freed = true;
-      epochs_[it->second].replaced = true;
-    }
-    Epoch epoch;
-    epoch.key = key;
-    epoch.background = background;
-    epoch.cancellable = cancellable && ever_cancelled_.count(key) == 0;
-    ever_cancelled_.erase(key);
-    live_[key] = epochs_.size();
-    epochs_.push_back(epoch);
-    runtime_.OnTaskRegistered(key, background, cancellable);
-  }
-
-  void OnTaskFreed(uint64_t key) override {
-    auto it = live_.find(key);
-    if (it != live_.end()) {
-      epochs_[it->second].freed = true;
-      live_.erase(it);
-    }
-    runtime_.OnTaskFreed(key);
-  }
-
-  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override {
-    auto res = resources_.find(resource);
-    if (res != resources_.end() && live_.count(key) != 0) {
-      res->second.acquired += amount;
-    }
-    runtime_.OnGet(key, resource, amount);
-  }
-
-  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override {
-    if (drop_free_type_ >= 0) {
-      auto type = key_types_.find(key);
-      if (type != key_types_.end() && type->second == drop_free_type_) {
-        dropped_frees_++;
-        return;
+  void OnEvent(const TraceEvent& ev) override {
+    switch (ev.kind) {
+      case TraceEventKind::kTaskRegistered: {
+        auto it = live_.find(ev.key);
+        if (it != live_.end()) {
+          epochs_[it->second].freed = true;
+          epochs_[it->second].replaced = true;
+        }
+        Epoch epoch;
+        epoch.key = ev.key;
+        epoch.background = ev.background;
+        epoch.cancellable = ev.cancellable && ever_cancelled_.count(ev.key) == 0;
+        ever_cancelled_.erase(ev.key);
+        live_[ev.key] = epochs_.size();
+        epochs_.push_back(epoch);
+        break;
       }
+      case TraceEventKind::kTaskFreed: {
+        auto it = live_.find(ev.key);
+        if (it != live_.end()) {
+          epochs_[it->second].freed = true;
+          live_.erase(it);
+        }
+        break;
+      }
+      case TraceEventKind::kGet: {
+        auto res = resources_.find(ev.resource);
+        if (res != resources_.end() && live_.count(ev.key) != 0) {
+          res->second.acquired += ev.a;
+        }
+        break;
+      }
+      case TraceEventKind::kFree: {
+        if (drop_free_type_ >= 0) {
+          auto type = key_types_.find(ev.key);
+          if (type != key_types_.end() && type->second == drop_free_type_) {
+            dropped_frees_++;
+            return;
+          }
+        }
+        auto res = resources_.find(ev.resource);
+        if (res != resources_.end() && live_.count(ev.key) != 0) {
+          res->second.released += ev.a;
+        }
+        break;
+      }
+      case TraceEventKind::kRequestStart:
+        key_types_[ev.key] = ev.request_type;
+        break;
+      default:
+        break;
     }
-    auto res = resources_.find(resource);
-    if (res != resources_.end() && live_.count(key) != 0) {
-      res->second.released += amount;
-    }
-    runtime_.OnFree(key, resource, amount);
+    runtime_.OnEvent(ev);
   }
 
-  void OnWaitBegin(uint64_t key, ResourceId resource) override {
-    runtime_.OnWaitBegin(key, resource);
-  }
-  void OnWaitEnd(uint64_t key, ResourceId resource) override {
-    runtime_.OnWaitEnd(key, resource);
-  }
-  void OnUsage(uint64_t key, ResourceId resource, TimeMicros waited,
-               TimeMicros used) override {
-    runtime_.OnUsage(key, resource, waited, used);
-  }
-
-  void OnRequestStart(uint64_t key, int request_type, int client_class) override {
-    key_types_[key] = request_type;
-    runtime_.OnRequestStart(key, request_type, client_class);
-  }
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override {
-    runtime_.OnRequestEnd(key, latency, request_type, client_class);
-  }
-  void OnProgress(uint64_t key, uint64_t done, uint64_t total) override {
-    runtime_.OnProgress(key, done, total);
-  }
   bool AdmitRequest(uint64_t key, int request_type, int client_class) override {
     return runtime_.AdmitRequest(key, request_type, client_class);
   }

@@ -3,7 +3,6 @@
 #ifndef SRC_TESTING_RECORDING_CONTROLLER_H_
 #define SRC_TESTING_RECORDING_CONTROLLER_H_
 
-#include <string>
 #include <vector>
 
 #include "src/atropos/controller.h"
@@ -12,45 +11,13 @@ namespace atropos {
 
 class RecordingController : public OverloadController {
  public:
-  struct Event {
-    std::string kind;  // get / free / wait_begin / wait_end / progress / ...
-    uint64_t key = 0;
-    ResourceId resource = kInvalidResourceId;
-    uint64_t amount = 0;
-  };
-
   std::string_view name() const override { return "recording"; }
 
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable) override {
-    events.push_back({"register", key, 0, background ? 1u : 0u});
-  }
-  void OnTaskFreed(uint64_t key) override { events.push_back({"free_task", key, 0, 0}); }
-  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override {
-    events.push_back({"get", key, resource, amount});
-  }
-  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override {
-    events.push_back({"free", key, resource, amount});
-  }
-  void OnWaitBegin(uint64_t key, ResourceId resource) override {
-    events.push_back({"wait_begin", key, resource, 0});
-  }
-  void OnWaitEnd(uint64_t key, ResourceId resource) override {
-    events.push_back({"wait_end", key, resource, 0});
-  }
-  void OnProgress(uint64_t key, uint64_t done, uint64_t total) override {
-    events.push_back({"progress", key, 0, done});
-  }
-  void OnRequestStart(uint64_t key, int request_type, int client_class) override {
-    events.push_back({"request_start", key, 0, static_cast<uint64_t>(request_type)});
-  }
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override {
-    events.push_back({"request_end", key, 0, latency});
-  }
+  void OnEvent(const TraceEvent& ev) override { events.push_back(ev); }
 
-  int Count(const std::string& kind) const {
+  int Count(TraceEventKind kind) const {
     int n = 0;
-    for (const Event& e : events) {
+    for (const TraceEvent& e : events) {
       if (e.kind == kind) {
         n++;
       }
@@ -58,9 +25,9 @@ class RecordingController : public OverloadController {
     return n;
   }
 
-  int CountFor(const std::string& kind, uint64_t key) const {
+  int CountFor(TraceEventKind kind, uint64_t key) const {
     int n = 0;
-    for (const Event& e : events) {
+    for (const TraceEvent& e : events) {
       if (e.kind == kind && e.key == key) {
         n++;
       }
@@ -68,17 +35,18 @@ class RecordingController : public OverloadController {
     return n;
   }
 
-  uint64_t SumAmount(const std::string& kind, uint64_t key) const {
+  // Sums field `a` (amount / waited / done / latency, by kind).
+  uint64_t SumAmount(TraceEventKind kind, uint64_t key) const {
     uint64_t sum = 0;
-    for (const Event& e : events) {
+    for (const TraceEvent& e : events) {
       if (e.kind == kind && e.key == key) {
-        sum += e.amount;
+        sum += e.a;
       }
     }
     return sum;
   }
 
-  std::vector<Event> events;
+  std::vector<TraceEvent> events;
 };
 
 }  // namespace atropos

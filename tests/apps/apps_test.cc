@@ -152,7 +152,7 @@ TEST_F(MiniDbTest, AlterTableHoldsLockAndPool) {
   ex_.Run();
   EXPECT_EQ(done_.Of(1), OutcomeKind::kCompleted);
   // The insert waited for the exclusive lock held across the rebuild.
-  EXPECT_EQ(ctl_.CountFor("wait_begin", 2), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kWaitBegin, 2), 1);
 }
 
 TEST_F(MiniDbTest, VacuumReportsIoUsage) {
@@ -163,7 +163,7 @@ TEST_F(MiniDbTest, VacuumReportsIoUsage) {
   db.Start(Req(1, kDbVacuum), done_.Fn());
   ex_.Run();
   EXPECT_EQ(done_.Of(1), OutcomeKind::kCompleted);
-  EXPECT_GT(ctl_.CountFor("progress", 1), 0);
+  EXPECT_GT(ctl_.CountFor(TraceEventKind::kProgress, 1), 0);
 }
 
 TEST_F(MiniDbTest, ShutdownStopsBackgroundTasks) {
@@ -265,7 +265,7 @@ TEST_F(MiniSearchTest, QueryRunsThroughEnabledLayers) {
   search.Start(Req(1, kSearchQuery), done_.Fn());
   ex_.Run();
   EXPECT_EQ(done_.Of(1), OutcomeKind::kCompleted);
-  EXPECT_GT(ctl_.CountFor("get", 1), 0);
+  EXPECT_GT(ctl_.CountFor(TraceEventKind::kGet, 1), 0);
   search.Shutdown();
   ex_.Run();
 }

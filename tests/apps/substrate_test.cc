@@ -36,8 +36,8 @@ TEST(GcHeapTest, AllocateTracksLiveAndUsage) {
   heap.Free(1, 400);
   EXPECT_EQ(heap.live_kb(), 600u);
   EXPECT_EQ(heap.usage_kb(), 1000u);  // garbage remains until GC
-  EXPECT_EQ(ctl.CountFor("get", 1), 1);
-  EXPECT_EQ(ctl.CountFor("free", 1), 1);
+  EXPECT_EQ(ctl.CountFor(TraceEventKind::kGet, 1), 1);
+  EXPECT_EQ(ctl.CountFor(TraceEventKind::kFree, 1), 1);
 }
 
 TEST(GcHeapTest, CrossingThresholdTriggersGcAndReclaimsGarbage) {
@@ -77,7 +77,7 @@ TEST(GcHeapTest, AllocationsStallDuringGc) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[1].first, 5000u);
   // The stalled allocator reported a wait on the heap resource.
-  EXPECT_EQ(ctl.CountFor("wait_begin", 2), 1);
+  EXPECT_EQ(ctl.CountFor(TraceEventKind::kWaitBegin, 2), 1);
 }
 
 TEST(GcHeapTest, CancelledAllocationDuringGc) {
@@ -200,7 +200,7 @@ TEST(KvStoreTest, RangeReadBlocksPointOps) {
   // The point op waited for the whole range read (log order: point finishes
   // after the range).
   EXPECT_EQ(log[1].first, Millis(10) + 10);
-  EXPECT_EQ(ctl.CountFor("wait_begin", 2), 1);
+  EXPECT_EQ(ctl.CountFor(TraceEventKind::kWaitBegin, 2), 1);
 }
 
 TEST(KvStoreTest, CancelledRangeReadReleasesTheLock) {
@@ -231,7 +231,7 @@ TEST(KvStoreTest, RangeReadReportsProgress) {
   std::vector<std::pair<TimeMicros, Status>> log;
   DoRange(ex, store, 1, 1000, nullptr, log);
   ex.Run();
-  EXPECT_EQ(ctl.CountFor("progress", 1), 10);
+  EXPECT_EQ(ctl.CountFor(TraceEventKind::kProgress, 1), 10);
 }
 
 TEST(KvStoreTest, SpanClampedToKeyCount) {

@@ -40,10 +40,10 @@ TEST_F(InstrumentTest, RwLockUncontendedAcquireEmitsGetWithoutWait) {
   std::vector<std::pair<TimeMicros, Status>> log;
   UseRwLock(ex_, lock, 1, /*exclusive=*/false, 100, log);
   ex_.Run();
-  EXPECT_EQ(ctl_.CountFor("get", 1), 1);
-  EXPECT_EQ(ctl_.CountFor("free", 1), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kGet, 1), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kFree, 1), 1);
   // Fast path: no wait bracket emitted (Fig 8 instruments the slow path only).
-  EXPECT_EQ(ctl_.CountFor("wait_begin", 1), 0);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kWaitBegin, 1), 0);
 }
 
 TEST_F(InstrumentTest, RwLockContendedAcquireBracketsWait) {
@@ -52,9 +52,9 @@ TEST_F(InstrumentTest, RwLockContendedAcquireBracketsWait) {
   UseRwLock(ex_, lock, 1, /*exclusive=*/true, 500, log);
   UseRwLock(ex_, lock, 2, /*exclusive=*/false, 10, log);
   ex_.Run();
-  EXPECT_EQ(ctl_.CountFor("wait_begin", 2), 1);
-  EXPECT_EQ(ctl_.CountFor("wait_end", 2), 1);
-  EXPECT_EQ(ctl_.CountFor("get", 2), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kWaitBegin, 2), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kWaitEnd, 2), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kGet, 2), 1);
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[1].first, 500u);
 }
@@ -73,9 +73,9 @@ TEST_F(InstrumentTest, MutexEmitsGetFreePairs) {
   UseMutex(ex_, mu, 1, 50);
   UseMutex(ex_, mu, 2, 50);
   ex_.Run();
-  EXPECT_EQ(ctl_.Count("get"), 2);
-  EXPECT_EQ(ctl_.Count("free"), 2);
-  EXPECT_EQ(ctl_.CountFor("wait_begin", 2), 1);  // second acquirer blocked
+  EXPECT_EQ(ctl_.Count(TraceEventKind::kGet), 2);
+  EXPECT_EQ(ctl_.Count(TraceEventKind::kFree), 2);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kWaitBegin, 2), 1);  // second acquirer blocked
 }
 
 Coro UseSem(Executor& ex, InstrumentedSemaphore& sem, uint64_t key, uint64_t units,
@@ -92,8 +92,22 @@ TEST_F(InstrumentTest, SemaphoreReportsUnits) {
   InstrumentedSemaphore sem(ex_, 4, &ctl_, 9);
   UseSem(ex_, sem, 1, 3, 100);
   ex_.Run();
-  EXPECT_EQ(ctl_.SumAmount("get", 1), 1u);   // one get event per grant
-  EXPECT_EQ(ctl_.SumAmount("free", 1), 3u);  // release reports units
+  EXPECT_EQ(ctl_.SumAmount(TraceEventKind::kGet, 1), 1u);   // one get event per grant
+  EXPECT_EQ(ctl_.SumAmount(TraceEventKind::kFree, 1), 3u);  // release reports units
+}
+
+// CPU/IO adapters report a completed wait+use as one kUsage event carrying
+// both durations.
+TEST_F(InstrumentTest, UsageReporterEmitsOneUsageEvent) {
+  UsageReporter reporter(&ctl_, /*resource=*/5, /*key=*/1);
+  reporter.OnUsage(/*waited=*/30, /*used=*/70);
+  ASSERT_EQ(ctl_.events.size(), 1u);
+  const TraceEvent& ev = ctl_.events[0];
+  EXPECT_EQ(ev.kind, TraceEventKind::kUsage);
+  EXPECT_EQ(ev.key, 1u);
+  EXPECT_EQ(ev.resource, 5u);
+  EXPECT_EQ(ev.a, 30u);
+  EXPECT_EQ(ev.b, 70u);
 }
 
 TEST_F(InstrumentTest, NullTracerIsSafe) {

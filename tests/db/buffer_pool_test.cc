@@ -102,10 +102,10 @@ TEST_F(BufferPoolTest, EvictionAttributedToPageOwner) {
   AccessPage(ex_, pool, 20, 99, false, nullptr, out);  // task 20 evicts
   ex_.Run();
   // freeResource charged to the page's owner (Fig 8 semantics).
-  EXPECT_EQ(ctl_.CountFor("free", 10), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kFree, 10), 1);
   // The evicting task gets the wait bracket and the get for the new page.
-  EXPECT_EQ(ctl_.CountFor("wait_begin", 20), 1);
-  EXPECT_EQ(ctl_.CountFor("get", 20), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kWaitBegin, 20), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kGet, 20), 1);
 }
 
 TEST_F(BufferPoolTest, ResidentOwnedByTracksOwners) {

@@ -49,8 +49,8 @@ TEST(TableLockManagerTest, BackupAcquiresAllTablesInOrder) {
   ex.Run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_TRUE(log[0].second.ok());
-  EXPECT_EQ(ctl.CountFor("get", 100), 3);
-  EXPECT_EQ(ctl.CountFor("free", 100), 3);
+  EXPECT_EQ(ctl.CountFor(TraceEventKind::kGet, 100), 3);
+  EXPECT_EQ(ctl.CountFor(TraceEventKind::kFree, 100), 3);
 }
 
 TEST(TableLockManagerTest, BackupBlockedMidwayHoldsEarlierTables) {
@@ -214,7 +214,7 @@ TEST(UndoLogTest, BacklogPenaltySlowsAppends) {
   EXPECT_EQ(latencies.front(), 10u);
   EXPECT_GE(latencies.back(), 1000u);
   // The penalty was reported as waits on the undo resource.
-  EXPECT_GT(ctl.CountFor("wait_begin", 1), 0);
+  EXPECT_GT(ctl.CountFor(TraceEventKind::kWaitBegin, 1), 0);
 }
 
 TEST(UndoLogTest, PinIsAttributedAsHolding) {
@@ -223,10 +223,10 @@ TEST(UndoLogTest, PinIsAttributedAsHolding) {
   UndoLog undo(ex, UndoLogOptions{}, &ctl, 1);
   undo.PinSnapshot(7);
   EXPECT_TRUE(undo.pinned());
-  EXPECT_EQ(ctl.CountFor("get", 7), 1);
+  EXPECT_EQ(ctl.CountFor(TraceEventKind::kGet, 7), 1);
   undo.UnpinSnapshot(7);
   EXPECT_FALSE(undo.pinned());
-  EXPECT_EQ(ctl.CountFor("free", 7), 1);
+  EXPECT_EQ(ctl.CountFor(TraceEventKind::kFree, 7), 1);
 }
 
 // --------------------------------------------------------------------------
@@ -297,7 +297,7 @@ TEST(MvccTableTest, CancelledBulkWriteStopsAtCheckpoint) {
   EXPECT_TRUE(writes[0].IsCancelled());
   EXPECT_EQ(table.active_writers(), 0);
   // Progress was reported along the way.
-  EXPECT_GT(ctl.CountFor("progress", 2), 0);
+  EXPECT_GT(ctl.CountFor(TraceEventKind::kProgress, 2), 0);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST_F(FrontendTest, OneShotFiresAtItsTime) {
   frontend.AddOneShot(shot);
   RunMetrics m = frontend.Run();
   EXPECT_EQ(m.completed, 1u);
-  ASSERT_EQ(ctl_.Count("request_start"), 1);
+  ASSERT_EQ(ctl_.Count(TraceEventKind::kRequestStart), 1);
 }
 
 TEST_F(FrontendTest, CulpritClassExcludedFromLatencyMetrics) {
