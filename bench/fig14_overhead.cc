@@ -37,7 +37,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Part 1: micro costs (real clock).
 
-AtroposRuntime* MakeMicroRuntime(TimestampMode mode, SteadyClock* clock) {
+AtroposRuntime* MakeMicroRuntime(TimestampMode mode, Clock* clock) {
   AtroposConfig config;
   config.timestamp_mode = mode;
   config.baseline_p99 = Millis(100);  // keep the detector quiet
@@ -103,6 +103,30 @@ void BM_TickWith100Tasks(benchmark::State& state) {
 }
 BENCHMARK(BM_TickWith100Tasks);
 
+// 100 tasks parked in a queue (open waits, no holds) under a calibrated,
+// Normal detector: the queue is flagged overloaded every window, but nothing
+// suspects overload, so no victim is chosen. A manual clock advances one
+// window per Tick so the open waits always span it.
+AtroposRuntime* MakeWaitingRuntime(ManualClock* clock) {
+  AtroposRuntime* rt = MakeMicroRuntime(TimestampMode::kSampled, clock);
+  ResourceId q = rt->RegisterResource("queue", ResourceClass::kQueue);
+  for (uint64_t k = 1; k <= 100; k++) {
+    rt->OnTaskRegistered(k, false);
+    rt->OnWaitBegin(k, q);
+  }
+  return rt;
+}
+
+void BM_TickWith100WaitingTasks(benchmark::State& state) {
+  ManualClock clock;
+  std::unique_ptr<AtroposRuntime> rt(MakeWaitingRuntime(&clock));
+  for (auto _ : state) {
+    clock.Advance(rt->config().window);
+    rt->Tick();
+  }
+}
+BENCHMARK(BM_TickWith100WaitingTasks);
+
 // Hand-rolled steady-clock loops mirroring the google-benchmark cases above,
 // so the machine-readable trajectory (BENCH_fig14.json) carries stable
 // per-event nanosecond figures without parsing benchmark console output.
@@ -112,6 +136,7 @@ struct MicroCosts {
   double wait_pair_per_event_ns = 0;
   double on_request_end_ns = 0;
   double tick_100_tasks_us = 0;
+  double tick_100_waiting_us = 0;
 };
 
 double TimeLoopNs(uint64_t iters, const std::function<void()>& body) {
@@ -179,6 +204,15 @@ MicroCosts MeasureMicroCosts() {
       rt->OnGet(k, r, 1);
     }
     costs.tick_100_tasks_us = TimeLoopNs(kTickIters, [&] { rt->Tick(); }) / 1000.0;
+  }
+  {
+    ManualClock clock;
+    std::unique_ptr<AtroposRuntime> rt(MakeWaitingRuntime(&clock));
+    auto tick = [&] {
+      clock.Advance(rt->config().window);
+      rt->Tick();
+    };
+    costs.tick_100_waiting_us = TimeLoopNs(kTickIters, tick) / 1000.0;
   }
   return costs;
 }
@@ -374,9 +408,9 @@ int main(int argc, char** argv) {
     const atropos::MicroCosts costs = atropos::MeasureMicroCosts();
     std::printf(
         "  on_get sampled %.1f ns | on_get per-event %.1f ns | wait pair %.1f ns\n"
-        "  on_request_end %.1f ns | tick(100 tasks) %.2f us\n",
+        "  on_request_end %.1f ns | tick(100 tasks) %.2f us | tick(100 waiting) %.2f us\n",
         costs.on_get_sampled_ns, costs.on_get_per_event_ns, costs.wait_pair_per_event_ns,
-        costs.on_request_end_ns, costs.tick_100_tasks_us);
+        costs.on_request_end_ns, costs.tick_100_tasks_us, costs.tick_100_waiting_us);
     atropos::JsonWriter json;
     json.BeginObject();
     json.Field("bench", "fig14_overhead");
@@ -385,6 +419,7 @@ int main(int argc, char** argv) {
     json.Field("wait_pair_per_event_ns", costs.wait_pair_per_event_ns);
     json.Field("on_request_end_ns", costs.on_request_end_ns);
     json.Field("tick_100_tasks_us", costs.tick_100_tasks_us);
+    json.Field("tick_100_waiting_us", costs.tick_100_waiting_us);
     // Headline per-event cost: the sampled-mode OnGet every request pays in
     // normal operation (the ROADMAP ~10ns/event target).
     json.Field("ns_per_event", costs.on_get_sampled_ns);

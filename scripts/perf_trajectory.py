@@ -49,6 +49,7 @@ TRACKED = {
         "wait_pair_per_event_ns": "lower",
         "on_request_end_ns": "lower",
         "tick_100_tasks_us": "lower",
+        "tick_100_waiting_us": "lower",
     },
     "BENCH_mt_ingest.json": {
         "lossfree_ns_per_event_1p": "lower",

@@ -15,9 +15,10 @@ double FutureFactor(double progress) {
 
 }  // namespace
 
-const Estimator::Output& Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
+const Estimator::Output& Estimator::Estimate(const TaskLedger& ledger, TimeMicros exec_time,
                                              TimeMicros window_start, TimeMicros now) {
   Output& out = out_;
+  now_ = now;
   out.all_resources.clear();
   out.policy_input.resources.clear();
   out.policy_input.candidates.clear();
@@ -117,20 +118,21 @@ const Estimator::Output& Estimator::Estimate(TaskLedger& ledger, TimeMicros exec
       out.policy_input.resources.push_back(m);
     }
   }
-  const auto& objectives = out.policy_input.resources;
+  return out;
+}
+
+const PolicyInput& Estimator::ScoreCandidates(const TaskLedger& ledger) {
+  PolicyInput& input = out_.policy_input;
+  input.candidates.clear();
+  const auto& objectives = input.resources;
   if (objectives.empty()) {
-    return out;
+    return input;
   }
+  const TimeMicros now = now_;
 
   // Raw gains per (task, objective). Live-list order is ascending TaskId, so
   // candidate order matches the map-based estimator byte for byte.
-  struct Row {
-    TaskId task;
-    bool cancellable;
-    std::vector<double> gain;
-    std::vector<double> current;
-  };
-  std::vector<Row> rows;
+  auto& candidates = input.candidates;
   double min_time_gain =
       config_.min_gain_window_fraction * static_cast<double>(config_.window);
   for (uint32_t slot = ledger.live_head(); slot != TaskLedger::kNilSlot;
@@ -140,9 +142,9 @@ const Estimator::Output& Estimator::Estimate(TaskLedger& ledger, TimeMicros exec
       continue;
     }
     const TaskResourceUsage* row_cells = ledger.usage_row(slot);
-    Row row;
-    row.task = task.id;
-    row.cancellable = task.cancellable && task.cancel_count < config_.max_cancels_per_task;
+    PolicyInput::Candidate& c = candidates.emplace_back();
+    c.task = task.id;
+    c.cancellable = task.cancellable && task.cancel_count < config_.max_cancels_per_task;
     double factor = FutureFactor(task.Progress(config_.default_progress));
     bool significant = false;
     for (const ResourceMetrics& m : objectives) {
@@ -150,8 +152,8 @@ const Estimator::Output& Estimator::Estimate(TaskLedger& ledger, TimeMicros exec
       if (!u.touched) {
         // Never-touched pair: zero contribution, and — exactly like the
         // absent map entry it replaces — exempt from the significance test.
-        row.gain.push_back(0.0);
-        row.current.push_back(0.0);
+        c.gains.push_back(0.0);
+        c.current_usage.push_back(0.0);
         continue;
       }
       double current = 0.0;
@@ -162,9 +164,9 @@ const Estimator::Output& Estimator::Estimate(TaskLedger& ledger, TimeMicros exec
         // Accumulated holding/usage time (µs).
         current = static_cast<double>(u.HoldTimeAt(now));
       }
-      row.current.push_back(current);
+      c.current_usage.push_back(current);
       double gain = current * factor;
-      row.gain.push_back(gain);
+      c.gains.push_back(gain);
       double floor = m.cls == ResourceClass::kMemory ? config_.min_gain_memory_units
                                                      : min_time_gain;
       if (gain >= floor) {
@@ -174,9 +176,8 @@ const Estimator::Output& Estimator::Estimate(TaskLedger& ledger, TimeMicros exec
     // A task predicted to release less than the significance floor resolves
     // itself faster than cancelling it would; it is never a useful victim.
     if (!significant) {
-      row.cancellable = false;
+      c.cancellable = false;
     }
-    rows.push_back(std::move(row));
   }
 
   // Normalize each objective column to [0, 1] so that units (pages vs µs) are
@@ -185,29 +186,20 @@ const Estimator::Output& Estimator::Estimate(TaskLedger& ledger, TimeMicros exec
   for (size_t r = 0; r < objectives.size(); r++) {
     double max_gain = 0.0;
     double max_cur = 0.0;
-    for (const Row& row : rows) {
-      max_gain = std::max(max_gain, row.gain[r]);
-      max_cur = std::max(max_cur, row.current[r]);
+    for (const PolicyInput::Candidate& c : candidates) {
+      max_gain = std::max(max_gain, c.gains[r]);
+      max_cur = std::max(max_cur, c.current_usage[r]);
     }
-    for (Row& row : rows) {
+    for (PolicyInput::Candidate& c : candidates) {
       if (max_gain > 0.0) {
-        row.gain[r] /= max_gain;
+        c.gains[r] /= max_gain;
       }
       if (max_cur > 0.0) {
-        row.current[r] /= max_cur;
+        c.current_usage[r] /= max_cur;
       }
     }
   }
-
-  for (Row& row : rows) {
-    PolicyInput::Candidate c;
-    c.task = row.task;
-    c.cancellable = row.cancellable;
-    c.gains = std::move(row.gain);
-    c.current_usage = std::move(row.current);
-    out.policy_input.candidates.push_back(std::move(c));
-  }
-  return out;
+  return input;
 }
 
 }  // namespace atropos

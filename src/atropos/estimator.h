@@ -1,10 +1,15 @@
 // Resource-overload estimation (paper §3.4–3.5).
 //
-// Per window, the estimator computes each resource's contention level (raw,
-// class-specific formula) and its normalized form C_r = D_r / T_exec, then —
-// for the resources flagged overloaded — each candidate task's resource gain
-// (future-usage prediction via the GetNext progress model) and the current-
-// usage variant used by the Fig 13 ablation.
+// The work is split in two steps. Estimate() runs every window: it computes
+// each resource's contention level (raw, class-specific formula), its
+// normalized form C_r = D_r / (T_base + D_r), and which resources are
+// overloaded — the inputs of the §4 calm-window accounting and of
+// last_metrics(). ScoreCandidates() runs only on the selection path (overload
+// suspected, a resource confirmed, pacing admitted): for the overloaded
+// resources it prices each live task's resource gain (future-usage
+// prediction via the GetNext progress model) and the current-usage variant
+// used by the Fig 13 ablation. A window that flags a resource but selects no
+// victim never builds a candidate row.
 
 #ifndef SRC_ATROPOS_ESTIMATOR_H_
 #define SRC_ATROPOS_ESTIMATOR_H_
@@ -37,7 +42,7 @@ class Estimator {
 
   struct Output {
     std::vector<ResourceMetrics> all_resources;  // one entry per registered resource
-    PolicyInput policy_input;                    // objectives = overloaded resources only
+    PolicyInput policy_input;  // objectives = overloaded resources; candidates: ScoreCandidates()
     bool resource_overload = false;              // any resource over threshold
   };
 
@@ -52,10 +57,19 @@ class Estimator {
   // the resources' window counters.
   //
   // The result lives in the estimator and is overwritten by the next call;
-  // its buffers are reused, so a window with no overloaded resource
-  // allocates nothing once they have reached their size.
-  const Output& Estimate(TaskLedger& ledger, TimeMicros exec_time, TimeMicros window_start,
-                         TimeMicros now);
+  // its buffers are reused, so once they have reached their size a window
+  // allocates nothing. `policy_input.candidates` is left empty: a window
+  // that selects nothing never exposes an earlier window's rows.
+  const Output& Estimate(const TaskLedger& ledger, TimeMicros exec_time,
+                         TimeMicros window_start, TimeMicros now);
+
+  // Fills `policy_input.candidates` of the last Estimate(): one row per live
+  // task, gains and current usage per objective (the overloaded resources),
+  // each column normalized to [0, 1]. Scored at the last Estimate()'s `now`
+  // over `ledger`, which must be the same, unmodified ledger. Allocates per
+  // candidate, so the runtime calls it only right before
+  // SelectionPolicy::Select.
+  const PolicyInput& ScoreCandidates(const TaskLedger& ledger);
 
  private:
   // Open wait/hold time of one resource in the window being estimated.
@@ -72,6 +86,7 @@ class Estimator {
   };
   std::map<ResourceId, Baseline> baseline_contention_;
   std::vector<Delta> deltas_;  // indexed by resource slot (id - 1)
+  TimeMicros now_ = 0;         // the last Estimate()'s `now`
   Output out_;
 };
 

@@ -5,7 +5,6 @@ namespace atropos {
 DecisionPipeline DecisionPipeline::Default(const AtroposConfig& config) {
   DecisionPipeline pipeline;
   pipeline.detection = std::make_unique<BreakwaterDetectionStage>(config);
-  pipeline.estimation = std::make_unique<GainEstimationStage>(config);
   pipeline.selection = MakeSelectionPolicy(config.policy);
   return pipeline;
 }

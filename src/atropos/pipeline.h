@@ -1,16 +1,18 @@
 // Pluggable decision pipeline (paper §3.3–3.5; Fig 13 ablations).
 //
 // The control loop is explicitly staged: DetectionStage flags suspected
-// overload from end-to-end signals (§3.3), EstimationStage confirms which
-// resource is the bottleneck and prices every candidate's gain (§3.4), and
-// SelectionPolicy picks the victim (§3.5). Each stage is an interface; the
-// shipped implementations wrap the existing detector/estimator/policies, and
-// the Fig-13 ablation variants are alternative SelectionPolicy
-// implementations injected by the controller factory — not enum special
-// cases inside the runtime.
+// overload from end-to-end signals (§3.3), the runtime's Estimator confirms
+// which resource is the bottleneck every window and — only when a victim is
+// being chosen — prices every candidate's gain (§3.4), and SelectionPolicy
+// picks the victim (§3.5). Detection and selection are interfaces; the
+// shipped implementations wrap the existing detector/policies, and the
+// Fig-13 ablation variants are alternative SelectionPolicy implementations
+// injected by the controller factory — not enum special cases inside the
+// runtime. Estimation has a single implementation, so it is a plain member of
+// AtroposRuntime rather than a stage.
 //
-// A DecisionPipeline bundles one stage of each kind; AtroposRuntime owns one
-// per instance, and RuntimeGroup builds one per shard from a shared factory
+// A DecisionPipeline bundles the two stages; AtroposRuntime owns one per
+// instance, and RuntimeGroup builds one per shard from a shared factory
 // (shared implementations, private per-shard stage state).
 
 #ifndef SRC_ATROPOS_PIPELINE_H_
@@ -21,8 +23,6 @@
 
 #include "src/atropos/config.h"
 #include "src/atropos/detector.h"
-#include "src/atropos/estimator.h"
-#include "src/atropos/ledger.h"
 #include "src/atropos/policy.h"
 
 namespace atropos {
@@ -42,18 +42,9 @@ class DetectionStage {
   virtual TimeMicros slo_latency() const = 0;
 };
 
-// §3.4: prices each resource's contention and each candidate's gain.
-class EstimationStage {
- public:
-  virtual ~EstimationStage() = default;
-  virtual std::string_view name() const = 0;
-  virtual void SetCalibrating(bool calibrating) = 0;
-  // The result stays valid until the next call.
-  virtual const Estimator::Output& Estimate(TaskLedger& ledger, TimeMicros exec_time,
-                                            TimeMicros window_start, TimeMicros now) = 0;
-};
-
-// §3.5: picks the victim among the estimator's candidates.
+// §3.5: picks the victim among the estimator's candidates. Called only on a
+// suspected-overload window with a confirmed resource, after pacing admits a
+// cancel; the candidates are scored right before the call.
 class SelectionPolicy {
  public:
   virtual ~SelectionPolicy() = default;
@@ -78,21 +69,6 @@ class BreakwaterDetectionStage final : public DetectionStage {
 
  private:
   OverloadDetector detector_;
-};
-
-// Future-gain estimation (§3.4) over the window books of a TaskLedger.
-class GainEstimationStage final : public EstimationStage {
- public:
-  explicit GainEstimationStage(const AtroposConfig& config) : estimator_(config) {}
-  std::string_view name() const override { return "gain"; }
-  void SetCalibrating(bool calibrating) override { estimator_.SetCalibrating(calibrating); }
-  const Estimator::Output& Estimate(TaskLedger& ledger, TimeMicros exec_time,
-                                    TimeMicros window_start, TimeMicros now) override {
-    return estimator_.Estimate(ledger, exec_time, window_start, now);
-  }
-
- private:
-  Estimator estimator_;
 };
 
 // Algorithm 1: Pareto non-dominated filter + contention-weighted
@@ -129,15 +105,12 @@ class CurrentUsagePolicy final : public SelectionPolicy {
 
 struct DecisionPipeline {
   std::unique_ptr<DetectionStage> detection;
-  std::unique_ptr<EstimationStage> estimation;
   std::unique_ptr<SelectionPolicy> selection;
 
-  bool complete() const {
-    return detection != nullptr && estimation != nullptr && selection != nullptr;
-  }
+  bool complete() const { return detection != nullptr && selection != nullptr; }
 
-  // The paper's pipeline: Breakwater detection, gain estimation, and the
-  // selection policy named by config.policy.
+  // The paper's pipeline: Breakwater detection and the selection policy named
+  // by config.policy.
   static DecisionPipeline Default(const AtroposConfig& config);
 
   // The Fig 13 policy stages by ablation kind.

@@ -29,6 +29,7 @@ AtroposRuntime::AtroposRuntime(Clock* clock, AtroposConfig config, DecisionPipel
       ledger_(clock->NowMicros(), config, &stats_),
       window_(clock->NowMicros(), config, &stats_),
       pipeline_(std::move(pipeline)),
+      estimator_(config),
       breakwater_(dynamic_cast<const BreakwaterDetectionStage*>(pipeline_.detection.get())),
       dispatcher_(config, &stats_) {}
 
@@ -78,9 +79,12 @@ void AtroposRuntime::Tick() {
   // time: completed request time, floored at the window length. In-flight
   // blocked time is deliberately excluded — it shows up as the per-resource
   // delay D_r, not in the shared denominator.
-  pipeline_.estimation->SetCalibrating(!pipeline_.detection->calibrated());
-  const Estimator::Output& est = pipeline_.estimation->Estimate(
-      ledger_, window_.ExecTimeFloored(now), ledger_.window_start(), now);
+  //
+  // Only the per-resource step runs here; per-task gains are scored below,
+  // once a victim is actually being chosen.
+  estimator_.SetCalibrating(!pipeline_.detection->calibrated());
+  const Estimator::Output& est = estimator_.Estimate(ledger_, window_.ExecTimeFloored(now),
+                                                     ledger_.window_start(), now);
   last_metrics_ = est.all_resources;
 
   // §4 calm-window accounting and memo aging.
@@ -130,9 +134,11 @@ void AtroposRuntime::Tick() {
       if (!dispatcher_.AdmitByPacing(now)) {
         break;
       }
+      // Nothing since Estimate() has touched the ledger, so the candidates
+      // are scored over the same books at the same `now`.
+      const PolicyInput& input = estimator_.ScoreCandidates(ledger_);
       PolicyExplain explain;
-      PolicyDecision decision =
-          pipeline_.selection->Select(est.policy_input, tracing ? &explain : nullptr);
+      PolicyDecision decision = pipeline_.selection->Select(input, tracing ? &explain : nullptr);
       if (tracing) {
         FlightEvent ev;
         ev.time = now;
@@ -157,11 +163,11 @@ void AtroposRuntime::Tick() {
       if (!decision.found()) {
         stats_.cancels_suppressed_no_victim++;
         if (GetLogLevel() <= LogLevel::kDebug) {
-          for (const auto& m : est.policy_input.resources) {
+          for (const auto& m : input.resources) {
             LOG_DEBUG("no-victim: resource %u C=%.3f delay=%llu", m.id, m.contention_norm,
                       static_cast<unsigned long long>(m.delay));
           }
-          for (const auto& c : est.policy_input.candidates) {
+          for (const auto& c : input.candidates) {
             double g = c.gains.empty() ? 0.0 : c.gains[0];
             if (g > 0.0 || !c.cancellable) {
               const TaskRecord* rec = ledger_.FindTaskById(c.task);

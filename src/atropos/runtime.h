@@ -2,26 +2,35 @@
 //
 // The control loop is decomposed into four layers with narrow interfaces:
 //
-//   instrumentation stream                      Tick() once per window
-//        │                                            │
-//        ▼                                            ▼
-//   TaskLedger ───────────── window books ──► DecisionPipeline
-//   (registries, §3.1–3.2    WindowAggregator  (DetectionStage §3.3 →
-//    usage accounting,       (latency/T_exec    EstimationStage §3.4 →
-//    conservation ledger)     convoy signals)   SelectionPolicy §3.5)
-//                                                     │ victim
-//                                                     ▼
-//                                             CancelDispatcher
-//                                             (§3.6 safe initiator routing,
-//                                              pacing, §4 fairness memo)
+//   instrumentation stream                     Tick() once per window
+//        │                                           │
+//        ▼                                           ▼
+//   TaskLedger ───────────── window books ──► DetectionStage §3.3
+//   (registries, §3.1–3.2    WindowAggregator       │ signal
+//    usage accounting,       (latency/T_exec         ▼
+//    conservation ledger)     convoy signals)  Estimator::Estimate §3.4
+//                                              (contention, overloaded
+//                                               flags — every window)
+//                                                    │ suspected overload,
+//                                                    │ resource confirmed,
+//                                                    │ pacing admits
+//                                                    ▼
+//                                              Estimator::ScoreCandidates
+//                                              (per-task gains) →
+//                                              SelectionPolicy §3.5
+//                                                    │ victim
+//                                                    ▼
+//                                              CancelDispatcher
+//                                              (§3.6 safe initiator routing,
+//                                               pacing, §4 fairness memo)
 //
 // AtroposRuntime wires the layers and remains an OverloadController, so
 // applications integrate it exactly like the baseline controllers: feed the
-// instrumentation stream and call Tick() once per window. The decision stages
-// are pluggable — the Fig-13 ablation variants are alternative
-// SelectionPolicy implementations injected at construction — and RuntimeGroup
-// (runtime_group.h) shards independent ledgers/windows per tenant behind one
-// shared stage factory.
+// instrumentation stream and call Tick() once per window. The detection and
+// selection stages are pluggable (DecisionPipeline) — the Fig-13 ablation
+// variants are alternative SelectionPolicy implementations injected at
+// construction — and RuntimeGroup (runtime_group.h) shards independent
+// ledgers/windows per tenant behind one shared stage factory.
 
 #ifndef SRC_ATROPOS_RUNTIME_H_
 #define SRC_ATROPOS_RUNTIME_H_
@@ -36,6 +45,7 @@
 #include "src/atropos/controller.h"
 #include "src/atropos/detector.h"
 #include "src/atropos/dispatcher.h"
+#include "src/atropos/estimator.h"
 #include "src/atropos/ledger.h"
 #include "src/atropos/pipeline.h"
 #include "src/atropos/stats.h"
@@ -92,7 +102,7 @@ class AtroposRuntime final : public OverloadController {
 
   // ---- Control loop --------------------------------------------------------
   // Closes the current window: detection, estimation, and (when confirmed)
-  // cancellation of the selected culprit.
+  // candidate scoring and cancellation of the selected culprit.
   void Tick() override;
 
   // ---- Fairness / re-execution (§4) ---------------------------------------
@@ -128,6 +138,7 @@ class AtroposRuntime final : public OverloadController {
 
   // Layer access for tests and the multi-tenant group.
   const TaskLedger& ledger() const { return ledger_; }
+  const WindowAggregator& window() const { return window_; }
   const DecisionPipeline& pipeline() const { return pipeline_; }
 
   // ---- Accounting audit (fuzzer oracles) ----------------------------------
@@ -153,6 +164,7 @@ class AtroposRuntime final : public OverloadController {
   TaskLedger ledger_;
   WindowAggregator window_;
   DecisionPipeline pipeline_;
+  Estimator estimator_;
   // Non-owning view into pipeline_.detection when it is the Breakwater stage;
   // backs detector().
   const BreakwaterDetectionStage* breakwater_ = nullptr;

@@ -42,12 +42,9 @@ std::unique_ptr<AtroposRuntime> MakeAtropos(Clock* clock, ControlSurface* surfac
   // only into genuinely idle periods (or are dropped).
   config.reexec_calm_windows = 60;
   // The Fig-13 ablation variants differ only in the injected SelectionPolicy
-  // stage; detection and estimation are the paper's pipeline in all three.
-  DecisionPipeline pipeline;
-  pipeline.detection = std::make_unique<BreakwaterDetectionStage>(config);
-  pipeline.estimation = std::make_unique<GainEstimationStage>(config);
-  pipeline.selection = DecisionPipeline::MakeSelectionPolicy(policy);
-  auto runtime = std::make_unique<AtroposRuntime>(clock, config, std::move(pipeline));
+  // stage (config.policy); detection and estimation are the paper's in all
+  // three.
+  auto runtime = std::make_unique<AtroposRuntime>(clock, config);
   runtime->SetControlSurface(surface);
   return runtime;
 }

@@ -13,17 +13,20 @@
 // suites run against the stock allocator.
 //
 // The drained intake path is armed too: warm producer pushes, the Tick()
-// k-way merge into AtroposRuntime::Apply, and the control loop over calm
-// windows (no recorder attached, no resource overloaded).
+// k-way merge into AtroposRuntime::Apply, and the control loop over windows
+// the detector calls Normal (no recorder attached) — with no resource
+// overloaded, and with a resource flagged overloaded every window (the
+// per-resource estimate runs; per-task gains are not scored).
 //
 // The simulator's per-await path is armed as well: warm wake push/fire
 // cycles on an Executor, and nested Task<Status> awaits whose frames come
 // from the per-thread frame pool.
 //
-// Deliberately NOT inside the armed region: the overload path of Tick() (the
-// estimator builds per-window candidate vectors for the policy by design —
-// once per window, only while a resource is overloaded) and first-touch
-// growth (new tasks/resources/producers beyond the high-water mark).
+// Deliberately NOT inside the armed region: the selection path of Tick()
+// (overload suspected, a resource confirmed, pacing admitted: the estimator
+// builds one candidate row per live task for the policy by design) and
+// first-touch growth (new tasks/resources/producers beyond the high-water
+// mark).
 
 #include <atomic>
 #include <cstdlib>
@@ -198,59 +201,116 @@ TEST(AllocOracleTest, KeyChurnOverRecycledSlotsIsAllocationFree) {
       << "key churn over recycled slots allocated after warm-up";
 }
 
-// Warm ConcurrentFrontend pushes plus Tick() in calm windows: ring pops into
-// the reused merge buffer, the merge of three interleaved runs, explicit-time
-// apply into the ledger and window, detection and estimation.
-TEST(AllocOracleTest, FrontendCalmTicksAreAllocationFree) {
-  ManualClock clock;
-  AtroposConfig config;
-  config.window = Millis(10);
-  ConcurrentFrontend frontend(&clock, config);
-  const ResourceId lock = frontend.RegisterResource("lock", ResourceClass::kLock);
-  constexpr int kProducers = 3;
-  std::vector<ConcurrentFrontend::Producer*> producers;
-  for (int p = 0; p < kProducers; p++) {
-    producers.push_back(frontend.RegisterProducer());
+// A ConcurrentFrontend fed by three producers. One window: every producer
+// runs 32 short uncontended requests, their events interleaved in time with
+// the other producers', then the frontend ticks.
+class CalmIntake {
+ public:
+  static constexpr int kProducers = 3;
+  static constexpr uint64_t kEventsPerWindow = kProducers * 32 * 6;
+
+  CalmIntake() : frontend_(&clock_, MakeConfig()) {
+    lock_ = frontend_.RegisterResource("lock", ResourceClass::kLock);
+    for (int p = 0; p < kProducers; p++) {
+      producers_.push_back(frontend_.RegisterProducer());
+    }
   }
 
-  // One window: every producer runs 32 short uncontended requests, their
-  // events interleaved in time with the other producers'.
-  TimeMicros tick_at = 0;
-  auto run_window = [&] {
+  static AtroposConfig MakeConfig() {
+    AtroposConfig config;
+    config.window = Millis(10);
+    return config;
+  }
+
+  void RunWindow() {
     for (uint64_t j = 0; j < 32; j++) {
       for (int p = 0; p < kProducers; p++) {
         const uint64_t key = 1000 * static_cast<uint64_t>(p + 1) + j;
-        ConcurrentFrontend::Producer* producer = producers[p];
+        ConcurrentFrontend::Producer* producer = producers_[p];
         producer->Push(TraceEvent::TaskRegistered(key, false, true));
         producer->Push(TraceEvent::RequestStart(key, 0, 0));
-        producer->Push(TraceEvent::Get(key, lock, 1));
-        clock.Advance(10);
-        producer->Push(TraceEvent::Free(key, lock, 1));
+        producer->Push(TraceEvent::Get(key, lock_, 1));
+        clock_.Advance(10);
+        producer->Push(TraceEvent::Free(key, lock_, 1));
         producer->Push(TraceEvent::RequestEnd(key, 10, 0, 0));
         producer->Push(TraceEvent::TaskFreed(key));
       }
     }
-    tick_at += config.window;
-    clock.SetTime(tick_at);
-    frontend.Tick();
-  };
-
-  // Warm past detector calibration and every buffer's high-water mark.
-  for (int w = 0; w < 2 * config.calibration_windows; w++) {
-    run_window();
+    tick_at_ += frontend_.runtime().config().window;
+    clock_.SetTime(tick_at_);
+    frontend_.Tick();
   }
+
+  // Past detector calibration and every buffer's high-water mark.
+  void WarmUp() {
+    for (int w = 0; w < 2 * frontend_.runtime().config().calibration_windows; w++) {
+      RunWindow();
+    }
+  }
+
+  ConcurrentFrontend& frontend() { return frontend_; }
+  ConcurrentFrontend::Producer* producer(int p) { return producers_[p]; }
+
+ private:
+  ManualClock clock_;
+  ConcurrentFrontend frontend_;
+  ResourceId lock_ = kInvalidResourceId;
+  std::vector<ConcurrentFrontend::Producer*> producers_;
+  TimeMicros tick_at_ = 0;
+};
+
+// Warm ConcurrentFrontend pushes plus Tick() in calm windows: ring pops into
+// the reused merge buffer, the merge of three interleaved runs, explicit-time
+// apply into the ledger and window, detection and estimation.
+TEST(AllocOracleTest, FrontendCalmTicksAreAllocationFree) {
+  CalmIntake intake;
+  ConcurrentFrontend& frontend = intake.frontend();
+  intake.WarmUp();
   const uint64_t drained_before = frontend.intake_stats().drained_total;
   {
     AllocArmed armed;
     for (int w = 0; w < 100; w++) {
-      run_window();
+      intake.RunWindow();
     }
     EXPECT_EQ(armed.count(), 0u) << "calm frontend pushes + Tick allocated after warm-up";
   }
-  EXPECT_EQ(frontend.intake_stats().drained_total - drained_before, 100u * kProducers * 32 * 6);
+  EXPECT_EQ(frontend.intake_stats().drained_total - drained_before,
+            100u * CalmIntake::kEventsPerWindow);
   EXPECT_EQ(frontend.intake_stats().dropped_total, 0u);
   EXPECT_EQ(frontend.runtime().stats().resource_overload_windows, 0u);
   EXPECT_EQ(frontend.runtime().live_task_count(), 0u);
+}
+
+// The same calm windows, plus a queue with open waits and no holds: the queue
+// is flagged overloaded every window while the detector stays Normal, so no
+// victim is chosen and no candidate row may be built.
+TEST(AllocOracleTest, FrontendFlaggedQueueWithoutSuspicionIsAllocationFree) {
+  CalmIntake intake;
+  ConcurrentFrontend& frontend = intake.frontend();
+  const ResourceId queue = frontend.RegisterResource("queue", ResourceClass::kQueue);
+  intake.WarmUp();
+  constexpr uint64_t kParked = 4;
+  for (uint64_t k = 0; k < kParked; k++) {
+    intake.producer(0)->Push(TraceEvent::TaskRegistered(9000 + k, false, true));
+    intake.producer(0)->Push(TraceEvent::WaitBegin(9000 + k, queue));
+  }
+  intake.WarmUp();
+
+  const AtroposRuntime& runtime = frontend.runtime();
+  int flagged = 0;
+  {
+    AllocArmed armed;
+    for (int w = 0; w < 100; w++) {
+      intake.RunWindow();
+      flagged += runtime.last_metrics()[queue - 1].overloaded ? 1 : 0;
+    }
+    EXPECT_EQ(armed.count(), 0u) << "flagged-but-calm Tick allocated after warm-up";
+  }
+  EXPECT_EQ(flagged, 100);
+  EXPECT_EQ(runtime.stats().suspected_overload_windows, 0u);
+  EXPECT_EQ(runtime.stats().resource_overload_windows, 0u);
+  EXPECT_EQ(runtime.live_task_count(), kParked);
+  EXPECT_EQ(frontend.intake_stats().dropped_total, 0u);
 }
 
 Coro Sleeper(Executor& ex, int wakes) {

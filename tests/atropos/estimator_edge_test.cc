@@ -45,10 +45,13 @@ class EstimatorEdgeTest : public ::testing::Test {
     return pool;
   }
 
+  // The per-resource step followed by the per-task gain step.
   Estimator::Output Estimate(TimeMicros exec_time = Millis(100)) {
     Estimator est(config_);
     est.SetCalibrating(false);
-    return est.Estimate(*ledger_, exec_time, 0, Millis(100));
+    const Estimator::Output& out = est.Estimate(*ledger_, exec_time, 0, Millis(100));
+    est.ScoreCandidates(*ledger_);
+    return out;
   }
 
   AtroposConfig config_;

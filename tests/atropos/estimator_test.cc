@@ -1,5 +1,6 @@
 #include "src/atropos/estimator.h"
 
+#include <iterator>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -36,11 +37,15 @@ class EstimatorTest : public ::testing::Test {
   }
   ResourceRecord& Resource(ResourceId rid) { return *ledger_->MutableResource(rid); }
 
+  // The per-resource step followed by the per-task gain step, as the
+  // runtime runs them on a selection window.
   Estimator::Output Estimate(TimeMicros exec_time, TimeMicros window_start,
                              TimeMicros now) {
     Estimator est(config_);
     est.SetCalibrating(false);
-    return est.Estimate(*ledger_, exec_time, window_start, now);
+    const Estimator::Output& out = est.Estimate(*ledger_, exec_time, window_start, now);
+    est.ScoreCandidates(*ledger_);
+    return out;
   }
 
   AtroposConfig config_;
@@ -220,6 +225,109 @@ TEST_F(EstimatorTest, QueueClassUsesWaitHoldRatio) {
   auto out = Estimate(Millis(100), 0, Millis(100));
   EXPECT_NEAR(out.all_resources[0].contention_raw, 9.0, 0.01);
   EXPECT_NEAR(out.all_resources[0].contention_norm, 90.0 / 190.0, 0.01);
+}
+
+// The gain step is not part of the per-window step: a window that scores
+// nothing must not expose the rows an earlier window scored.
+TEST_F(EstimatorTest, EstimateAloneLeavesCandidatesEmpty) {
+  ResourceId lock = AddResource(ResourceClass::kLock);
+  AddTask(10);
+  AddTask(11);
+  Usage(10, lock).acquired = 1;
+  Usage(10, lock).active_units = 1;
+  Usage(10, lock).hold_started_at = 0;
+  Usage(11, lock).waiting = true;
+  Usage(11, lock).wait_started_at = Millis(10);
+
+  Estimator est(config_);
+  est.SetCalibrating(false);
+  const Estimator::Output& first = est.Estimate(*ledger_, Millis(100), 0, Millis(100));
+  ASSERT_TRUE(first.resource_overload);
+  EXPECT_TRUE(first.policy_input.candidates.empty());
+  EXPECT_EQ(est.ScoreCandidates(*ledger_).candidates.size(), 2u);
+
+  // The next window still flags the lock, but nothing selects.
+  const Estimator::Output& second =
+      est.Estimate(*ledger_, Millis(100), Millis(100), Millis(200));
+  EXPECT_TRUE(second.resource_overload);
+  ASSERT_EQ(second.policy_input.resources.size(), 1u);
+  EXPECT_TRUE(second.policy_input.candidates.empty());
+}
+
+// Estimate followed by ScoreCandidates reproduces, value for value, what the
+// single-step estimator produced: pinned from it on a window that mixes two
+// overloaded resources of different classes, a quiet one, progress reports,
+// an untouched pair, a non-cancellable task, a task out of cancels and two
+// tasks under the significance floor.
+TEST_F(EstimatorTest, EstimateThenScoreMatchesTheCombinedOutput) {
+  ResourceId lock = AddResource(ResourceClass::kLock);
+  ResourceId pool = AddResource(ResourceClass::kMemory);
+  AddResource(ResourceClass::kQueue);  // quiet: never an objective
+  Resource(pool).window.gets = 100;
+  Resource(pool).window.slow_events = 50;
+  Resource(pool).window.wait_time = Millis(40);
+
+  AddTask(10);  // lock holder since t=0, far along
+  Usage(10, lock).acquired = 1;
+  Usage(10, lock).active_units = 1;
+  Usage(10, lock).hold_started_at = 0;
+  Usage(10, pool).acquired = 300;
+  Task(10).has_progress = true;
+  Task(10).progress_done = 90;
+  Task(10).progress_total = 100;
+  AddTask(11);  // lock waiter, early
+  Usage(11, lock).waiting = true;
+  Usage(11, lock).wait_started_at = Millis(10);
+  Usage(11, pool).acquired = 40;
+  Task(11).has_progress = true;
+  Task(11).progress_done = 10;
+  Task(11).progress_total = 100;
+  AddTask(12, /*cancellable=*/false);
+  Usage(12, pool).acquired = 120;
+  Usage(12, pool).released = 20;
+  AddTask(13);  // touches nothing
+  AddTask(14);  // below the memory floor
+  Usage(14, pool).acquired = 2;
+  AddTask(15);  // already cancelled once, held the lock for 60ms
+  Usage(15, lock).hold_time = Millis(60);
+  Task(15).cancel_count = config_.max_cancels_per_task;
+
+  Estimator est(config_);
+  est.SetCalibrating(false);
+  const Estimator::Output& out = est.Estimate(*ledger_, Millis(100), 0, Millis(100));
+  const PolicyInput& input = est.ScoreCandidates(*ledger_);
+  ASSERT_EQ(&input, &out.policy_input);
+  ASSERT_EQ(input.resources.size(), 2u);
+  EXPECT_EQ(input.resources[0].id, lock);
+  EXPECT_EQ(input.resources[1].id, pool);
+
+  struct Row {
+    uint64_t key;
+    bool cancellable;
+    double gains[2];
+    double current[2];
+  };
+  const Row expected[] = {
+      {10, true, {0.18518518518518512, 0.09259259259259256}, {1, 1}},
+      {11, true, {0, 1}, {0, 0.13333333333333333}},
+      {12, false, {0, 0.27777777777777779}, {0, 0.33333333333333331}},
+      {13, false, {0, 0}, {0, 0}},
+      {14, false, {0, 0.0055555555555555558}, {0, 0.0066666666666666671}},
+      {15, false, {1, 0}, {0.59999999999999998, 0}},
+  };
+  ASSERT_EQ(input.candidates.size(), std::size(expected));
+  for (size_t i = 0; i < std::size(expected); i++) {
+    const PolicyInput::Candidate& c = input.candidates[i];
+    SCOPED_TRACE(expected[i].key);
+    EXPECT_EQ(c.task, IdOf(expected[i].key));
+    EXPECT_EQ(c.cancellable, expected[i].cancellable);
+    ASSERT_EQ(c.gains.size(), 2u);
+    ASSERT_EQ(c.current_usage.size(), 2u);
+    for (size_t r = 0; r < 2; r++) {
+      EXPECT_EQ(c.gains[r], expected[i].gains[r]);
+      EXPECT_EQ(c.current_usage[r], expected[i].current[r]);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace atropos {
@@ -402,6 +403,113 @@ TEST_F(RuntimeTest, StaleReplacementRetiresHoldings) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].leaked, 4u);
   EXPECT_TRUE(rows[0].Balanced());
+}
+
+// A multi-objective selection stage that records every call: the candidates
+// it was handed, and a fresh estimate-and-score of the runtime's books at the
+// same instant.
+class RecordingSelection final : public SelectionPolicy {
+ public:
+  RecordingSelection(const AtroposConfig& config, const Clock* clock)
+      : config_(config), clock_(clock) {}
+
+  std::string_view name() const override { return "recording"; }
+
+  PolicyDecision Select(const PolicyInput& input, PolicyExplain* explain) override {
+    calls++;
+    received = input;
+    const TimeMicros now = clock_->NowMicros();
+    Estimator fresh(config_);
+    fresh.SetCalibrating(false);
+    fresh.Estimate(runtime->ledger(), runtime->window().ExecTimeFloored(now),
+                   runtime->ledger().window_start(), now);
+    rescored = fresh.ScoreCandidates(runtime->ledger());
+    return SelectMultiObjective(input, explain);
+  }
+
+  const AtroposRuntime* runtime = nullptr;
+  int calls = 0;
+  PolicyInput received;
+  PolicyInput rescored;
+
+ private:
+  AtroposConfig config_;
+  const Clock* clock_;
+};
+
+// Candidates are scored only when a victim is being chosen: a queue flagged
+// window after window while the detector says Normal never reaches the
+// selection stage, and on the suspected-overload window the stage receives
+// exactly what a fresh estimate-and-score of that Tick's books yields.
+TEST(RuntimeSelectionTest, CandidatesAreScoredOnlyWhenAVictimIsChosen) {
+  ManualClock clock(0);
+  const AtroposConfig config = TestConfig();
+  DecisionPipeline pipeline;
+  pipeline.detection = std::make_unique<BreakwaterDetectionStage>(config);
+  auto recording = std::make_unique<RecordingSelection>(config, &clock);
+  RecordingSelection* selection = recording.get();
+  pipeline.selection = std::move(recording);
+  AtroposRuntime runtime(&clock, config, std::move(pipeline));
+  selection->runtime = &runtime;
+  int cancels = 0;
+  uint64_t cancelled_key = 0;
+  runtime.SetCancelAction([&](uint64_t key) {
+    cancels++;
+    cancelled_key = key;
+  });
+  const ResourceId lock = runtime.RegisterResource("lock", ResourceClass::kLock);
+  const ResourceId queue = runtime.RegisterResource("queue", ResourceClass::kQueue);
+
+  // Four tasks parked in the queue: open waits, no holds.
+  for (uint64_t key = 300; key < 304; key++) {
+    runtime.OnTaskRegistered(key, false);
+    runtime.OnWaitBegin(key, queue);
+  }
+  for (int w = 0; w < 5; w++) {
+    for (int i = 0; i < 50; i++) {
+      runtime.OnRequestEnd(9999, /*latency=*/900, 0, 0);
+    }
+    clock.Advance(Millis(100));
+    runtime.Tick();
+    ASSERT_EQ(runtime.last_metrics().size(), 2u);
+    EXPECT_TRUE(runtime.last_metrics()[1].overloaded) << "window " << w;
+  }
+  EXPECT_EQ(runtime.stats().suspected_overload_windows, 0u);
+  EXPECT_EQ(selection->calls, 0);
+
+  // A lock holder stalls a waiter and latency blows past the SLO at flat
+  // throughput: the detector suspects overload and a victim is chosen.
+  runtime.OnTaskRegistered(100, false);
+  runtime.OnTaskRegistered(200, false);
+  runtime.OnGet(100, lock, 1);
+  runtime.OnWaitBegin(200, lock);
+  for (int i = 0; i < 20; i++) {
+    runtime.OnRequestEnd(9999, /*latency=*/50000, 0, 0);
+  }
+  clock.Advance(Millis(100));
+  runtime.Tick();
+  ASSERT_EQ(selection->calls, 1);
+  EXPECT_EQ(runtime.stats().resource_overload_windows, 1u);
+  EXPECT_EQ(cancels, 1);
+  EXPECT_EQ(cancelled_key, 100u);
+
+  const PolicyInput& got = selection->received;
+  const PolicyInput& want = selection->rescored;
+  ASSERT_EQ(got.resources.size(), 2u);
+  ASSERT_EQ(want.resources.size(), got.resources.size());
+  for (size_t r = 0; r < got.resources.size(); r++) {
+    EXPECT_EQ(got.resources[r].id, want.resources[r].id);
+    EXPECT_EQ(got.resources[r].contention_norm, want.resources[r].contention_norm);
+  }
+  ASSERT_EQ(got.candidates.size(), 6u);
+  ASSERT_EQ(want.candidates.size(), got.candidates.size());
+  for (size_t i = 0; i < got.candidates.size(); i++) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.candidates[i].task, want.candidates[i].task);
+    EXPECT_EQ(got.candidates[i].cancellable, want.candidates[i].cancellable);
+    EXPECT_EQ(got.candidates[i].gains, want.candidates[i].gains);
+    EXPECT_EQ(got.candidates[i].current_usage, want.candidates[i].current_usage);
+  }
 }
 
 }  // namespace

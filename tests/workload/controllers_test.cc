@@ -60,7 +60,6 @@ TEST(MakeControllerTest, AblationKindsInjectTheirSelectionStage) {
     ASSERT_TRUE(runtime->pipeline().complete());
     EXPECT_EQ(runtime->pipeline().selection->name(), policy_name);
     EXPECT_EQ(runtime->pipeline().detection->name(), "breakwater");
-    EXPECT_EQ(runtime->pipeline().estimation->name(), "gain");
   }
 }
 
