@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "src/apps/app.h"
-#include "src/kv/store.h"
+#include "src/apps/kv_store.h"
 
 namespace atropos {
 

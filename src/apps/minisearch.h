@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "src/apps/app.h"
+#include "src/apps/gc_heap.h"
 #include "src/atropos/instrument.h"
 #include "src/common/rng.h"
 #include "src/db/buffer_pool.h"
-#include "src/search/heap.h"
 #include "src/sim/cpu.h"
 
 namespace atropos {

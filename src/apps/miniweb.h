@@ -13,8 +13,8 @@
 #include <memory>
 
 #include "src/apps/app.h"
+#include "src/apps/worker_pool.h"
 #include "src/atropos/instrument.h"
-#include "src/web/worker_pool.h"
 
 namespace atropos {
 

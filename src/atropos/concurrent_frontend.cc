@@ -125,7 +125,7 @@ ConcurrentFrontend::~ConcurrentFrontend() {
 }
 
 ConcurrentFrontend::Producer* ConcurrentFrontend::RegisterProducer() {
-  MalthusianLockGuard lock(registry_mu_);
+  MutexLock lock(registry_mu_);
   producers_.push_back(
       std::unique_ptr<Producer>(new Producer(clock_, options_.ring_capacity)));
   producers_seen_++;
@@ -133,7 +133,7 @@ ConcurrentFrontend::Producer* ConcurrentFrontend::RegisterProducer() {
 }
 
 size_t ConcurrentFrontend::live_producer_count() {
-  MalthusianLockGuard lock(registry_mu_);
+  MutexLock lock(registry_mu_);
   return producers_.size();
 }
 
@@ -186,7 +186,7 @@ void ConcurrentFrontend::Tick() {
   uint64_t seen = 0;
   uint64_t retired_count = 0;
   {
-    MalthusianLockGuard lock(registry_mu_);
+    MutexLock lock(registry_mu_);
     size_t keep = 0;
     for (size_t i = 0; i < producers_.size(); i++) {
       std::unique_ptr<Producer>& p = producers_[i];

@@ -71,10 +71,10 @@
 
 #include "src/atropos/config.h"
 #include "src/atropos/controller.h"
-#include "src/atropos/malthusian_mutex.h"
 #include "src/atropos/runtime.h"
 #include "src/atropos/trace_event.h"
 #include "src/common/clock.h"
+#include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/obs/metrics.h"
 
@@ -250,11 +250,9 @@ class ConcurrentFrontend final : public OverloadController {
   AtroposRuntime runtime_;
   Options options_;
 
-  // Guards producers_. Registration is rare but bursty (worker-pool spin-up)
-  // and the drainer takes this lock every Tick, so the guard is a Malthusian
-  // mutex: surplus waiters are culled to sleep instead of spinning against
-  // the drainer (DESIGN.md §17).
-  MalthusianMutex registry_mu_;
+  // Guards producers_. Taken once per producer thread at registration and
+  // once per Tick by the drainer, so it is never hot.
+  Mutex registry_mu_;
   std::vector<std::unique_ptr<Producer>> producers_ ATROPOS_GUARDED_BY(registry_mu_);
   uint64_t producers_seen_ ATROPOS_GUARDED_BY(registry_mu_) = 0;
   uint64_t producers_retired_ ATROPOS_GUARDED_BY(registry_mu_) = 0;

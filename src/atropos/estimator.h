@@ -68,7 +68,7 @@ class Estimator {
   // each column normalized to [0, 1]. Scored at the last Estimate()'s `now`
   // over `ledger`, which must be the same, unmodified ledger. Allocates per
   // candidate, so the runtime calls it only right before
-  // SelectionPolicy::Select.
+  // SelectVictim.
   const PolicyInput& ScoreCandidates(const TaskLedger& ledger);
 
  private:

@@ -4,8 +4,8 @@
 // task and resource registries, per-task per-resource usage accounting, the
 // sampled/per-event timestamp handling, and the conservation ledger the
 // fuzzer's accounting oracles audit. It makes no decisions — the
-// DecisionPipeline reads its books once per window, and the AtroposRuntime
-// façade coordinates the two.
+// runtime's detector and estimator read its books once per window, and the
+// AtroposRuntime façade coordinates them.
 //
 // Layout (DESIGN.md §17): struct-of-arrays registries for mechanical
 // sympathy. Task records live in a dense slot vector with free-list

@@ -140,11 +140,6 @@ PolicyDecision SelectHeuristic(const PolicyInput& input, PolicyExplain* explain)
       decision.score = score;
     }
   }
-  // A victim with zero gain on the chosen resource frees nothing; in that
-  // case the greedy policy has no useful action.
-  if (decision.found() && decision.score <= 0.0) {
-    return {};
-  }
   return decision;
 }
 

@@ -67,6 +67,9 @@ PolicyDecision SelectHeuristic(const PolicyInput& input, PolicyExplain* explain 
 // instead of predicted future gain.
 PolicyDecision SelectCurrentUsage(const PolicyInput& input, PolicyExplain* explain = nullptr);
 
+// The runtime's selection step: the policy named by `kind`, except that a
+// victim whose score is <= 0 is refused under every policy — its
+// cancellation frees nothing.
 PolicyDecision SelectVictim(PolicyKind kind, const PolicyInput& input,
                             PolicyExplain* explain = nullptr);
 

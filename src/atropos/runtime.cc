@@ -21,16 +21,12 @@ std::string_view ResourceClassName(ResourceClass cls) {
 }
 
 AtroposRuntime::AtroposRuntime(Clock* clock, AtroposConfig config)
-    : AtroposRuntime(clock, config, DecisionPipeline::Default(config)) {}
-
-AtroposRuntime::AtroposRuntime(Clock* clock, AtroposConfig config, DecisionPipeline pipeline)
     : clock_(clock),
       config_(config),
       ledger_(clock->NowMicros(), config, &stats_),
       window_(clock->NowMicros(), config, &stats_),
-      pipeline_(std::move(pipeline)),
+      detector_(config),
       estimator_(config),
-      breakwater_(dynamic_cast<const BreakwaterDetectionStage*>(pipeline_.detection.get())),
       dispatcher_(config, &stats_) {}
 
 void AtroposRuntime::Tick() {
@@ -41,10 +37,10 @@ void AtroposRuntime::Tick() {
   OverloadDetector::WindowSample sample;
   sample.completions = window_.completions();
   sample.p99 = window_.P99();
-  if (pipeline_.detection->calibrated()) {
-    sample.overdue_actives = window_.CountOverdue(now, pipeline_.detection->slo_latency());
+  if (detector_.calibrated()) {
+    sample.overdue_actives = window_.CountOverdue(now, detector_.slo_latency());
   }
-  OverloadDetector::Signal signal = pipeline_.detection->OnWindow(sample);
+  OverloadDetector::Signal signal = detector_.OnWindow(sample);
 
   // ---- Flight recording. `tracing` gates all payload construction so a
   // detached or disabled recorder costs one branch per window.
@@ -82,7 +78,7 @@ void AtroposRuntime::Tick() {
   //
   // Only the per-resource step runs here; per-task gains are scored below,
   // once a victim is actually being chosen.
-  estimator_.SetCalibrating(!pipeline_.detection->calibrated());
+  estimator_.SetCalibrating(!detector_.calibrated());
   const Estimator::Output& est = estimator_.Estimate(ledger_, window_.ExecTimeFloored(now),
                                                      ledger_.window_start(), now);
   last_metrics_ = est.all_resources;
@@ -138,7 +134,7 @@ void AtroposRuntime::Tick() {
       // are scored over the same books at the same `now`.
       const PolicyInput& input = estimator_.ScoreCandidates(ledger_);
       PolicyExplain explain;
-      PolicyDecision decision = pipeline_.selection->Select(input, tracing ? &explain : nullptr);
+      PolicyDecision decision = SelectVictim(config_.policy, input, tracing ? &explain : nullptr);
       if (tracing) {
         FlightEvent ev;
         ev.time = now;

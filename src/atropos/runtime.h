@@ -1,11 +1,11 @@
 // The Atropos runtime façade (paper §3, Fig 5).
 //
-// The control loop is decomposed into four layers with narrow interfaces:
+// The control loop is one fixed chain of layers with narrow interfaces:
 //
 //   instrumentation stream                     Tick() once per window
 //        │                                           │
 //        ▼                                           ▼
-//   TaskLedger ───────────── window books ──► DetectionStage §3.3
+//   TaskLedger ───────────── window books ──► OverloadDetector §3.3
 //   (registries, §3.1–3.2    WindowAggregator       │ signal
 //    usage accounting,       (latency/T_exec         ▼
 //    conservation ledger)     convoy signals)  Estimator::Estimate §3.4
@@ -17,7 +17,8 @@
 //                                                    ▼
 //                                              Estimator::ScoreCandidates
 //                                              (per-task gains) →
-//                                              SelectionPolicy §3.5
+//                                              SelectVictim §3.5
+//                                              (config.policy)
 //                                                    │ victim
 //                                                    ▼
 //                                              CancelDispatcher
@@ -26,11 +27,9 @@
 //
 // AtroposRuntime wires the layers and remains an OverloadController, so
 // applications integrate it exactly like the baseline controllers: feed the
-// instrumentation stream and call Tick() once per window. The detection and
-// selection stages are pluggable (DecisionPipeline) — the Fig-13 ablation
-// variants are alternative SelectionPolicy implementations injected at
-// construction — and RuntimeGroup (runtime_group.h) shards independent
-// ledgers/windows per tenant behind one shared stage factory.
+// instrumentation stream and call Tick() once per window. The Fig-13
+// ablation variants differ only in config.policy, which SelectVictim
+// dispatches on; detection and estimation are the paper's in all three.
 
 #ifndef SRC_ATROPOS_RUNTIME_H_
 #define SRC_ATROPOS_RUNTIME_H_
@@ -47,7 +46,7 @@
 #include "src/atropos/dispatcher.h"
 #include "src/atropos/estimator.h"
 #include "src/atropos/ledger.h"
-#include "src/atropos/pipeline.h"
+#include "src/atropos/policy.h"
 #include "src/atropos/stats.h"
 #include "src/atropos/trace_event.h"
 #include "src/atropos/window.h"
@@ -58,11 +57,9 @@ namespace atropos {
 
 class AtroposRuntime final : public OverloadController {
  public:
-  // Builds the paper's pipeline (Breakwater detection, gain estimation, the
-  // selection policy named by config.policy).
+  // Breakwater detection, gain estimation, and the selection policy named by
+  // config.policy.
   AtroposRuntime(Clock* clock, AtroposConfig config);
-  // Injects explicit decision stages; `pipeline.complete()` must hold.
-  AtroposRuntime(Clock* clock, AtroposConfig config, DecisionPipeline pipeline);
 
   std::string_view name() const override { return "atropos"; }
 
@@ -113,9 +110,7 @@ class AtroposRuntime final : public OverloadController {
   // ---- Introspection -------------------------------------------------------
   const AtroposStats& stats() const { return stats_; }
   const AtroposConfig& config() const { return config_; }
-  // The Breakwater detection stage's detector. Only valid when the detection
-  // stage is a BreakwaterDetectionStage (true for every in-repo pipeline).
-  const OverloadDetector& detector() const { return breakwater_->detector(); }
+  const OverloadDetector& detector() const { return detector_; }
   // Normalized contention of the last closed window, by resource.
   const std::vector<ResourceMetrics>& last_metrics() const { return last_metrics_; }
   TimestampMode effective_timestamp_mode() const { return ledger_.effective_mode(); }
@@ -136,10 +131,9 @@ class AtroposRuntime final : public OverloadController {
   uint64_t calm_windows_total() const { return dispatcher_.calm_windows_total(); }
   bool has_cancel_initiator() const { return dispatcher_.has_initiator(); }
 
-  // Layer access for tests and the multi-tenant group.
+  // Layer access for tests.
   const TaskLedger& ledger() const { return ledger_; }
   const WindowAggregator& window() const { return window_; }
-  const DecisionPipeline& pipeline() const { return pipeline_; }
 
   // ---- Accounting audit (fuzzer oracles) ----------------------------------
   using ResourceAudit = atropos::ResourceAudit;
@@ -163,11 +157,8 @@ class AtroposRuntime final : public OverloadController {
 
   TaskLedger ledger_;
   WindowAggregator window_;
-  DecisionPipeline pipeline_;
+  OverloadDetector detector_;
   Estimator estimator_;
-  // Non-owning view into pipeline_.detection when it is the Breakwater stage;
-  // backs detector().
-  const BreakwaterDetectionStage* breakwater_ = nullptr;
   CancelDispatcher dispatcher_;
 
   FlightRecorder* recorder_ = nullptr;

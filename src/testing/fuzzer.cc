@@ -82,12 +82,7 @@ std::unique_ptr<App> MakeApp(Executor& executor, OverloadController* controller,
 
 FuzzRunResult RunPlan(const FuzzPlan& plan) {
   Executor executor;
-  // The runtime is hosted as the sole shard of a RuntimeGroup: the harness
-  // drives the shard directly (byte-identical event stream and digest to a
-  // bare runtime), while the group's process-wide ledger gets audited by the
-  // group-ledger oracle on every run.
-  RuntimeGroup group(executor.clock(), plan.config, /*shard_count=*/1);
-  AtroposRuntime& runtime = group.shard(0);
+  AtroposRuntime runtime(executor.clock(), plan.config);
   AuditController audit(runtime);
   audit.InjectDropFreeForType(plan.faults.drop_free_request_type);
 
@@ -150,7 +145,6 @@ FuzzRunResult RunPlan(const FuzzPlan& plan) {
 
   OracleContext ctx;
   ctx.runtime = &runtime;
-  ctx.group = &group;
   ctx.audit = &audit;
   ctx.recorder = &obs.recorder;
   ctx.executor = &executor;

@@ -318,56 +318,6 @@ void CancelledKeyMemoBounded(const OracleContext& ctx, std::vector<OracleViolati
   }
 }
 
-// (10) Group ledger: when the run is hosted in a RuntimeGroup, every shard's
-// conservation ledger balances independently (tenant isolation holds at the
-// accounting level — no unit acquired in one shard can be released or leak
-// in another), and the per-shard sum equals the process-wide ledger, which
-// in turn matches the audit's independent count of the stream.
-void GroupLedger(const OracleContext& ctx, std::vector<OracleViolation>* out) {
-  if (ctx.group == nullptr) {
-    return;
-  }
-  for (size_t s = 0; s < ctx.group->shard_count(); s++) {
-    for (const auto& row : ctx.group->shard(s).AuditAccounting()) {
-      if (!row.Balanced()) {
-        Add(out, "group_ledger",
-            Fmt("shard %zu %s: acquired=%llu overfreed=%llu != released=%llu leaked=%llu "
-                "live=%llu",
-                s, row.name.c_str(), (unsigned long long)row.acquired,
-                (unsigned long long)row.overfreed, (unsigned long long)row.released,
-                (unsigned long long)row.leaked, (unsigned long long)row.live_held));
-      }
-    }
-  }
-  std::vector<ResourceAudit> total = ctx.group->AuditProcessWide();
-  for (const ResourceAudit& row : total) {
-    if (!row.Balanced()) {
-      Add(out, "group_ledger",
-          Fmt("process-wide %s: shard sum does not balance (acquired=%llu overfreed=%llu "
-              "released=%llu leaked=%llu live=%llu)",
-              row.name.c_str(), (unsigned long long)row.acquired,
-              (unsigned long long)row.overfreed, (unsigned long long)row.released,
-              (unsigned long long)row.leaked, (unsigned long long)row.live_held));
-    }
-  }
-  for (const auto& [id, info] : ctx.audit->resources()) {
-    auto it = std::find_if(total.begin(), total.end(),
-                           [&](const ResourceAudit& r) { return r.id == id; });
-    if (it == total.end()) {
-      Add(out, "group_ledger",
-          Fmt("%s: registered but missing from the process-wide ledger", info.name.c_str()));
-      continue;
-    }
-    if (it->acquired != info.acquired || it->released != info.released) {
-      Add(out, "group_ledger",
-          Fmt("%s: process-wide acquired=%llu released=%llu, audit saw %llu/%llu",
-              info.name.c_str(), (unsigned long long)it->acquired,
-              (unsigned long long)it->released, (unsigned long long)info.acquired,
-              (unsigned long long)info.released));
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<OracleViolation> RunAllOracles(const OracleContext& ctx) {
@@ -381,7 +331,6 @@ std::vector<OracleViolation> RunAllOracles(const OracleContext& ctx) {
   Quiescence(ctx, &out);
   EventStreamSanity(ctx, &out);
   CancelledKeyMemoBounded(ctx, &out);
-  GroupLedger(ctx, &out);
   return out;
 }
 

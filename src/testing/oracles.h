@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/atropos/runtime.h"
-#include "src/atropos/runtime_group.h"
 #include "src/obs/flight_recorder.h"
 #include "src/sim/executor.h"
 #include "src/testing/audit_controller.h"
@@ -28,11 +27,6 @@ struct OracleViolation {
 
 struct OracleContext {
   const AtroposRuntime* runtime = nullptr;
-  // The group hosting `runtime` as one of its shards, when the harness runs
-  // through a RuntimeGroup; enables the group-ledger oracle (each shard's
-  // conservation ledger balances independently and the shard sum equals the
-  // process-wide ledger). Null skips that oracle.
-  const RuntimeGroup* group = nullptr;
   const AuditController* audit = nullptr;
   const FlightRecorder* recorder = nullptr;
   const Executor* executor = nullptr;

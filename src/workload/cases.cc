@@ -130,7 +130,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.point_select_cost = 1000;
       opt.row_update_cost = 1000;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniDb>(executor, controller, opt);
       setup.victims = {Victims(kDbPointSelect, 600 * scale, 5),
                        Victims(kDbInsert, 300 * scale, 5)};
@@ -150,7 +149,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.point_select_cost = 1000;
       opt.slow_query_cost = 5'000'000;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniDb>(executor, controller, opt);
       setup.victims = {Victims(kDbPointSelect, 2000 * scale)};
       setup.culprit_traffic = {Culprits(kDbSlowQuery, 2.0, 0, t3)};
@@ -165,7 +163,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.undo.append_cost_per_1k_backlog = 150;
       opt.row_update_cost = 1000;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniDb>(executor, controller, opt);
       setup.victims = {Victims(kDbUndoWrite, 800 * scale)};
       // Deterministic first event plus a sparse stream.
@@ -179,7 +176,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.sfu_hold_cost = 4'000'000;
       opt.row_update_cost = 1000;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniDb>(executor, controller, opt);
       setup.victims = {Victims(kDbInsert, 800 * scale, 2)};
       setup.culprit_traffic = {Culprits(kDbSelectForUpdate, 0.2, 0, t3)};
@@ -194,7 +190,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.point_select_cost = 50;
       opt.row_update_cost = 60;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniDb>(executor, controller, opt);
       setup.victims = {Victims(kDbPointSelect, 1500 * scale, 5),
                        Victims(kDbRowUpdate, 500 * scale, 5)};
@@ -210,7 +205,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.mvcc.prune_batch = 20000;
       opt.mvcc.prune_interval = Millis(500);
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniDb>(executor, controller, opt);
       setup.victims = {Victims(kDbMvccRead, 1000 * scale)};
       setup.culprit_traffic = {Culprits(kDbMvccBulkWrite, 0.25, 60'000, t3)};
@@ -220,7 +214,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       MiniDbOptions opt;
       opt.use_wal = true;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniDb>(executor, controller, opt);
       setup.victims = {Victims(kDbWalInsert, 800 * scale)};
       setup.culprit_traffic = {Culprits(kDbWalBulkInsert, 0.25, 20'000, t3)};
@@ -230,7 +223,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       MiniDbOptions opt;
       opt.use_io = true;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniDb>(executor, controller, opt);
       setup.victims = {Victims(kDbIoQuery, 500 * scale)};
       setup.culprit_traffic = {Culprits(kDbVacuum, 0.2, 512 * 1024 * 1024, t3)};
@@ -241,7 +233,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.pool.max_clients = 32;
       opt.static_cost = 2000;
       opt.script_cost = 8'000'000;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniWeb>(executor, controller, opt);
       setup.victims = {Victims(kWebStatic, 800 * scale)};
       setup.culprit_traffic = {Culprits(kWebScript, 8.0, 0, t3)};
@@ -256,7 +247,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.large_query_entries = 16384;
       opt.base_query_cost = 200;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniSearch>(executor, controller, opt);
       setup.victims = {Victims(kSearchQuery, 1200 * scale)};
       setup.culprit_traffic = {Culprits(kSearchLargeQuery, 0.3, 0, t3)};
@@ -271,7 +261,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.aggregation_alloc_kb = 2 * 1024 * 1024;
       opt.base_query_cost = 500;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniSearch>(executor, controller, opt);
       setup.victims = {Victims(kSearchQuery, 800 * scale)};
       setup.culprit_shots = {Shot(kSearchAggregation, Seconds(4), 0)};
@@ -285,7 +274,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.query_cpu = 2000;
       opt.long_query_cpu = 8'000'000;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniSearch>(executor, controller, opt);
       setup.victims = {Victims(kSearchQuery, 600 * scale)};
       setup.culprit_traffic = {Culprits(kSearchLongQuery, 3.0, 0, t3)};
@@ -297,7 +285,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.doc_lock_stripes = 8;
       opt.doc_update_hold = 5'000'000;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniSearch>(executor, controller, opt);
       setup.victims = {Victims(kSearchDocRead, 1000 * scale, 8)};
       setup.culprit_traffic = {Culprits(kSearchDocUpdate, 0.25, 3, t3)};
@@ -309,7 +296,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.index_read_cost = 1500;
       opt.boolean_query_hold = 6'000'000;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniSearch>(executor, controller, opt);
       setup.victims = {Victims(kSearchQuery, 1000 * scale)};
       setup.culprit_traffic = {Culprits(kSearchBooleanQuery, 0.2, 0, t3)};
@@ -322,7 +308,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       opt.base_query_cost = 500;
       opt.range_query_cost = 5'000'000;
       opt.seed = run.seed;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniSearch>(executor, controller, opt);
       setup.victims = {Victims(kSearchQuery, 1000 * scale)};
       setup.culprit_traffic = {Culprits(kSearchRangeQuery, 3.0, 0, t3)};
@@ -333,7 +318,6 @@ CaseSetup BuildCase(int case_id, Executor& executor, OverloadController* control
       MiniKvOptions opt;
       opt.store.point_op_cost = 1000;
       opt.store.scan_cost_per_key = 20;
-      opt.extra_request_cost = run.extra_request_cost;
       setup.app = std::make_unique<MiniKv>(executor, controller, opt);
       setup.victims = {Victims(kKvPointOp, 500 * scale)};
       setup.culprit_traffic = {Culprits(kKvRangeRead, 0.5, 100'000, t3)};
@@ -387,7 +371,6 @@ CaseResult RunCase(int case_id, const CaseRunOptions& options) {
 
   ControllerParams params;
   params.slo_latency_increase = options.slo_latency_increase;
-  params.cancellation_enabled = options.cancellation_enabled;
   params.total_workers = DarcWorkersFor(case_id);
   if (options.min_cancel_interval > 0) {
     params.min_cancel_interval = options.min_cancel_interval;

@@ -40,8 +40,6 @@ struct CaseRunOptions {
   TimeMicros duration = Seconds(20);
   TimeMicros warmup = Seconds(2);
   uint64_t seed = 1;
-  bool cancellation_enabled = true;   // Fig 14: tracing without actions
-  TimeMicros extra_request_cost = 0;  // Fig 14: modelled tracing cost
   // Minimum interval between consecutive cancellations (0 = library default).
   // §5.3 discusses the aggressiveness-vs-safety trade-off this controls.
   TimeMicros min_cancel_interval = 0;

@@ -41,9 +41,8 @@ std::unique_ptr<AtroposRuntime> MakeAtropos(Clock* clock, ControlSurface* surfac
   // than the frontend's retry deadline, so heavyweight culprits re-execute
   // only into genuinely idle periods (or are dropped).
   config.reexec_calm_windows = 60;
-  // The Fig-13 ablation variants differ only in the injected SelectionPolicy
-  // stage (config.policy); detection and estimation are the paper's in all
-  // three.
+  // The Fig-13 ablation variants differ only in config.policy; detection and
+  // estimation are the paper's in all three.
   auto runtime = std::make_unique<AtroposRuntime>(clock, config);
   runtime->SetControlSurface(surface);
   return runtime;

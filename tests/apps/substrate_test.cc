@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/kv/store.h"
-#include "src/search/heap.h"
+#include "src/apps/gc_heap.h"
+#include "src/apps/kv_store.h"
+#include "src/apps/worker_pool.h"
 #include "src/sim/coro.h"
-#include "src/web/worker_pool.h"
 #include "src/testing/recording_controller.h"
 
 namespace atropos {

@@ -107,7 +107,7 @@ TEST(HeuristicTest, ZeroGainOnTopResourceMeansNoVictim) {
   PolicyInput input;
   input.resources = {MakeResource(1, 0.9)};
   input.candidates.push_back(MakeCandidate(1, {0.0}));
-  EXPECT_FALSE(SelectHeuristic(input).found());
+  EXPECT_FALSE(SelectVictim(PolicyKind::kHeuristic, input).found());
 }
 
 TEST(CurrentUsageTest, UsesCurrentNotFutureGain) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <map>
 #include <vector>
 
 namespace atropos {
@@ -405,52 +405,26 @@ TEST_F(RuntimeTest, StaleReplacementRetiresHoldings) {
   EXPECT_TRUE(rows[0].Balanced());
 }
 
-// A multi-objective selection stage that records every call: the candidates
-// it was handed, and a fresh estimate-and-score of the runtime's books at the
-// same instant.
-class RecordingSelection final : public SelectionPolicy {
- public:
-  RecordingSelection(const AtroposConfig& config, const Clock* clock)
-      : config_(config), clock_(clock) {}
-
-  std::string_view name() const override { return "recording"; }
-
-  PolicyDecision Select(const PolicyInput& input, PolicyExplain* explain) override {
-    calls++;
-    received = input;
-    const TimeMicros now = clock_->NowMicros();
-    Estimator fresh(config_);
-    fresh.SetCalibrating(false);
-    fresh.Estimate(runtime->ledger(), runtime->window().ExecTimeFloored(now),
-                   runtime->ledger().window_start(), now);
-    rescored = fresh.ScoreCandidates(runtime->ledger());
-    return SelectMultiObjective(input, explain);
-  }
-
-  const AtroposRuntime* runtime = nullptr;
-  int calls = 0;
-  PolicyInput received;
-  PolicyInput rescored;
-
- private:
-  AtroposConfig config_;
-  const Clock* clock_;
-};
+std::vector<FlightEvent> EventsOfKind(const FlightRecorder& recorder, ObsEventKind kind) {
+  std::vector<FlightEvent> out;
+  recorder.ForEach([&](const FlightEvent& ev) {
+    if (ev.kind == kind) {
+      out.push_back(ev);
+    }
+  });
+  return out;
+}
 
 // Candidates are scored only when a victim is being chosen: a queue flagged
-// window after window while the detector says Normal never reaches the
-// selection stage, and on the suspected-overload window the stage receives
+// window after window while the detector says Normal records no policy
+// decision, and on the suspected-overload window the recorded candidates are
 // exactly what a fresh estimate-and-score of that Tick's books yields.
 TEST(RuntimeSelectionTest, CandidatesAreScoredOnlyWhenAVictimIsChosen) {
   ManualClock clock(0);
   const AtroposConfig config = TestConfig();
-  DecisionPipeline pipeline;
-  pipeline.detection = std::make_unique<BreakwaterDetectionStage>(config);
-  auto recording = std::make_unique<RecordingSelection>(config, &clock);
-  RecordingSelection* selection = recording.get();
-  pipeline.selection = std::move(recording);
-  AtroposRuntime runtime(&clock, config, std::move(pipeline));
-  selection->runtime = &runtime;
+  AtroposRuntime runtime(&clock, config);
+  FlightRecorder recorder;
+  runtime.SetRecorder(&recorder);
   int cancels = 0;
   uint64_t cancelled_key = 0;
   runtime.SetCancelAction([&](uint64_t key) {
@@ -475,7 +449,7 @@ TEST(RuntimeSelectionTest, CandidatesAreScoredOnlyWhenAVictimIsChosen) {
     EXPECT_TRUE(runtime.last_metrics()[1].overloaded) << "window " << w;
   }
   EXPECT_EQ(runtime.stats().suspected_overload_windows, 0u);
-  EXPECT_EQ(selection->calls, 0);
+  EXPECT_TRUE(EventsOfKind(recorder, ObsEventKind::kPolicyDecision).empty());
 
   // A lock holder stalls a waiter and latency blows past the SLO at flat
   // throughput: the detector suspects overload and a victim is chosen.
@@ -487,28 +461,81 @@ TEST(RuntimeSelectionTest, CandidatesAreScoredOnlyWhenAVictimIsChosen) {
     runtime.OnRequestEnd(9999, /*latency=*/50000, 0, 0);
   }
   clock.Advance(Millis(100));
+
+  // The same books, estimated and scored just before the Tick.
+  const TimeMicros now = clock.NowMicros();
+  Estimator fresh(config);
+  fresh.SetCalibrating(false);
+  fresh.Estimate(runtime.ledger(), runtime.window().ExecTimeFloored(now),
+                 runtime.ledger().window_start(), now);
+  const PolicyInput want = fresh.ScoreCandidates(runtime.ledger());
+  std::map<TaskId, uint64_t> key_of;
+  for (uint64_t key : {100, 200, 300, 301, 302, 303}) {
+    key_of[runtime.FindTask(key)->id] = key;
+  }
+
   runtime.Tick();
-  ASSERT_EQ(selection->calls, 1);
   EXPECT_EQ(runtime.stats().resource_overload_windows, 1u);
   EXPECT_EQ(cancels, 1);
   EXPECT_EQ(cancelled_key, 100u);
 
-  const PolicyInput& got = selection->received;
-  const PolicyInput& want = selection->rescored;
-  ASSERT_EQ(got.resources.size(), 2u);
-  ASSERT_EQ(want.resources.size(), got.resources.size());
-  for (size_t r = 0; r < got.resources.size(); r++) {
-    EXPECT_EQ(got.resources[r].id, want.resources[r].id);
-    EXPECT_EQ(got.resources[r].contention_norm, want.resources[r].contention_norm);
-  }
-  ASSERT_EQ(got.candidates.size(), 6u);
-  ASSERT_EQ(want.candidates.size(), got.candidates.size());
-  for (size_t i = 0; i < got.candidates.size(); i++) {
+  const std::vector<FlightEvent> decisions =
+      EventsOfKind(recorder, ObsEventKind::kPolicyDecision);
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].label, "victim_selected");
+  EXPECT_EQ(decisions[0].key, 100u);
+  const std::vector<ObsCandidateSample>& got = decisions[0].candidates;
+  ASSERT_EQ(want.resources.size(), 2u);
+  ASSERT_EQ(got.size(), 6u);
+  ASSERT_EQ(want.candidates.size(), got.size());
+  for (size_t i = 0; i < got.size(); i++) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(got.candidates[i].task, want.candidates[i].task);
-    EXPECT_EQ(got.candidates[i].cancellable, want.candidates[i].cancellable);
-    EXPECT_EQ(got.candidates[i].gains, want.candidates[i].gains);
-    EXPECT_EQ(got.candidates[i].current_usage, want.candidates[i].current_usage);
+    EXPECT_EQ(got[i].key, key_of.at(want.candidates[i].task));
+    EXPECT_EQ(got[i].cancellable, want.candidates[i].cancellable);
+    EXPECT_EQ(got[i].gains, want.candidates[i].gains);
+  }
+}
+
+// A victim whose cancellation frees nothing is never chosen, under every
+// policy. With both significance floors at 0 a waiter that holds nothing
+// stays cancellable; when it is the only cancellable task on an overloaded
+// lock, every policy scores it 0 and the runtime issues no cancel.
+TEST(RuntimeSelectionTest, ZeroScoreVictimIsNeverCancelled) {
+  for (PolicyKind policy :
+       {PolicyKind::kMultiObjective, PolicyKind::kHeuristic, PolicyKind::kCurrentUsage}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    ManualClock clock(0);
+    AtroposConfig config = TestConfig();
+    config.policy = policy;
+    config.min_gain_window_fraction = 0.0;
+    config.min_gain_memory_units = 0.0;
+    AtroposRuntime runtime(&clock, config);
+    int cancels = 0;
+    runtime.SetCancelAction([&](uint64_t) { cancels++; });
+    const ResourceId lock = runtime.RegisterResource("lock", ResourceClass::kLock);
+    // Healthy windows set the throughput peak the detector compares against.
+    for (int w = 0; w < 5; w++) {
+      for (int i = 0; i < 50; i++) {
+        runtime.OnRequestEnd(9999, /*latency=*/900, 0, 0);
+      }
+      clock.Advance(Millis(100));
+      runtime.Tick();
+    }
+
+    runtime.OnTaskRegistered(100, false, /*cancellable=*/false);
+    runtime.OnTaskRegistered(200, false);
+    runtime.OnGet(100, lock, 1);
+    runtime.OnWaitBegin(200, lock);
+    for (int i = 0; i < 20; i++) {
+      runtime.OnRequestEnd(9999, /*latency=*/50000, 0, 0);
+    }
+    clock.Advance(Millis(100));
+    runtime.Tick();
+
+    EXPECT_EQ(runtime.stats().resource_overload_windows, 1u);
+    EXPECT_EQ(cancels, 0);
+    EXPECT_EQ(runtime.stats().cancels_issued, 0u);
+    EXPECT_GT(runtime.stats().cancels_suppressed_no_victim, 0u);
   }
 }
 

@@ -1,11 +1,15 @@
 // Good fixture for guarded-by: every access to an ATROPOS_GUARDED_BY member
-// happens with the named mutex held — through a scope guard, a bare
+// happens with the named mutex held — through a scope guard (std or the
+// annotated MutexLock of src/common/mutex.h), a bare
 // .lock()/.unlock() pair, an ATROPOS_REQUIRES contract on the enclosing
 // function, or inside a condition-variable predicate lambda whose enclosing
 // scope holds the lock. atropos_lint must report nothing here.
 
 #include <condition_variable>
 #include <mutex>
+#include <vector>
+
+#include "src/common/mutex.h"
 
 namespace {
 
@@ -46,6 +50,18 @@ class Account {
   std::mutex mu_;
   std::condition_variable cv_;
   int balance_ ATROPOS_GUARDED_BY(mu_) = 0;
+};
+
+class Registry {
+ public:
+  void Add(int id) {
+    atropos::MutexLock lock(mu_);
+    ids_.push_back(id);
+  }
+
+ private:
+  atropos::Mutex mu_;
+  std::vector<int> ids_ ATROPOS_GUARDED_BY(mu_);
 };
 
 }  // namespace

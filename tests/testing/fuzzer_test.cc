@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/minikv.h"
-#include "src/atropos/runtime_group.h"
 #include "src/obs/obs.h"
 #include "src/testing/audit_controller.h"
 #include "src/testing/shrinker.h"
@@ -59,8 +58,7 @@ TEST(FuzzerTest, WrappedRecorderIsReportedByDetectorMonotonicity) {
   FuzzPlan plan = PlanFromSeed(2, options);
 
   Executor executor;
-  RuntimeGroup group(executor.clock(), plan.config, /*shard_count=*/1);
-  AtroposRuntime& runtime = group.shard(0);
+  AtroposRuntime runtime(executor.clock(), plan.config);
   AuditController audit(runtime);
   Observability obs(/*recorder_capacity=*/8);
   runtime.SetRecorder(&obs.recorder);
@@ -95,7 +93,6 @@ TEST(FuzzerTest, WrappedRecorderIsReportedByDetectorMonotonicity) {
 
   OracleContext ctx;
   ctx.runtime = &runtime;
-  ctx.group = &group;
   ctx.audit = &audit;
   ctx.recorder = &obs.recorder;
   ctx.executor = &executor;

@@ -48,18 +48,16 @@ TEST(MakeControllerTest, EveryKindBuildsItsNamedController) {
 TEST(MakeControllerTest, AblationKindsInjectTheirSelectionStage) {
   ManualClock clock;
   RecordingSurface surface;
-  const std::pair<ControllerKind, std::string_view> expected[] = {
-      {ControllerKind::kAtropos, "multi_objective"},
-      {ControllerKind::kAtroposHeuristic, "heuristic"},
-      {ControllerKind::kAtroposCurrentUsage, "current_usage"},
+  const std::pair<ControllerKind, PolicyKind> expected[] = {
+      {ControllerKind::kAtropos, PolicyKind::kMultiObjective},
+      {ControllerKind::kAtroposHeuristic, PolicyKind::kHeuristic},
+      {ControllerKind::kAtroposCurrentUsage, PolicyKind::kCurrentUsage},
   };
-  for (const auto& [kind, policy_name] : expected) {
+  for (const auto& [kind, policy] : expected) {
     auto controller = MakeController(kind, &clock, &surface, ControllerParams{});
     auto* runtime = dynamic_cast<AtroposRuntime*>(controller.get());
     ASSERT_NE(runtime, nullptr) << ControllerKindName(kind);
-    ASSERT_TRUE(runtime->pipeline().complete());
-    EXPECT_EQ(runtime->pipeline().selection->name(), policy_name);
-    EXPECT_EQ(runtime->pipeline().detection->name(), "breakwater");
+    EXPECT_EQ(runtime->config().policy, policy) << ControllerKindName(kind);
   }
 }
 

@@ -11,7 +11,7 @@
 //     function bodies (bare `member` or `this->member`; accesses through
 //     other objects are out of token-level reach) must occur with `mu` held:
 //     lexically inside a scope guard's block (std::lock_guard / unique_lock /
-//     scoped_lock / shared_lock / MalthusianLockGuard), after a bare
+//     scoped_lock / shared_lock / MutexLock), after a bare
 //     `.lock()` without a matching `.unlock()`, or inside a function
 //     annotated ATROPOS_REQUIRES(mu).
 //   - Every call that the cross-file call graph resolves to a function
@@ -61,9 +61,9 @@ bool IsSkipMacro(const std::string& s) {
 }
 
 // Guard types whose constructor acquires: the std guards plus this repo's
-// Malthusian intake guard.
+// annotated MutexLock (src/common/mutex.h).
 bool IsAcquiringGuardType(const std::string& s) {
-  return IsStdGuardType(s) || s == "MalthusianLockGuard";
+  return IsStdGuardType(s) || s == "MutexLock";
 }
 
 size_t BackwardMatchingOpenParen(const std::vector<Token>& toks, size_t from) {
