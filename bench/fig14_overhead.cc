@@ -3,7 +3,11 @@
 // Part 1 (google-benchmark, real clock): per-call cost of the tracing APIs in
 // sampled-timestamp mode (normal operation) and per-event mode (suspected
 // overload), plus the per-window Tick decision cost. This is the real
-// measured cost of the instrumentation a request passes through.
+// measured cost of the instrumentation a request passes through. The hook
+// loops call OnEvent on the concrete AtroposRuntime, which folds each event
+// to its ledger or window call; a named hook would add an indirect call.
+// Part 1b (--json) adds the drainer's cost per event: ConcurrentFrontend::Tick
+// over the `ingest` benchmark's request pattern.
 //
 // Part 2 (simulation): five application configurations under read, write,
 // read-overload, and write-overload workloads, run with and without tracing.
@@ -26,6 +30,7 @@
 #include "src/apps/minidb.h"
 #include "src/apps/minisearch.h"
 #include "src/apps/miniweb.h"
+#include "src/atropos/concurrent_frontend.h"
 #include "src/atropos/runtime.h"
 #include "src/common/json_writer.h"
 #include "src/common/table.h"
@@ -49,9 +54,9 @@ void BM_OnGetSampled(benchmark::State& state) {
   SteadyClock clock;
   std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kSampled, &clock));
   ResourceId r = rt->RegisterResource("pool", ResourceClass::kMemory);
-  rt->OnTaskRegistered(1, false);
+  rt->OnEvent(TraceEvent::TaskRegistered(1, false, true));
   for (auto _ : state) {
-    rt->OnGet(1, r, 1);
+    rt->OnEvent(TraceEvent::Get(1, r, 1));
   }
 }
 BENCHMARK(BM_OnGetSampled);
@@ -60,9 +65,9 @@ void BM_OnGetPerEvent(benchmark::State& state) {
   SteadyClock clock;
   std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kPerEvent, &clock));
   ResourceId r = rt->RegisterResource("pool", ResourceClass::kMemory);
-  rt->OnTaskRegistered(1, false);
+  rt->OnEvent(TraceEvent::TaskRegistered(1, false, true));
   for (auto _ : state) {
-    rt->OnGet(1, r, 1);
+    rt->OnEvent(TraceEvent::Get(1, r, 1));
   }
 }
 BENCHMARK(BM_OnGetPerEvent);
@@ -71,10 +76,10 @@ void BM_WaitPairPerEvent(benchmark::State& state) {
   SteadyClock clock;
   std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kPerEvent, &clock));
   ResourceId r = rt->RegisterResource("lock", ResourceClass::kLock);
-  rt->OnTaskRegistered(1, false);
+  rt->OnEvent(TraceEvent::TaskRegistered(1, false, true));
   for (auto _ : state) {
-    rt->OnWaitBegin(1, r);
-    rt->OnWaitEnd(1, r);
+    rt->OnEvent(TraceEvent::WaitBegin(1, r));
+    rt->OnEvent(TraceEvent::WaitEnd(1, r));
   }
 }
 BENCHMARK(BM_WaitPairPerEvent);
@@ -82,9 +87,9 @@ BENCHMARK(BM_WaitPairPerEvent);
 void BM_OnRequestEnd(benchmark::State& state) {
   SteadyClock clock;
   std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kSampled, &clock));
-  rt->OnTaskRegistered(1, false);
+  rt->OnEvent(TraceEvent::TaskRegistered(1, false, true));
   for (auto _ : state) {
-    rt->OnRequestEnd(1, 1000, 0, 0);
+    rt->OnEvent(TraceEvent::RequestEnd(1, 1000, 0, 0));
   }
 }
 BENCHMARK(BM_OnRequestEnd);
@@ -94,8 +99,8 @@ void BM_TickWith100Tasks(benchmark::State& state) {
   std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kSampled, &clock));
   ResourceId r = rt->RegisterResource("lock", ResourceClass::kLock);
   for (uint64_t k = 1; k <= 100; k++) {
-    rt->OnTaskRegistered(k, false);
-    rt->OnGet(k, r, 1);
+    rt->OnEvent(TraceEvent::TaskRegistered(k, false, true));
+    rt->OnEvent(TraceEvent::Get(k, r, 1));
   }
   for (auto _ : state) {
     rt->Tick();
@@ -111,8 +116,8 @@ AtroposRuntime* MakeWaitingRuntime(ManualClock* clock) {
   AtroposRuntime* rt = MakeMicroRuntime(TimestampMode::kSampled, clock);
   ResourceId q = rt->RegisterResource("queue", ResourceClass::kQueue);
   for (uint64_t k = 1; k <= 100; k++) {
-    rt->OnTaskRegistered(k, false);
-    rt->OnWaitBegin(k, q);
+    rt->OnEvent(TraceEvent::TaskRegistered(k, false, true));
+    rt->OnEvent(TraceEvent::WaitBegin(k, q));
   }
   return rt;
 }
@@ -137,6 +142,7 @@ struct MicroCosts {
   double on_request_end_ns = 0;
   double tick_100_tasks_us = 0;
   double tick_100_waiting_us = 0;
+  double drain_apply_ns_per_event = 0;
 };
 
 double TimeLoopNs(uint64_t iters, const std::function<void()>& body) {
@@ -161,6 +167,80 @@ double TimeLoopNs(uint64_t iters, const std::function<void()>& body) {
   return best;
 }
 
+// The drainer's cost per event on the `ingest` benchmark's traffic: three
+// registered producers each keep 100 requests in flight and push the eleven
+// events a LiveServer + LiveMiniKv point op emits (register, start and queue
+// wait when admitted; the rest when served). They push request by request in
+// turn, so the rings' stamps interleave as concurrent producers' do, and each
+// Tick drains 100 requests per producer (3,300 events) through the merge, the
+// ledger and window apply, and the control loop over 300 live tasks. Pushing
+// is untimed; the figure is the timed Ticks' total over the events they
+// drained.
+double MeasureDrainApplyNsPerEvent() {
+  constexpr int kProducers = 3;
+  constexpr uint64_t kInFlight = 100;         // per producer
+  constexpr uint64_t kRequestsPerTick = 100;  // per producer
+  constexpr int kTimedTicks = 300;
+  SteadyClock clock;
+  AtroposConfig config;
+  config.window = Millis(10);
+  config.baseline_p99 = Millis(30);
+  ConcurrentFrontend frontend(&clock, config);
+  const ResourceId queue = frontend.RegisterResource("queue", ResourceClass::kQueue);
+  const ResourceId lock = frontend.RegisterResource("lock", ResourceClass::kLock);
+  std::vector<ConcurrentFrontend::Producer*> producers;
+  for (int p = 0; p < kProducers; p++) {
+    producers.push_back(frontend.RegisterProducer());
+  }
+  auto key = [](int p, uint64_t request) {
+    return (static_cast<uint64_t>(p) + 1) << 40 | request;
+  };
+  auto admit = [&](int p, uint64_t request) {
+    ConcurrentFrontend::Producer* producer = producers[p];
+    const uint64_t k = key(p, request);
+    producer->Push(TraceEvent::TaskRegistered(k, false, true));
+    producer->Push(TraceEvent::RequestStart(k, 0, 0));
+    producer->Push(TraceEvent::WaitBegin(k, queue));
+  };
+  auto serve = [&](int p, uint64_t request) {
+    ConcurrentFrontend::Producer* producer = producers[p];
+    const uint64_t k = key(p, request);
+    producer->Push(TraceEvent::WaitEnd(k, queue));
+    producer->Push(TraceEvent::WaitBegin(k, lock));
+    producer->Push(TraceEvent::WaitEnd(k, lock));
+    producer->Push(TraceEvent::Get(k, lock, 1));
+    producer->Push(TraceEvent::Progress(k, 1, 1));
+    producer->Push(TraceEvent::Free(k, lock, 1));
+    producer->Push(TraceEvent::RequestEnd(k, 100, 0, 0));
+    producer->Push(TraceEvent::TaskFreed(k));
+  };
+  for (uint64_t request = 0; request < kInFlight; request++) {
+    for (int p = 0; p < kProducers; p++) {
+      admit(p, request);
+    }
+  }
+  uint64_t next = kInFlight;
+  double ns = 0;
+  uint64_t events = 0;
+  // The first Tick (prefill included) warms the books and is not timed.
+  for (int tick = -1; tick < kTimedTicks; tick++) {
+    for (uint64_t i = 0; i < kRequestsPerTick; i++, next++) {
+      for (int p = 0; p < kProducers; p++) {
+        serve(p, next - kInFlight);
+        admit(p, next);
+      }
+    }
+    const auto start = std::chrono::steady_clock::now();
+    frontend.Tick();
+    const auto end = std::chrono::steady_clock::now();
+    if (tick >= 0) {
+      ns += std::chrono::duration<double, std::nano>(end - start).count();
+      events += frontend.intake_stats().drained_last_tick;
+    }
+  }
+  return ns / static_cast<double>(events);
+}
+
 MicroCosts MeasureMicroCosts() {
   constexpr uint64_t kHookIters = 2'000'000;
   constexpr uint64_t kTickIters = 2'000;
@@ -169,39 +249,42 @@ MicroCosts MeasureMicroCosts() {
     SteadyClock clock;
     std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kSampled, &clock));
     ResourceId r = rt->RegisterResource("pool", ResourceClass::kMemory);
-    rt->OnTaskRegistered(1, false);
-    costs.on_get_sampled_ns = TimeLoopNs(kHookIters, [&] { rt->OnGet(1, r, 1); });
+    rt->OnEvent(TraceEvent::TaskRegistered(1, false, true));
+    costs.on_get_sampled_ns =
+        TimeLoopNs(kHookIters, [&] { rt->OnEvent(TraceEvent::Get(1, r, 1)); });
   }
   {
     SteadyClock clock;
     std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kPerEvent, &clock));
     ResourceId r = rt->RegisterResource("pool", ResourceClass::kMemory);
-    rt->OnTaskRegistered(1, false);
-    costs.on_get_per_event_ns = TimeLoopNs(kHookIters, [&] { rt->OnGet(1, r, 1); });
+    rt->OnEvent(TraceEvent::TaskRegistered(1, false, true));
+    costs.on_get_per_event_ns =
+        TimeLoopNs(kHookIters, [&] { rt->OnEvent(TraceEvent::Get(1, r, 1)); });
   }
   {
     SteadyClock clock;
     std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kPerEvent, &clock));
     ResourceId r = rt->RegisterResource("lock", ResourceClass::kLock);
-    rt->OnTaskRegistered(1, false);
+    rt->OnEvent(TraceEvent::TaskRegistered(1, false, true));
     costs.wait_pair_per_event_ns = TimeLoopNs(kHookIters, [&] {
-      rt->OnWaitBegin(1, r);
-      rt->OnWaitEnd(1, r);
+      rt->OnEvent(TraceEvent::WaitBegin(1, r));
+      rt->OnEvent(TraceEvent::WaitEnd(1, r));
     });
   }
   {
     SteadyClock clock;
     std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kSampled, &clock));
-    rt->OnTaskRegistered(1, false);
-    costs.on_request_end_ns = TimeLoopNs(kHookIters, [&] { rt->OnRequestEnd(1, 1000, 0, 0); });
+    rt->OnEvent(TraceEvent::TaskRegistered(1, false, true));
+    costs.on_request_end_ns = TimeLoopNs(
+        kHookIters, [&] { rt->OnEvent(TraceEvent::RequestEnd(1, 1000, 0, 0)); });
   }
   {
     SteadyClock clock;
     std::unique_ptr<AtroposRuntime> rt(MakeMicroRuntime(TimestampMode::kSampled, &clock));
     ResourceId r = rt->RegisterResource("lock", ResourceClass::kLock);
     for (uint64_t k = 1; k <= 100; k++) {
-      rt->OnTaskRegistered(k, false);
-      rt->OnGet(k, r, 1);
+      rt->OnEvent(TraceEvent::TaskRegistered(k, false, true));
+      rt->OnEvent(TraceEvent::Get(k, r, 1));
     }
     costs.tick_100_tasks_us = TimeLoopNs(kTickIters, [&] { rt->Tick(); }) / 1000.0;
   }
@@ -214,6 +297,7 @@ MicroCosts MeasureMicroCosts() {
     };
     costs.tick_100_waiting_us = TimeLoopNs(kTickIters, tick) / 1000.0;
   }
+  costs.drain_apply_ns_per_event = MeasureDrainApplyNsPerEvent();
   return costs;
 }
 
@@ -408,9 +492,11 @@ int main(int argc, char** argv) {
     const atropos::MicroCosts costs = atropos::MeasureMicroCosts();
     std::printf(
         "  on_get sampled %.1f ns | on_get per-event %.1f ns | wait pair %.1f ns\n"
-        "  on_request_end %.1f ns | tick(100 tasks) %.2f us | tick(100 waiting) %.2f us\n",
+        "  on_request_end %.1f ns | tick(100 tasks) %.2f us | tick(100 waiting) %.2f us\n"
+        "  drain + apply (ingest pattern, 3 producers) %.1f ns/event\n",
         costs.on_get_sampled_ns, costs.on_get_per_event_ns, costs.wait_pair_per_event_ns,
-        costs.on_request_end_ns, costs.tick_100_tasks_us, costs.tick_100_waiting_us);
+        costs.on_request_end_ns, costs.tick_100_tasks_us, costs.tick_100_waiting_us,
+        costs.drain_apply_ns_per_event);
     atropos::JsonWriter json;
     json.BeginObject();
     json.Field("bench", "fig14_overhead");
@@ -420,6 +506,7 @@ int main(int argc, char** argv) {
     json.Field("on_request_end_ns", costs.on_request_end_ns);
     json.Field("tick_100_tasks_us", costs.tick_100_tasks_us);
     json.Field("tick_100_waiting_us", costs.tick_100_waiting_us);
+    json.Field("drain_apply_ns_per_event", costs.drain_apply_ns_per_event);
     // Headline per-event cost: the sampled-mode OnGet every request pays in
     // normal operation (the ROADMAP ~10ns/event target).
     json.Field("ns_per_event", costs.on_get_sampled_ns);

@@ -3,8 +3,8 @@
 # corpora), the corpus_smoke stage (mine 5 scenarios from a fixed seed,
 # replay them, diagnoser agreement oracle), then the static-analysis stage
 # (atropos_lint always; clang-tidy and clang's thread-safety analysis when
-# clang is installed), then the sim/apps/obs/workload/atropos/baselines/
-# instrument/db tests, a fuzz corpus, and a corpus-replay slice under
+# clang is installed), then the sim/apps/obs/workload/atropos/concurrent/
+# baselines/instrument/db tests, a fuzz corpus, and a corpus-replay slice under
 # ASan/UBSan, then the concurrent intake
 # tests, the live-mode tests (incl. live_smoke), the abortable-sync storms
 # (sync_test — the CQS oracle gate), and the mt_ingest smoke under TSan.
@@ -114,14 +114,18 @@ run_lint
 echo "== configure + build with ASan/UBSan (build-asan/) =="
 cmake -B build-asan -S . -DATROPOS_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS" --target sim_test apps_test obs_test workload_test \
-  atropos_test sync_test baselines_test instrument_test db_test fuzz_atropos atropos_mine
+  atropos_test concurrent_test sync_test baselines_test instrument_test db_test fuzz_atropos \
+  atropos_mine
 
-echo "== sim + apps + obs + workload + atropos + sync + baselines + instrument + db tests under ASan/UBSan =="
+echo "== sim + apps + obs + workload + atropos + concurrent + sync + baselines + instrument + db tests under ASan/UBSan =="
 ./build-asan/tests/sim_test
 ./build-asan/tests/apps_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/workload_test
 ./build-asan/tests/atropos_test
+# The drainer reads ring slots in place, so a ring freed before its events
+# are applied reads as a use-after-free here.
+./build-asan/tests/concurrent_test
 ./build-asan/tests/sync_test
 ./build-asan/tests/baselines_test
 ./build-asan/tests/instrument_test

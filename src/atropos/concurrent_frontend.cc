@@ -1,7 +1,6 @@
 #include "src/atropos/concurrent_frontend.h"
 
 #include <algorithm>
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
@@ -72,33 +71,6 @@ CapturedTlsBindings& ThisThreadBindings() {
 
 EventRing::EventRing(size_t capacity) : slots_(RoundUpPow2(std::max<size_t>(capacity, 2))) {
   mask_ = slots_.size() - 1;
-}
-
-size_t EventRing::PopBatch(TraceEvent* out, size_t max) {
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  const size_t n = std::min(static_cast<size_t>(tail - head), max);
-  if (n == 0) {
-    return 0;
-  }
-  // Slots in [head, head + n) were published by the release store of tail_,
-  // so after the acquire load above they are plain memory: copy them in at
-  // most two contiguous spans (the ring may wrap) and retire them with a
-  // single release store of head_.
-  const size_t start = static_cast<size_t>(head & mask_);
-  const size_t first = std::min(n, slots_.size() - start);
-  std::memcpy(out, slots_.data() + start, first * sizeof(TraceEvent));
-  if (n > first) {
-    std::memcpy(out + first, slots_.data(), (n - first) * sizeof(TraceEvent));
-  }
-  head_.store(head + n, std::memory_order_release);
-  return n;
-}
-
-size_t EventRing::SizeApprox() const {
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  return tail >= head ? static_cast<size_t>(tail - head) : 0;
 }
 
 // ---- ConcurrentFrontend ----------------------------------------------------
@@ -197,23 +169,23 @@ void ConcurrentFrontend::Tick() {
       // the next Tick — removing on a post-drain observation could free a
       // ring that still holds events pushed just before the exit.
       const bool retired = p->retired_.load(std::memory_order_acquire);
-      // Pop the ring straight into its own run: the ring is FIFO with
+      // The published events form the ring's run: the ring is FIFO with
       // nondecreasing stamps, so the run is already sorted.
-      const size_t available = p->ring_.SizeApprox();
-      if (drain_buf_.size() < drained + available) {
-        drain_buf_.resize(drained + available);
+      EventRing& ring = p->ring_;
+      const uint64_t head = ring.head();
+      const uint64_t tail = ring.PublishedTail();
+      if (tail != head) {
+        runs_.push_back(Run{&ring, head, tail, ring.slot(head).time});
+        drained += tail - head;
       }
-      const size_t n = p->ring_.PopBatch(drain_buf_.data() + drained, available);
-      if (n > 0) {
-        runs_.push_back(Run{drained, drained + n});
-        drained += n;
-      }
-      max_depth = std::max<uint64_t>(max_depth, n);
+      max_depth = std::max<uint64_t>(max_depth, tail - head);
       if (retired) {
-        retired_dropped_ += p->ring_.dropped();
+        retired_dropped_ += ring.dropped();
         producers_retired_++;
+        // Its run is read in place, so the ring lives until ApplyMerged.
+        retiring_.push_back(std::move(p));
       } else {
-        dropped += p->ring_.dropped();
+        dropped += ring.dropped();
         producers_[keep++] = std::move(p);
       }
     }
@@ -224,10 +196,11 @@ void ConcurrentFrontend::Tick() {
     retired_count = producers_retired_;
   }
 
-  // Every stamp popped above was taken before this anchor.
+  // Every stamp in the runs above was taken before this anchor.
   const uint64_t ticks = clock_->NowTicks();
   const TimeMicros micros = clock_->NowMicros();
   ApplyMerged(ticks, micros);
+  retiring_.clear();
   anchor_ticks_ = ticks;
   anchor_micros_ = micros;
 
@@ -260,9 +233,10 @@ void ConcurrentFrontend::ApplyMerged(uint64_t ticks, TimeMicros micros) {
   const uint64_t span = micros > u0 ? micros - u0 : 0;
   const uint64_t mult =
       ticks > t0 ? static_cast<uint64_t>((static_cast<U128>(span) << 32) / (ticks - t0)) : 0;
-  auto apply = [&](TraceEvent& ev) {
-    const uint64_t dt = ev.time > t0 ? ev.time - t0 : 0;
+  auto apply = [&](const TraceEvent& slot) {
+    const uint64_t dt = slot.time > t0 ? slot.time - t0 : 0;
     const U128 du = (static_cast<U128>(dt) * mult + (U128{1} << 31)) >> 32;
+    TraceEvent ev = slot;
     ev.time = u0 + static_cast<TimeMicros>(du < span ? du : span);
     runtime_.Apply(ev);
   };
@@ -271,21 +245,34 @@ void ConcurrentFrontend::ApplyMerged(uint64_t ticks, TimeMicros micros) {
   while (runs_.size() > 1) {
     size_t c = 0;
     for (size_t r = 1; r < runs_.size(); r++) {
-      if (drain_buf_[runs_[r].next].time < drain_buf_[runs_[c].next].time) {
+      if (runs_[r].next_time < runs_[c].next_time) {
         c = r;
       }
     }
     Run& run = runs_[c];
-    apply(drain_buf_[run.next++]);
+    apply(run.ring->slot(run.next));
+    run.next++;
     if (run.next == run.end) {
+      run.ring->Release(run.end);
       runs_.erase(runs_.begin() + static_cast<ptrdiff_t>(c));
+      continue;
     }
+    if (run.next % kReleaseBatch == 0) {
+      run.ring->Release(run.next);
+    }
+    run.next_time = run.ring->slot(run.next).time;
   }
   // The last run (k == 1, or what outlived the others) needs no comparisons.
   if (!runs_.empty()) {
-    for (size_t i = runs_[0].next; i < runs_[0].end; i++) {
-      apply(drain_buf_[i]);
+    EventRing* ring = runs_[0].ring;
+    const uint64_t end = runs_[0].end;
+    for (uint64_t i = runs_[0].next; i < end;) {
+      apply(ring->slot(i));
+      if (++i % kReleaseBatch == 0) {
+        ring->Release(i);
+      }
     }
+    ring->Release(end);
     runs_.clear();
   }
 }

@@ -24,10 +24,10 @@
 //
 // Timestamps are taken once, at enqueue, and travel as data: raw ticks on the
 // ring, microseconds at Apply. Tick() reads one (NowTicks, NowMicros) anchor
-// pair after its last pop, so every drained stamp was taken before it, and
-// maps each stamp it applies linearly between the previous Tick's anchor and
-// this one, clamped to that interval; AtroposRuntime::Apply hands the result
-// to the ledger and window as the event's `now`. Wait/hold attribution and
+// pair after it snapshots the rings, so every drained stamp was taken before
+// it, and maps each stamp it applies linearly between the previous Tick's
+// anchor and this one, clamped to that interval; AtroposRuntime::Apply hands
+// the result to the ledger and window as the event's `now`. Wait/hold attribution and
 // the §3.2 sampled/per-event semantics are therefore those of an application
 // that had called the runtime directly at the moment the event happened;
 // drain latency never moves a stamp. The converted stamp is unquantized: the
@@ -35,12 +35,19 @@
 // whose ticks are microseconds (ManualClock, the simulator) the mapping is
 // exactly the identity.
 //
-// Drain order is a k-way merge. Tick() pops each ring straight into its own
-// run of a reusable buffer; a ring is FIFO with nondecreasing stamps, so each
-// run is already sorted. The runs are merged on the raw ticks by (time,
-// producer registration index), which is the order a stable sort by time of
-// the runs concatenated in registration order gives, and a single non-empty
-// run is applied as is. No step allocates once the buffer has reached its
+// Drain order is a k-way merge, read in place. Tick() snapshots each ring's
+// published tail; the events between the ring's head and that tail form one
+// run, and a ring is FIFO with nondecreasing stamps, so each run is already
+// sorted. The runs are merged straight out of the ring slots on the raw ticks
+// by (time, producer registration index), which is the order a stable sort
+// by time of the runs concatenated in registration order gives, and a single
+// non-empty run is applied as is. Each event is applied as a local copy that
+// carries the converted stamp; the slot itself is never written by the
+// drainer. As the merge passes a ring's events it hands their slots back to
+// the producer by advancing the ring's head, one release store per
+// kReleaseBatch events and one when the run ends, so a Tick leaves every ring
+// it drained with all its slots free. Events pushed after the snapshot wait
+// for the next Tick. No step allocates once the run list has reached its
 // high-water mark. The pipeline is deterministic: the same events produce
 // byte-for-byte the same decision stream as single-threaded feeding
 // (concurrent_frontend_test).
@@ -57,7 +64,8 @@
 // marks the producer retired on thread exit; the next Tick() drains whatever
 // the ring still holds — every event pushed before the exit happens-before
 // the retirement store, so none are lost — folds the ring's drop counter into
-// the frontend totals, and frees the ring. Explicitly RegisterProducer()ed
+// the frontend totals, and frees the ring once its last event has been
+// applied (the merge reads the slots in place). Explicitly RegisterProducer()ed
 // handles are never auto-retired; they stay valid for the frontend's
 // lifetime.
 
@@ -84,9 +92,9 @@ static_assert(sizeof(TraceEvent) == 48,
               "EventRing::Push copies TraceEvent field by field: add a new field there");
 
 // Fixed-capacity single-producer/single-consumer ring. Push is producer-
-// thread-only, PopBatch consumer-thread-only; the two sides synchronize through
-// the head/tail indices (release on publish, acquire on read). A full ring
-// drops the event and counts it — producers never block.
+// thread-only, the head/slot/Release side consumer-thread-only; the two sides
+// synchronize through the head/tail indices (release on publish, acquire on
+// read). A full ring drops the event and counts it — producers never block.
 class EventRing {
  public:
   explicit EventRing(size_t capacity);
@@ -120,15 +128,17 @@ class EventRing {
     return true;
   }
 
-  // Consumer side: pops up to `max` events into `out`, returning the number
-  // popped. One acquire load of the published tail and at most two memcpy
-  // spans (wrap-around), then a single release store of the head.
-  size_t PopBatch(TraceEvent* out, size_t max);
+  // Consumer side. The events at ring indices [head(), PublishedTail()) are
+  // published; the consumer reads them in place with slot(), and they stay
+  // unchanged until Release() moves the head past them, which hands their
+  // slots back to the producer.
+  uint64_t head() const { return head_.load(std::memory_order_relaxed); }
+  uint64_t PublishedTail() const { return tail_.load(std::memory_order_acquire); }
+  const TraceEvent& slot(uint64_t index) const { return slots_[index & mask_]; }
+  void Release(uint64_t new_head) { head_.store(new_head, std::memory_order_release); }
 
-  // Racy-but-monotone observations, safe from any thread.
-  size_t SizeApprox() const;
+  // Racy-but-monotone drop count, safe from any thread.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  size_t capacity() const { return slots_.size(); }
 
  private:
   std::vector<TraceEvent> slots_;
@@ -179,7 +189,8 @@ class ConcurrentFrontend final : public OverloadController {
     EventRing ring_;
     // Set (release) by the owning thread's TLS destructor at thread exit,
     // after its last Push; observed (acquire) by Tick(), which then drains
-    // the ring to empty and frees the producer.
+    // the ring to empty and frees the producer once the drained events are
+    // applied.
     std::atomic<bool> retired_{false};
   };
 
@@ -240,9 +251,10 @@ class ConcurrentFrontend final : public OverloadController {
   // frontend registry lock, so `p` cannot be concurrently destroyed). Lock-
   // free on the frontend itself: a single release store.
   void RetireProducer(Producer* p) { p->retired_.store(true, std::memory_order_release); }
-  // Applies the drained runs to the runtime in (time, run index) order, each
-  // stamp converted to microseconds against the anchors (anchor_ticks_,
-  // anchor_micros_) and (ticks, micros), and empties runs_.
+  // Applies the runs to the runtime in (time, run index) order, reading each
+  // event from its ring slot with its stamp converted to microseconds against
+  // the anchors (anchor_ticks_, anchor_micros_) and (ticks, micros), releases
+  // the slots as it goes, and empties runs_.
   void ApplyMerged(uint64_t ticks, TimeMicros micros);
 
   const uint64_t instance_id_;  // never reused; keys the thread-local cache
@@ -260,15 +272,22 @@ class ConcurrentFrontend final : public OverloadController {
   // monotone across retirements.
   uint64_t retired_dropped_ ATROPOS_GUARDED_BY(registry_mu_) = 0;
 
-  // Drainer-thread state. drain_buf_ only grows (to the high-water mark of
-  // one Tick's events); runs_ holds one [next, end) range of it per
-  // non-empty ring, in registration order.
+  // Drainer-thread state. runs_ holds one run per non-empty ring, in
+  // registration order, for the length of one Tick: the ring indices
+  // [next, end) still to apply and the raw stamp of the event at `next`.
+  // retiring_ holds the producers seen retired this Tick until their runs
+  // have been applied.
   struct Run {
-    size_t next;
-    size_t end;
+    EventRing* ring;
+    uint64_t next;
+    uint64_t end;
+    uint64_t next_time;
   };
-  std::vector<TraceEvent> drain_buf_;
+  // While a run lasts, the merge releases the ring's head each time it
+  // passes a multiple of this many ring indices.
+  static constexpr uint64_t kReleaseBatch = 64;
   std::vector<Run> runs_;
+  std::vector<std::unique_ptr<Producer>> retiring_;
   // The clock reading pair the last Tick (or the constructor) anchored at.
   uint64_t anchor_ticks_;
   TimeMicros anchor_micros_;

@@ -1,13 +1,14 @@
 // Open-addressed key→slot index for the struct-of-arrays registries.
 //
-// Maps an application-provided 64-bit key (or a TaskId) to a dense slot
-// number in a parallel array. Linear probing over a power-of-two table with
-// backward-shift deletion keeps probes short without tombstones; emptiness is
-// judged by a slot sentinel, so a key value of 0 is legal. Lookups, inserts,
-// and erases are O(1) expected and allocation-free except when the live count
-// crosses the load-factor high-water mark (first-touch growth) — steady-state
-// register/free cycling at a stable population never reallocates, which is
-// what keeps the ledger's event path allocation-free.
+// Maps an application-provided 64-bit key to a dense slot number in a
+// parallel array. Linear probing over a power-of-two table with backward-shift
+// deletion keeps probes short without tombstones; emptiness is judged by a
+// slot sentinel, so a key value of 0 is legal. Find, FindOrInsert and Erase
+// each walk one probe sequence, O(1) expected, so a registry touches its
+// index once per lifecycle event. All are allocation-free except when the
+// live count crosses the load-factor high-water mark (first-touch growth) —
+// steady-state register/free cycling at a stable population never
+// reallocates, which is what keeps the ledger's event path allocation-free.
 //
 // Single-threaded by design, like the registries it indexes.
 
@@ -34,6 +35,17 @@ class DenseKeyIndex {
   }
 
   size_t size() const { return size_; }
+  // Table cells; a key's probe starts at cell Hash(key) & (capacity() - 1).
+  size_t capacity() const { return entries_.size(); }
+
+  // splitmix64 finalizer: full-avalanche mixing so sequential keys (task ids,
+  // monotone request keys) spread across the table.
+  static uint64_t Hash(uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
 
   // atropos-lint: alloc-free
   uint32_t Find(uint64_t key) const {
@@ -52,7 +64,15 @@ class DenseKeyIndex {
 
   // Inserts or overwrites. Allocation-free unless the load factor crosses
   // the growth threshold (population high-water mark).
-  void Put(uint64_t key, uint32_t slot) {
+  void Put(uint64_t key, uint32_t slot) { FindOrInsert(key) = slot; }
+
+  // Find-or-insert in one probe. Returns the key's slot cell: the mapped slot
+  // when the key was present, or kNotFound when this call inserted it, in
+  // which case the caller must store a slot there before the next call on
+  // the index (a cell holding kNotFound reads as empty). The reference is
+  // valid until the next call that modifies the index. Allocation-free
+  // unless the load factor crosses the growth threshold.
+  uint32_t& FindOrInsert(uint64_t key) {
     if ((size_ + 1) * 4 > entries_.size() * 3) {
       Grow();
     }
@@ -61,32 +81,33 @@ class DenseKeyIndex {
       Entry& e = entries_[i];
       if (e.slot == kNotFound) {
         e.key = key;
-        e.slot = slot;
         size_++;
-        return;
+        return e.slot;
       }
       if (e.key == key) {
-        e.slot = slot;
-        return;
+        return e.slot;
       }
       i = (i + 1) & mask_;
     }
   }
 
-  // Backward-shift deletion: no tombstones, probe chains stay contiguous.
+  // Removes `key` and returns the slot it mapped to, or kNotFound when it
+  // was absent. Backward-shift deletion: no tombstones, probe chains stay
+  // contiguous.
   // atropos-lint: alloc-free
-  bool Erase(uint64_t key) {
+  uint32_t Erase(uint64_t key) {
     size_t i = Hash(key) & mask_;
     while (true) {
       Entry& e = entries_[i];
       if (e.slot == kNotFound) {
-        return false;
+        return kNotFound;
       }
       if (e.key == key) {
         break;
       }
       i = (i + 1) & mask_;
     }
+    const uint32_t erased = entries_[i].slot;
     // Shift successors of the probe chain back over the hole.
     size_t hole = i;
     size_t j = i;
@@ -108,7 +129,7 @@ class DenseKeyIndex {
     }
     entries_[hole] = Entry{};
     size_--;
-    return true;
+    return erased;
   }
 
  private:
@@ -116,15 +137,6 @@ class DenseKeyIndex {
     uint64_t key = 0;
     uint32_t slot = kNotFound;  // kNotFound marks an empty table cell
   };
-
-  // splitmix64 finalizer: full-avalanche mixing so sequential keys (task ids,
-  // monotone request keys) spread across the table.
-  static uint64_t Hash(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
 
   void Grow() {
     std::vector<Entry> old = std::move(entries_);

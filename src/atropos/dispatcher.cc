@@ -51,6 +51,9 @@ void CancelDispatcher::ObserveWindow(bool resource_overload) {
 }
 
 bool CancelDispatcher::ConsumeCancelledKey(uint64_t key) {
+  if (cancelled_keys_.empty()) {
+    return false;  // the usual case: skips hashing the key
+  }
   auto memo = cancelled_keys_.find(key);
   if (memo == cancelled_keys_.end()) {
     return false;

@@ -144,6 +144,7 @@ const PolicyInput& Estimator::ScoreCandidates(const TaskLedger& ledger) {
     const TaskResourceUsage* row_cells = ledger.usage_row(slot);
     PolicyInput::Candidate& c = candidates.emplace_back();
     c.task = task.id;
+    c.key = task.key;
     c.cancellable = task.cancellable && task.cancel_count < config_.max_cancels_per_task;
     double factor = FutureFactor(task.Progress(config_.default_progress));
     bool significant = false;

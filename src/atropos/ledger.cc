@@ -44,11 +44,6 @@ const TaskRecord* TaskLedger::FindTask(uint64_t key) const {
   return slot == kNilSlot ? nullptr : &task_slots_[slot];
 }
 
-TaskRecord* TaskLedger::FindTaskById(TaskId id) {
-  const uint32_t slot = id_index_.Find(id);
-  return slot == kNilSlot ? nullptr : &task_slots_[slot];
-}
-
 void TaskLedger::SetEffectiveMode(TimestampMode mode) {
   effective_mode_ = mode;
   if (mode == TimestampMode::kSampled) {
@@ -61,10 +56,11 @@ void TaskLedger::SetEffectiveMode(TimestampMode mode) {
 void TaskLedger::RegisterTask(uint64_t key, bool background, bool cancellable,
                               TimeMicros now) {
   TaskId id = next_task_id_++;
-  // Replace any stale registration under the same key.
-  const uint32_t stale = key_index_.Find(key);
-  if (stale != kNilSlot) {
-    ReleaseSlot(stale);
+  // One probe finds a stale registration under the same key (to replace) or
+  // inserts the key; `index_cell` receives the new slot below.
+  uint32_t& index_cell = key_index_.FindOrInsert(key);
+  if (index_cell != kNilSlot) {
+    ReleaseSlot(index_cell);
   }
   uint32_t slot;
   if (!free_slots_.empty()) {
@@ -94,17 +90,14 @@ void TaskLedger::RegisterTask(uint64_t key, bool background, bool cancellable,
     slot_next_[live_tail_] = slot;
   }
   live_tail_ = slot;
-  key_index_.Put(key, slot);
-  id_index_.Put(id, slot);
+  index_cell = slot;
 }
 
 void TaskLedger::FreeTask(uint64_t key) {
-  const uint32_t slot = key_index_.Find(key);
-  if (slot == kNilSlot) {
-    return;
+  const uint32_t slot = key_index_.Erase(key);
+  if (slot != kNilSlot) {
+    ReleaseSlot(slot);
   }
-  ReleaseSlot(slot);
-  key_index_.Erase(key);
 }
 
 // atropos-lint: alloc-free
@@ -131,7 +124,6 @@ void TaskLedger::ReleaseSlot(uint32_t slot) {
   } else {
     slot_prev_[next] = prev;
   }
-  id_index_.Erase(task_slots_[slot].id);
   free_slots_.push_back(slot);
 }
 

@@ -9,8 +9,8 @@
 //
 // Layout (DESIGN.md §17): struct-of-arrays registries for mechanical
 // sympathy. Task records live in a dense slot vector with free-list
-// recycling; an open-addressed DenseKeyIndex maps application keys (and task
-// ids) to slots; per-(task, resource) usage is a flat matrix indexed
+// recycling; an open-addressed DenseKeyIndex maps application keys to slots,
+// with one probe per lifecycle event; per-(task, resource) usage is a flat matrix indexed
 // slot * stride + (resource - 1). Live tasks are threaded on an intrusive
 // doubly-linked list in registration order — task ids are monotone, so
 // walking it visits tasks in ascending-id order, the same deterministic
@@ -81,7 +81,7 @@ class TaskLedger {
   void RegisterTask(uint64_t key, bool background, bool cancellable, TimeMicros now);
   void FreeTask(uint64_t key);
   const TaskRecord* FindTask(uint64_t key) const;
-  TaskRecord* FindTaskById(TaskId id);
+  TaskRecord* MutableTask(uint64_t key);
   size_t live_task_count() const { return key_index_.size(); }
 
   // ---- Usage tracing (§3.2) ------------------------------------------------
@@ -128,7 +128,6 @@ class TaskLedger {
   // Mutable cell access for tests that stage ledger state directly; creates
   // (and marks touched) the cell. Null when key/resource are unknown.
   TaskResourceUsage* MutableUsage(uint64_t key, ResourceId resource);
-  TaskRecord* MutableTask(uint64_t key);
   ResourceRecord* MutableResource(ResourceId id);
 
   // ---- Accounting audit (fuzzer oracles) -----------------------------------
@@ -168,7 +167,7 @@ class TaskLedger {
   AtroposStats* stats_;
 
   // Struct-of-arrays task registry: dense slots + free list + intrusive live
-  // list (ascending-id iteration) + open-addressed key/id indexes.
+  // list (ascending-id iteration) + open-addressed key index.
   std::vector<TaskRecord> task_slots_;
   std::vector<uint32_t> slot_prev_;
   std::vector<uint32_t> slot_next_;
@@ -176,7 +175,6 @@ class TaskLedger {
   uint32_t live_head_ = kNilSlot;
   uint32_t live_tail_ = kNilSlot;
   DenseKeyIndex key_index_;  // application key -> slot
-  DenseKeyIndex id_index_;   // TaskId -> slot (ids are unique, never reused)
 
   // Resource registry: ids are dense and never freed; index = id - 1.
   std::vector<ResourceRecord> resources_;

@@ -66,6 +66,7 @@ PolicyDecision ScalarizeOver(const PolicyInput& input,
     double score = Scalarize(input, use_current_usage ? c->current_usage : c->gains);
     if (!decision.found() || score > decision.score) {
       decision.victim = c->task;
+      decision.key = c->key;
       decision.score = score;
     }
   }
@@ -85,6 +86,7 @@ void Explain(const PolicyInput& input,
   for (const auto& c : input.candidates) {
     PolicyExplain::Entry entry;
     entry.task = c.task;
+    entry.key = c.key;
     entry.cancellable = c.cancellable;
     entry.gains = use_current_usage ? c.current_usage : c.gains;
     for (const auto* p : pareto_set) {
@@ -128,8 +130,9 @@ PolicyDecision SelectHeuristic(const PolicyInput& input, PolicyExplain* explain)
     if (explain != nullptr) {
       // The greedy policy has no Pareto filter: every cancellable candidate
       // is in the scored set.
-      explain->entries.push_back(PolicyExplain::Entry{
-          c.task, c.cancellable, c.cancellable, c.cancellable ? c.gains[top] : 0.0, c.gains});
+      explain->entries.push_back(PolicyExplain::Entry{c.task, c.key, c.cancellable, c.cancellable,
+                                                       c.cancellable ? c.gains[top] : 0.0,
+                                                       c.gains});
     }
     if (!c.cancellable) {
       continue;
@@ -137,6 +140,7 @@ PolicyDecision SelectHeuristic(const PolicyInput& input, PolicyExplain* explain)
     double score = c.gains[top];
     if (!decision.found() || score > decision.score) {
       decision.victim = c.task;
+      decision.key = c.key;
       decision.score = score;
     }
   }

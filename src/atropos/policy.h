@@ -23,6 +23,7 @@ struct PolicyInput {
 
   struct Candidate {
     TaskId task = kInvalidTaskId;
+    uint64_t key = 0;  // the task's application key
     bool cancellable = true;
     // Gains aligned with `resources` (same indexing); normalized to [0, 1]
     // per resource so units are comparable across resource classes.
@@ -34,6 +35,7 @@ struct PolicyInput {
 
 struct PolicyDecision {
   TaskId victim = kInvalidTaskId;
+  uint64_t key = 0;  // the victim's application key
   double score = 0.0;
   bool found() const { return victim != kInvalidTaskId; }
 };
@@ -44,6 +46,7 @@ struct PolicyDecision {
 struct PolicyExplain {
   struct Entry {
     TaskId task = kInvalidTaskId;
+    uint64_t key = 0;
     bool cancellable = false;
     bool pareto = false;  // survived the non-dominated filter
     double score = 0.0;   // scalarized score (0 when not scored)

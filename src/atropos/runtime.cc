@@ -142,8 +142,7 @@ void AtroposRuntime::Tick() {
         ev.value = decision.score;
         for (const PolicyExplain::Entry& entry : explain.entries) {
           ObsCandidateSample c;
-          TaskRecord* task = ledger_.FindTaskById(entry.task);
-          c.key = task != nullptr ? task->key : 0;
+          c.key = entry.key;
           if (entry.task == decision.victim) {
             ev.key = c.key;
           }
@@ -166,16 +165,16 @@ void AtroposRuntime::Tick() {
           for (const auto& c : input.candidates) {
             double g = c.gains.empty() ? 0.0 : c.gains[0];
             if (g > 0.0 || !c.cancellable) {
-              const TaskRecord* rec = ledger_.FindTaskById(c.task);
               LOG_DEBUG("  cand key=%llu cancellable=%d gain0=%.4f",
-                        static_cast<unsigned long long>(rec != nullptr ? rec->key : 0),
-                        c.cancellable ? 1 : 0, g);
+                        static_cast<unsigned long long>(c.key), c.cancellable ? 1 : 0, g);
             }
           }
         }
         break;
       }
-      TaskRecord* victim = ledger_.FindTaskById(decision.victim);
+      // Candidates are live tasks and keys are unique among them, so the
+      // victim's key resolves to its record.
+      TaskRecord* victim = ledger_.MutableTask(decision.key);
       victim->cancel_count++;
       victim->cancelled_at = now;
       if (tracing) {

@@ -26,15 +26,17 @@ void WindowAggregator::ReleaseRequestSlot(uint32_t slot) {
 }
 
 void WindowAggregator::OnRequestStart(uint64_t key, int client_class, TimeMicros now) {
-  const uint32_t existing = inflight_index_.Find(key);
-  if (existing != kNilSlot) {
+  // One probe finds a live request under the key or inserts the key;
+  // `index_cell` receives the new slot below.
+  uint32_t& index_cell = inflight_index_.FindOrInsert(key);
+  if (index_cell != kNilSlot) {
     // A second start under a live key: the application reused the key without
     // reporting the prior request's end. Treat it as an implicit end — the
     // stale slot would otherwise silently mis-attribute overdue_actives to
     // the wrong start time with no trace of the loss.
     stats_->request_restarts++;
-    req_start_[existing] = now;
-    req_class_[existing] = client_class;
+    req_start_[index_cell] = now;
+    req_class_[index_cell] = client_class;
     return;
   }
   uint32_t slot;
@@ -58,7 +60,7 @@ void WindowAggregator::OnRequestStart(uint64_t key, int client_class, TimeMicros
     inflight_head_ = slot;
   }
   inflight_tail_ = slot;
-  inflight_index_.Put(key, slot);
+  index_cell = slot;
 }
 
 // atropos-lint: alloc-free
@@ -72,18 +74,13 @@ void WindowAggregator::OnRequestEnd(uint64_t key, TimeMicros latency, int client
   // the denominator with execution that belongs to earlier windows.
   TimeMicros in_window = now > window_start_ ? now - window_start_ : 0;
   window_exec_time_ += std::min(latency, in_window);
-  const uint32_t slot = inflight_index_.Find(key);
-  if (slot != kNilSlot) {
-    inflight_index_.Erase(key);
-    ReleaseRequestSlot(slot);
-  }
+  DropKey(key);
 }
 
 // atropos-lint: alloc-free
 void WindowAggregator::DropKey(uint64_t key) {
-  const uint32_t slot = inflight_index_.Find(key);
+  const uint32_t slot = inflight_index_.Erase(key);
   if (slot != kNilSlot) {
-    inflight_index_.Erase(key);
     ReleaseRequestSlot(slot);
   }
 }

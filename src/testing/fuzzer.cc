@@ -80,18 +80,13 @@ std::unique_ptr<App> MakeApp(Executor& executor, OverloadController* controller,
 
 }  // namespace
 
-FuzzRunResult RunPlan(const FuzzPlan& plan) {
+FuzzRunResult RunPlan(const FuzzPlan& plan, size_t recorder_capacity) {
   Executor executor;
   AtroposRuntime runtime(executor.clock(), plan.config);
   AuditController audit(runtime);
   audit.InjectDropFreeForType(plan.faults.drop_free_request_type);
 
-  // The oracles audit the *complete* decision history, so the recorder's
-  // bound is far above any run instead of the post-mortem default (overflow
-  // would itself be flagged by the detector-monotonicity oracle). It is a
-  // bounded ring whose slots are built on first record: the bound costs only
-  // what the run records.
-  Observability obs(1 << 17);
+  Observability obs(recorder_capacity);
   runtime.SetRecorder(&obs.recorder);
   runtime.SetCancelObserver(
       [&audit](uint64_t key, double score) { audit.OnCancelIssued(key, score); });

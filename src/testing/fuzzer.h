@@ -10,6 +10,7 @@
 #ifndef SRC_TESTING_FUZZER_H_
 #define SRC_TESTING_FUZZER_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "src/testing/fuzz_plan.h"
@@ -31,8 +32,17 @@ struct FuzzRunResult {
   bool ok() const { return violations.empty(); }
 };
 
-// Runs one materialized plan through the full stack and audits it.
-FuzzRunResult RunPlan(const FuzzPlan& plan);
+// The flight-recorder bound RunPlan uses by default. The oracles audit the
+// *complete* decision history, so it is far above any run instead of the
+// post-mortem default (overflow would itself be flagged by the
+// detector-monotonicity oracle). It is a bounded ring whose slots are built
+// on first record: the bound costs only what the run records.
+inline constexpr size_t kFuzzRecorderCapacity = 1 << 17;
+
+// Runs one materialized plan through the full stack and audits it. Tests
+// pass a small `recorder_capacity` to make the recorder wrap.
+FuzzRunResult RunPlan(const FuzzPlan& plan,
+                      size_t recorder_capacity = kFuzzRecorderCapacity);
 
 // PlanFromSeed + RunPlan.
 FuzzRunResult RunSeed(uint64_t seed, const FuzzPlanOptions& options = {});

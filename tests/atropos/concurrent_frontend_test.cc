@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -535,6 +536,56 @@ TEST(ConcurrentFrontendTest, RingOverflowDropsAreCounted) {
   EXPECT_EQ(frontend.runtime().live_task_count(), 1u);
 }
 
+// The merge reads events in place and hands slots back as it passes them:
+// rings filled to capacity - 1 (wrapping on the second round) are applied in
+// (time, registration) order, and after the Tick every ring takes `capacity`
+// more pushes without a drop. The capacity spans several release batches.
+TEST(ConcurrentFrontendInPlaceDrain, FullRingsAreAppliedInOrderAndReleased) {
+  constexpr size_t kCap = 256;
+  for (int rings = 1; rings <= 3; rings++) {
+    SCOPED_TRACE("rings " + std::to_string(rings));
+    ManualClock clock(0);
+    ConcurrentFrontend::Options opt;
+    opt.ring_capacity = kCap;
+    ConcurrentFrontend frontend(&clock, TestConfig(), opt);
+    std::vector<ConcurrentFrontend::Producer*> producers;
+    for (int r = 0; r < rings; r++) {
+      producers.push_back(frontend.RegisterProducer());
+    }
+    uint64_t next_key = 1;
+    TimeMicros t = 1;
+    for (size_t fill : {kCap - 1, kCap}) {
+      // Ring r pushes at stamps t + i * rings + r: the merged order cycles
+      // through the rings, and its i-th event carries key base + i * rings + r.
+      const uint64_t base = next_key;
+      for (int r = 0; r < rings; r++) {
+        for (size_t i = 0; i < fill; i++) {
+          clock.SetTime(t + static_cast<TimeMicros>(i * rings + r));
+          ASSERT_TRUE(producers[r]->Push(
+              TraceEvent::TaskRegistered(base + i * rings + r, false, true)))
+              << "ring " << r << " push " << i;
+        }
+        EXPECT_EQ(producers[r]->dropped(), 0u);
+      }
+      next_key += fill * rings;
+      t += static_cast<TimeMicros>(fill * rings);
+      clock.SetTime(t);
+      frontend.Tick();
+      EXPECT_EQ(frontend.intake_stats().drained_last_tick, fill * rings);
+      TaskId last_id = kInvalidTaskId;
+      for (uint64_t key = base; key < next_key; key++) {
+        const TaskRecord* task = frontend.runtime().FindTask(key);
+        ASSERT_NE(task, nullptr) << "key " << key;
+        EXPECT_GT(task->id, last_id) << "key " << key;  // applied in key order
+        EXPECT_EQ(task->created_at, static_cast<TimeMicros>(key - base) + t -
+                                        static_cast<TimeMicros>(fill * rings));
+        last_id = task->id;
+      }
+    }
+    EXPECT_EQ(frontend.intake_stats().dropped_total, 0u);
+  }
+}
+
 // The OverloadController hooks bind each calling thread to its own ring on
 // first use.
 TEST(ConcurrentFrontendTest, HooksAutoRegisterCallingThread) {
@@ -684,6 +735,58 @@ TEST(ConcurrentFrontendStress, ExitedProducerIsDrainedThenReclaimed) {
   frontend.Tick();
   EXPECT_EQ(frontend.intake_stats().drained_last_tick, 0u);
   EXPECT_EQ(frontend.intake_stats().producers, 0u);
+}
+
+// Short-lived worker threads push and exit while a drainer ticks. A Tick
+// that sees a ring retired reads its run in place during the merge, so the
+// ring must outlive the merge: under ASan an early free reads as a
+// heap-use-after-free, and every event must be applied exactly once.
+TEST(ConcurrentFrontendStress, ExitedProducersAreAppliedBeforeTheirRingsAreFreed) {
+  constexpr int kWorkers = 24;
+  constexpr int kConcurrent = 4;
+  constexpr uint64_t kEvents = 300;  // well under the ring capacity: no drops
+  SteadyClock clock;
+  ConcurrentFrontend frontend(&clock, TestConfig());
+  ResourceId lock = frontend.RegisterResource("l", ResourceClass::kLock);
+  // A held handle keeps a second run in the merge.
+  ConcurrentFrontend::Producer* held = frontend.RegisterProducer();
+
+  std::atomic<bool> stop{false};
+  std::thread drainer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      frontend.Tick();
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  uint64_t held_pushes = 0;
+  for (int round = 0; round < kWorkers / kConcurrent; round++) {
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kConcurrent; w++) {
+      const uint64_t base = static_cast<uint64_t>(round * kConcurrent + w + 1) << 20;
+      workers.emplace_back([&frontend, lock, base] {
+        for (uint64_t i = 0; i < kEvents; i++) {
+          frontend.OnTaskRegistered(base + i, false);
+          frontend.OnGet(base + i, lock, 1);
+        }
+      });
+    }
+    for (int i = 0; i < 200; i++) {
+      held_pushes += held->Push(TraceEvent::Get(7, lock, 1)) ? 1 : 0;
+    }
+    for (std::thread& w : workers) {
+      w.join();
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  drainer.join();
+  frontend.Tick();
+
+  const ConcurrentFrontend::IntakeStats& intake = frontend.intake_stats();
+  EXPECT_EQ(intake.dropped_total, 0u);
+  EXPECT_EQ(intake.producers_retired, static_cast<uint64_t>(kWorkers));
+  EXPECT_EQ(frontend.live_producer_count(), 1u);
+  EXPECT_EQ(intake.drained_total, kWorkers * 2 * kEvents + held_pushes);
+  EXPECT_EQ(frontend.runtime().live_task_count(), kWorkers * kEvents);
 }
 
 // An explicitly held RegisterProducer() handle must never be auto-retired —

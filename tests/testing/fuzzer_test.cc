@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/apps/minikv.h"
-#include "src/obs/obs.h"
-#include "src/testing/audit_controller.h"
+#include <string>
+#include <vector>
+
 #include "src/testing/shrinker.h"
 
 namespace atropos {
@@ -50,58 +50,19 @@ TEST(FuzzerTest, NoInitiatorPlanIssuesNoCancels) {
 }
 
 // RunPlan's recorder bound is only safe because the oracles refuse a wrapped
-// recorder. Drive a plan through the stack RunPlan builds, but with a
-// recorder far smaller than the run, and expect that refusal.
+// recorder. Run a plan with a recorder far smaller than the run and expect
+// that refusal.
 TEST(FuzzerTest, WrappedRecorderIsReportedByDetectorMonotonicity) {
   FuzzPlanOptions options;
   options.force_mode = static_cast<int>(FuzzAppMode::kKvLock);
   FuzzPlan plan = PlanFromSeed(2, options);
-
-  Executor executor;
-  AtroposRuntime runtime(executor.clock(), plan.config);
-  AuditController audit(runtime);
-  Observability obs(/*recorder_capacity=*/8);
-  runtime.SetRecorder(&obs.recorder);
-  runtime.SetCancelObserver(
-      [&audit](uint64_t key, double score) { audit.OnCancelIssued(key, score); });
-  MiniKvOptions kv;
-  kv.store.point_op_cost = 1000;
-  kv.store.scan_cost_per_key = 20;
-  MiniKv app(executor, &audit, kv);
-
-  FrontendOptions fopt;
-  fopt.duration = plan.duration;
-  fopt.warmup = plan.warmup;
-  fopt.tick_window = plan.tick_window;
-  fopt.retry_cancelled = plan.retry_cancelled;
-  fopt.max_retry_wait = plan.max_retry_wait;
-  fopt.seed = plan.seed;
-  Frontend frontend(executor, app, audit, fopt);
-  frontend.SetObservability(&obs);
-  for (const FuzzRequest& req : plan.requests) {
-    OneShotSpec shot;
-    shot.type = req.type;
-    shot.at = req.at;
-    shot.arg = req.arg;
-    shot.client_class = req.client_class;
-    shot.background = req.background;
-    shot.non_cancellable = req.non_cancellable;
-    frontend.AddOneShot(shot);
-  }
-  frontend.Run();
-  ASSERT_GT(obs.recorder.overwritten(), 0u);
-
-  OracleContext ctx;
-  ctx.runtime = &runtime;
-  ctx.audit = &audit;
-  ctx.recorder = &obs.recorder;
-  ctx.executor = &executor;
-  ctx.policy = plan.config.policy;
-  ctx.max_cancels_per_task = plan.config.max_cancels_per_task;
   // No initiator is registered: the runtime suppresses every decision
   // (§3.1) but still records each window, far more than 8 events.
-  ctx.initiator_registered = false;
-  std::vector<OracleViolation> violations = RunAllOracles(ctx);
+  plan.faults.register_cancel_action = false;
+  FuzzRunResult result = RunPlan(plan, /*recorder_capacity=*/8);
+  ASSERT_EQ(result.events.size(), 8u);  // the recorder is full
+
+  const std::vector<OracleViolation>& violations = result.violations;
   bool wrapped = false;
   for (const OracleViolation& v : violations) {
     wrapped |= v.oracle == "detector_monotonicity" &&
