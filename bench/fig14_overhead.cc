@@ -9,12 +9,9 @@
 // Part 1b (--json) adds the drainer's cost per event: ConcurrentFrontend::Tick
 // over the `ingest` benchmark's request pattern.
 //
-// Part 2 (simulation): five application configurations under read, write,
-// read-overload, and write-overload workloads, run with and without tracing.
-// The traced runs inflate each request by (measured per-call cost x calls per
-// request for that workload); cancellation is disabled in the overload runs
-// so only tracing/decision overhead is measured (§5.5). Reported numbers are
-// normalized throughput and p99 (traced / untraced).
+// The paper's end-to-end overhead (normalized throughput and p99 with tracing
+// on vs off) needs wall-clock runs of a live app; this bench measures only the
+// per-call costs.
 
 #include <benchmark/benchmark.h>
 
@@ -22,19 +19,13 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/apps/minidb.h"
-#include "src/apps/minisearch.h"
-#include "src/apps/miniweb.h"
 #include "src/atropos/concurrent_frontend.h"
 #include "src/atropos/runtime.h"
 #include "src/common/json_writer.h"
-#include "src/common/table.h"
-#include "src/workload/frontend.h"
 
 namespace atropos {
 namespace {
@@ -301,173 +292,20 @@ MicroCosts MeasureMicroCosts() {
   return costs;
 }
 
-// ---------------------------------------------------------------------------
-// Part 2: simulated end-to-end overhead.
-
-struct AppSpec {
-  const char* name;
-  // Builds the app; `read_type`/`write_type` are its light request types and
-  // `culprit_type`/`culprit_arg` its overload trigger.
-  int read_type;
-  int write_type;
-  int culprit_type;
-  uint64_t culprit_arg;
-  int flavor;  // 0 = minidb-mysql, 1 = minidb-postgres, 2 = miniweb, 3 = es, 4 = solr
-};
-
-std::unique_ptr<App> BuildApp(const AppSpec& spec, Executor& ex, OverloadController* ctl,
-                              TimeMicros extra_cost) {
-  switch (spec.flavor) {
-    case 0: {
-      MiniDbOptions opt;
-      opt.use_tickets = true;
-      opt.use_table_locks = true;
-      opt.use_buffer_pool = true;
-      opt.extra_request_cost = extra_cost;
-      return std::make_unique<MiniDb>(ex, ctl, opt);
-    }
-    case 1: {
-      MiniDbOptions opt;
-      opt.use_mvcc = true;
-      opt.use_wal = true;
-      opt.extra_request_cost = extra_cost;
-      return std::make_unique<MiniDb>(ex, ctl, opt);
-    }
-    case 2: {
-      MiniWebOptions opt;
-      opt.extra_request_cost = extra_cost;
-      return std::make_unique<MiniWeb>(ex, ctl, opt);
-    }
-    case 3: {
-      MiniSearchOptions opt;
-      opt.use_cache = true;
-      opt.use_heap = true;
-      opt.extra_request_cost = extra_cost;
-      return std::make_unique<MiniSearch>(ex, ctl, opt);
-    }
-    default: {
-      MiniSearchOptions opt;
-      opt.use_index_lock = true;
-      opt.use_queue = true;
-      opt.extra_request_cost = extra_cost;
-      return std::make_unique<MiniSearch>(ex, ctl, opt);
-    }
-  }
-}
-
-struct WorkloadResult {
-  double tput = 0;
-  TimeMicros p99 = 0;
-};
-
-WorkloadResult RunWorkload(const AppSpec& spec, bool write_heavy, bool overload, bool traced,
-                           TimeMicros per_call_cost_us_x100) {
-  Executor executor;
-  std::unique_ptr<OverloadController> controller;
-  AtroposRuntime* runtime = nullptr;
-  if (traced) {
-    AtroposConfig config;
-    config.cancellation_enabled = false;  // §5.5: isolate tracing + decisions
-    config.timestamp_mode = overload ? TimestampMode::kPerEvent : TimestampMode::kSampled;
-    runtime = new AtroposRuntime(executor.clock(), config);
-    controller.reset(runtime);
-  } else {
-    controller = std::make_unique<NullController>();
-  }
-
-  // Tracing calls per request: more under overload (every wait/eviction is
-  // bracketed); cost per call measured by part 1 (passed in 1/100 us units).
-  int calls = overload ? 24 : 8;
-  TimeMicros extra = traced ? (calls * per_call_cost_us_x100) / 100 : 0;
-
-  std::unique_ptr<App> app = BuildApp(spec, executor, controller.get(), extra);
-  if (runtime != nullptr) {
-    runtime->SetControlSurface(app.get());
-  }
-
-  FrontendOptions fopt;
-  fopt.duration = Seconds(6);
-  fopt.warmup = Seconds(1);
-  fopt.retry_cancelled = false;
-  Frontend frontend(executor, *app, *controller, fopt);
-
-  TrafficSpec light;
-  light.type = write_heavy ? spec.write_type : spec.read_type;
-  light.qps = 800;
-  light.arg_modulo = 5;
-  frontend.AddTraffic(light);
-  if (overload) {
-    OneShotSpec culprit{spec.culprit_type, Seconds(2), spec.culprit_arg, 1, false};
-    frontend.AddOneShot(culprit);
-  }
-
-  RunMetrics m = frontend.Run();
-  return {m.ThroughputQps(), m.P99()};
-}
-
-void RunSimPart() {
-  const AppSpec kApps[] = {
-      {"minidb(MySQL)", kDbPointSelect, kDbRowUpdate, kDbDumpQuery, 0, 0},
-      {"minidb(PostgreSQL)", kDbMvccRead, kDbWalInsert, kDbMvccBulkWrite, 50000, 1},
-      {"miniweb(Apache)", kWebStatic, kWebStatic, kWebScript, 4'000'000, 2},
-      {"minisearch(ES)", kSearchQuery, kSearchQuery, kSearchAggregation, 0, 3},
-      {"minisearch(Solr)", kSearchQuery, kSearchQuery, kSearchBooleanQuery, 4'000'000, 4},
-  };
-  const char* kWorkloads[] = {"read", "write", "read-overload", "write-overload"};
-
-  // Nominal per-call tracing cost: 0.05 us sampled-mode equivalents (in
-  // hundredths of a microsecond). Derived from the part-1 micro costs; see
-  // EXPERIMENTS.md.
-  const TimeMicros per_call_x100 = 5;
-
-  std::vector<std::string> columns{"app"};
-  columns.insert(columns.end(), std::begin(kWorkloads), std::end(kWorkloads));
-  TextTable tput(columns);
-  TextTable p99(columns);
-  for (const AppSpec& spec : kApps) {
-    std::vector<std::string> trow{spec.name};
-    std::vector<std::string> lrow{spec.name};
-    for (int w = 0; w < 4; w++) {
-      bool write_heavy = (w % 2) == 1;
-      bool overload = w >= 2;
-      WorkloadResult off = RunWorkload(spec, write_heavy, overload, false, per_call_x100);
-      WorkloadResult on = RunWorkload(spec, write_heavy, overload, true, per_call_x100);
-      trow.push_back(TextTable::Num(off.tput == 0 ? 0 : on.tput / off.tput, 4));
-      lrow.push_back(TextTable::Num(
-          off.p99 == 0 ? 0 : static_cast<double>(on.p99) / static_cast<double>(off.p99), 4));
-    }
-    tput.AddRow(trow);
-    p99.AddRow(lrow);
-  }
-  std::printf("\n(a) Normalized throughput with Atropos tracing on (vs off)\n%s\n",
-              tput.Render().c_str());
-  std::printf("(b) Normalized p99 latency with Atropos tracing on (vs off)\n%s\n",
-              p99.Render().c_str());
-  std::printf(
-      "expected shape: ~1.00 under normal read/write workloads (sampled\n"
-      "timestamps amortize clock reads); a few percent under overload where\n"
-      "per-event timestamps and decision logic run (paper: 0.59%% / 7.09%% avg).\n");
-}
-
 }  // namespace
 }  // namespace atropos
 
-// Usage: fig14_overhead [--json[=path]] [--skip-sim] [google-benchmark flags]
+// Usage: fig14_overhead [--json[=path]] [google-benchmark flags]
 //   --json      writes BENCH_fig14.json with the part-1 micro ns figures
-//   --skip-sim  skips the (slow) part-2 simulation sweep; useful for the
-//               perf-trajectory run, which only consumes the micro costs
 int main(int argc, char** argv) {
   // Peel our flags before handing the rest to google-benchmark.
   std::string json_path;
-  bool skip_sim = false;
   int kept = 1;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json_path = "BENCH_fig14.json";
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--skip-sim") == 0) {
-      skip_sim = true;
     } else {
       argv[kept++] = argv[i];
     }
@@ -482,6 +320,11 @@ int main(int argc, char** argv) {
   char* bench_argv[] = {arg0, arg1, nullptr};
   if (argc > 1) {
     benchmark::Initialize(&argc, argv);
+    // A flag neither this bench nor google-benchmark knows is an error, not
+    // a silent switch to google-benchmark's default min time.
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+      return 1;
+    }
   } else {
     benchmark::Initialize(&bench_argc, bench_argv);
   }
@@ -517,12 +360,5 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     }
   }
-
-  if (skip_sim) {
-    std::printf("\nPart 2 skipped (--skip-sim)\n");
-    return 0;
-  }
-  std::printf("\nPart 2: end-to-end overhead in simulation\n");
-  atropos::RunSimPart();
   return 0;
 }

@@ -7,10 +7,12 @@
 # baselines/instrument/db tests, a fuzz corpus, and a corpus-replay slice under
 # ASan/UBSan, then the concurrent intake
 # tests, the live-mode tests (incl. live_smoke), the abortable-sync storms
-# (sync_test — the CQS oracle gate), and the mt_ingest smoke under TSan.
+# (sync_test — the CQS oracle gate), and the mt_ingest smoke under TSan, and
+# last the perf trajectory: its single-shot readings can fail on machine noise
+# alone, so it runs after every sanitizer stage has reported.
 #
-#   scripts/check.sh          # build + tests + perf trajectory + lint +
-#                             # ASan/UBSan + TSan
+#   scripts/check.sh          # build + tests + lint + ASan/UBSan + TSan +
+#                             # perf trajectory
 #   scripts/check.sh --fast   # skip the perf, lint and sanitizer stages
 #   scripts/check.sh --lint   # configure + run only the static-analysis stage
 #   scripts/check.sh --perf   # configure + run only the perf-trajectory stage
@@ -21,7 +23,7 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 
 # Static analysis, three sub-stages:
 #   1. atropos_lint (tools/atropos_lint): the domain checks — capi-pairing,
-#      cancel-action-safety, alloc-free, determinism, lock-order, guarded-by,
+#      cancel-action-safety, determinism, lock-order, guarded-by,
 #      atomics-protocol, stale-suppression — resolved over the whole-program
 #      call graph. Always runs; the tool is built from this repo so there is
 #      nothing to install. The stderr summary includes the wall time; the
@@ -65,7 +67,7 @@ run_perf() {
     atropos_lint >/dev/null
   # Single-thread micro benches first; mt_ingest's saturation runs oversubscribe
   # the box and would inflate a micro loop that runs right after them.
-  ./build/bench/fig14_overhead --json --skip-sim
+  ./build/bench/fig14_overhead --json
   ./build/bench/obs_overhead --json
   ./build/bench/mt_ingest --events=2000000 --max-threads=8 --json
   # The analyzer's own wall time is a tracked metric: the whole-program call
@@ -106,8 +108,6 @@ if [[ "${1:-}" == "--fast" ]]; then
   echo "== skipping perf + lint + sanitizer stages (--fast) =="
   exit 0
 fi
-
-run_perf
 
 run_lint
 
@@ -152,5 +152,7 @@ echo "== abortable-sync units + CQS storms under TSan =="
 
 echo "== mt_ingest smoke under TSan =="
 ./build-tsan/bench/mt_ingest --events=20000 --max-threads=4
+
+run_perf
 
 echo "== all checks passed =="

@@ -15,13 +15,12 @@ MiniDb::MiniDb(Executor& executor, OverloadController* controller, MiniDbOptions
   if (options_.use_table_locks) {
     table_lock_resource_ = controller_->RegisterResource("table_locks", ResourceClass::kLock);
     locks_ = std::make_unique<TableLockManager>(executor_, options_.num_tables, controller_,
-                                                table_lock_resource_, options_.cancel_mode);
+                                                table_lock_resource_);
   }
   if (options_.use_tickets) {
     ticket_resource_ = controller_->RegisterResource("innodb_tickets", ResourceClass::kQueue);
     tickets_ = std::make_unique<InstrumentedSemaphore>(executor_, options_.innodb_tickets,
-                                                       controller_, ticket_resource_,
-                                                       options_.cancel_mode);
+                                                       controller_, ticket_resource_);
   }
   if (options_.use_io) {
     io_resource_ = controller_->RegisterResource("disk_io", ResourceClass::kIo);
@@ -33,7 +32,6 @@ MiniDb::MiniDb(Executor& executor, OverloadController* controller, MiniDbOptions
       // Misses and dirty flushes share the disk (the real thrashing path).
       options_.pool.device = io_.get();
     }
-    options_.pool.cancel_mode = options_.cancel_mode;
     pool_ = std::make_unique<BufferPool>(executor_, options_.pool, controller_, pool_resource_);
   }
   if (options_.use_undo) {
@@ -134,9 +132,6 @@ void MiniDb::Start(const AppRequest& req, CompletionFn done) { Serve(req, std::m
 Coro MiniDb::Serve(AppRequest req, CompletionFn done) {
   co_await BindExecutor{executor_};
   CancelToken* token = BeginTask(req.key, !req.non_cancellable);
-  if (options_.extra_request_cost > 0) {
-    co_await Delay{executor_, options_.extra_request_cost};
-  }
   Status status = co_await GateEnter(req, token);
   if (status.ok()) {
     status = co_await Dispatch(req, token);

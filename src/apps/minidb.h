@@ -84,15 +84,6 @@ struct MiniDbOptions {
   uint64_t vacuum_bytes = 512 * 1024 * 1024;  // c8 total vacuum I/O
   uint64_t vacuum_chunk_bytes = 8 * 1024 * 1024;
 
-  // Uniform extra service time per request (used by the overhead bench to
-  // model tracing-API cost).
-  TimeMicros extra_request_cost = 0;
-
-  // Cancellation mode for the convoy-prone primitives (table locks, tickets,
-  // buffer-pool admission): kSmart repairs the grant chain at cancellation
-  // time, kSimple defers it to the next release (src/sync/cancel_mode.h).
-  CancelMode cancel_mode = CancelMode::kSmart;
-
   uint64_t seed = 1;
 };
 

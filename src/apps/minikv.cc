@@ -25,9 +25,6 @@ void MiniKv::Start(const AppRequest& req, CompletionFn done) { Serve(req, std::m
 Coro MiniKv::Serve(AppRequest req, CompletionFn done) {
   co_await BindExecutor{executor_};
   CancelToken* token = BeginTask(req.key, !req.non_cancellable);
-  if (options_.extra_request_cost > 0) {
-    co_await Delay{executor_, options_.extra_request_cost};
-  }
   Status status = co_await GateEnter(req, token);
   if (status.ok()) {
     if (req.type == kKvRangeRead) {

@@ -21,7 +21,6 @@ enum MiniKvRequestType : int {
 struct MiniKvOptions {
   KvStoreOptions store;
   uint64_t default_range_span = 50000;
-  TimeMicros extra_request_cost = 0;
 };
 
 class MiniKv final : public App {

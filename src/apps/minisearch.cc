@@ -99,9 +99,6 @@ void MiniSearch::Start(const AppRequest& req, CompletionFn done) { Serve(req, st
 Coro MiniSearch::Serve(AppRequest req, CompletionFn done) {
   co_await BindExecutor{executor_};
   CancelToken* token = BeginTask(req.key, !req.non_cancellable);
-  if (options_.extra_request_cost > 0) {
-    co_await Delay{executor_, options_.extra_request_cost};
-  }
   Status status = co_await GateEnter(req, token);
   if (status.ok()) {
     status = co_await Dispatch(req, token);

@@ -70,7 +70,6 @@ struct MiniSearchOptions {
   TimeMicros range_query_cost = 5'000'000;
 
   TimeMicros base_query_cost = 500;
-  TimeMicros extra_request_cost = 0;
   uint64_t seed = 2;
 };
 

@@ -40,9 +40,6 @@ Coro MiniWeb::Serve(AppRequest req, CompletionFn done) {
   bool cancellable = !req.non_cancellable &&
                      (req.type != kWebScript || options_.allow_thread_cancel);
   CancelToken* token = BeginTask(req.key, cancellable);
-  if (options_.extra_request_cost > 0) {
-    co_await Delay{executor_, options_.extra_request_cost};
-  }
   Status status = co_await GateEnter(req, token);
   if (status.ok()) {
     if (req.type == kWebScript) {

@@ -30,7 +30,6 @@ struct MiniWebOptions {
   // §5.2: thread-level cancellation flag. When false, scripts ignore Cancel()
   // and Atropos cannot terminate them.
   bool allow_thread_cancel = true;
-  TimeMicros extra_request_cost = 0;
 };
 
 class MiniWeb final : public App {

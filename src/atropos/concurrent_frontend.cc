@@ -221,7 +221,6 @@ void ConcurrentFrontend::Tick() {
   runtime_.Tick();
 }
 
-// atropos-lint: alloc-free
 void ConcurrentFrontend::ApplyMerged(uint64_t ticks, TimeMicros micros) {
   // Stamps map linearly from [t0, t1] ticks onto [u0, u1] µs, clamped to that
   // interval, with the slope in 32.32 fixed point and the product rounded to

@@ -47,7 +47,6 @@ class DenseKeyIndex {
     return x ^ (x >> 31);
   }
 
-  // atropos-lint: alloc-free
   uint32_t Find(uint64_t key) const {
     size_t i = Hash(key) & mask_;
     while (true) {
@@ -94,7 +93,6 @@ class DenseKeyIndex {
   // Removes `key` and returns the slot it mapped to, or kNotFound when it
   // was absent. Backward-shift deletion: no tombstones, probe chains stay
   // contiguous.
-  // atropos-lint: alloc-free
   uint32_t Erase(uint64_t key) {
     size_t i = Hash(key) & mask_;
     while (true) {

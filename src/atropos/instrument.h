@@ -24,11 +24,8 @@ namespace atropos {
 // baselines).
 class InstrumentedRwLock {
  public:
-  InstrumentedRwLock(Executor& executor, OverloadController* tracer, ResourceId resource,
-                     CancelMode cancel_mode = CancelMode::kSmart)
-      : lock_(executor), tracer_(tracer), resource_(resource) {
-    lock_.set_cancel_mode(cancel_mode);
-  }
+  InstrumentedRwLock(Executor& executor, OverloadController* tracer, ResourceId resource)
+      : lock_(executor), tracer_(tracer), resource_(resource) {}
 
   Task<Status> AcquireShared(uint64_t key, CancelToken* token);
   Task<Status> AcquireExclusive(uint64_t key, CancelToken* token);
@@ -46,11 +43,8 @@ class InstrumentedRwLock {
 // Mutex variant (WAL lock, keyspace lock, ...).
 class InstrumentedMutex {
  public:
-  InstrumentedMutex(Executor& executor, OverloadController* tracer, ResourceId resource,
-                    CancelMode cancel_mode = CancelMode::kSmart)
-      : lock_(executor), tracer_(tracer), resource_(resource) {
-    lock_.set_cancel_mode(cancel_mode);
-  }
+  InstrumentedMutex(Executor& executor, OverloadController* tracer, ResourceId resource)
+      : lock_(executor), tracer_(tracer), resource_(resource) {}
 
   Task<Status> Acquire(uint64_t key, CancelToken* token);
   void Release(uint64_t key);
@@ -69,10 +63,8 @@ class InstrumentedMutex {
 class InstrumentedSemaphore {
  public:
   InstrumentedSemaphore(Executor& executor, uint64_t capacity, OverloadController* tracer,
-                        ResourceId resource, CancelMode cancel_mode = CancelMode::kSmart)
-      : sem_(executor, capacity), tracer_(tracer), resource_(resource) {
-    sem_.set_cancel_mode(cancel_mode);
-  }
+                        ResourceId resource)
+      : sem_(executor, capacity), tracer_(tracer), resource_(resource) {}
 
   Task<Status> Acquire(uint64_t key, CancelToken* token, uint64_t units = 1);
   void Release(uint64_t key, uint64_t units = 1);

@@ -100,7 +100,6 @@ void TaskLedger::FreeTask(uint64_t key) {
   }
 }
 
-// atropos-lint: alloc-free
 void TaskLedger::ReleaseSlot(uint32_t slot) {
   // Fold the departing task's open holdings into the per-resource ledger and
   // clear its usage row for the next occupant.
@@ -153,7 +152,6 @@ std::vector<ResourceAudit> TaskLedger::AuditAccounting() const {
   return out;
 }
 
-// atropos-lint: alloc-free
 TaskRecord* TaskLedger::Lookup(uint64_t key) {
   const uint32_t slot = key_index_.Find(key);
   if (slot == kNilSlot) {
@@ -163,7 +161,6 @@ TaskRecord* TaskLedger::Lookup(uint64_t key) {
   return &task_slots_[slot];
 }
 
-// atropos-lint: alloc-free
 TaskResourceUsage* TaskLedger::UsageFor(uint64_t key, ResourceId resource) {
   const uint32_t slot = key_index_.Find(key);
   if (slot == kNilSlot) {
@@ -183,7 +180,6 @@ TaskResourceUsage* TaskLedger::UsageFor(uint64_t key, ResourceId resource) {
   return cell;
 }
 
-// atropos-lint: alloc-free
 void TaskLedger::RecordGet(uint64_t key, ResourceId resource, uint64_t amount,
                            TimeMicros now) {
   stats_->trace_events++;
@@ -205,7 +201,6 @@ void TaskLedger::RecordGet(uint64_t key, ResourceId resource, uint64_t amount,
   res.total_gets += amount;
 }
 
-// atropos-lint: alloc-free
 void TaskLedger::RecordFree(uint64_t key, ResourceId resource, uint64_t amount,
                             TimeMicros now) {
   stats_->trace_events++;
@@ -232,7 +227,6 @@ void TaskLedger::RecordFree(uint64_t key, ResourceId resource, uint64_t amount,
   res.window.frees += amount;
 }
 
-// atropos-lint: alloc-free
 void TaskLedger::RecordWaitBegin(uint64_t key, ResourceId resource, TimeMicros now) {
   stats_->trace_events++;
   TaskResourceUsage* usage = UsageFor(key, resource);
@@ -243,7 +237,6 @@ void TaskLedger::RecordWaitBegin(uint64_t key, ResourceId resource, TimeMicros n
   usage->wait_started_at = Quantize(now);
 }
 
-// atropos-lint: alloc-free
 void TaskLedger::RecordWaitEnd(uint64_t key, ResourceId resource, TimeMicros now) {
   stats_->trace_events++;
   TaskResourceUsage* usage = UsageFor(key, resource);
@@ -265,7 +258,6 @@ void TaskLedger::RecordWaitEnd(uint64_t key, ResourceId resource, TimeMicros now
   }
 }
 
-// atropos-lint: alloc-free
 void TaskLedger::RecordUsage(uint64_t key, ResourceId resource, TimeMicros waited,
                              TimeMicros used) {
   stats_->trace_events++;
@@ -285,7 +277,6 @@ void TaskLedger::RecordUsage(uint64_t key, ResourceId resource, TimeMicros waite
   }
 }
 
-// atropos-lint: alloc-free
 void TaskLedger::RecordProgress(uint64_t key, uint64_t done, uint64_t total) {
   TaskRecord* task = Lookup(key);
   if (task == nullptr) {

@@ -8,7 +8,6 @@ WindowAggregator::WindowAggregator(TimeMicros start, const AtroposConfig& config
                                    AtroposStats* stats)
     : config_(config), stats_(stats), window_start_(start) {}
 
-// atropos-lint: alloc-free
 void WindowAggregator::ReleaseRequestSlot(uint32_t slot) {
   const uint32_t prev = req_prev_[slot];
   const uint32_t next = req_next_[slot];
@@ -63,7 +62,6 @@ void WindowAggregator::OnRequestStart(uint64_t key, int client_class, TimeMicros
   index_cell = slot;
 }
 
-// atropos-lint: alloc-free
 void WindowAggregator::OnRequestEnd(uint64_t key, TimeMicros latency, int client_class,
                                     TimeMicros now) {
   if (config_.slo_client_class < 0 || client_class == config_.slo_client_class) {
@@ -77,7 +75,6 @@ void WindowAggregator::OnRequestEnd(uint64_t key, TimeMicros latency, int client
   DropKey(key);
 }
 
-// atropos-lint: alloc-free
 void WindowAggregator::DropKey(uint64_t key) {
   const uint32_t slot = inflight_index_.Erase(key);
   if (slot != kNilSlot) {
@@ -85,7 +82,6 @@ void WindowAggregator::DropKey(uint64_t key) {
   }
 }
 
-// atropos-lint: alloc-free
 uint64_t WindowAggregator::CountOverdue(TimeMicros now, TimeMicros slo) const {
   uint64_t overdue = 0;
   for (uint32_t slot = inflight_head_; slot != kNilSlot; slot = req_next_[slot]) {
@@ -103,7 +99,6 @@ TimeMicros WindowAggregator::ExecTimeFloored(TimeMicros now) const {
   return std::max<TimeMicros>(window_exec_time_, now - window_start_);
 }
 
-// atropos-lint: alloc-free
 void WindowAggregator::Roll(TimeMicros now) {
   window_latency_.Reset();  // O(1) epoch bump
   window_completions_ = 0;

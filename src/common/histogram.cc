@@ -104,7 +104,6 @@ EpochLatencyHistogram::EpochLatencyHistogram()
     : buckets_(hist_detail::kBucketCount, 0),
       bucket_epoch_(hist_detail::kBucketCount, 0) {}
 
-// atropos-lint: alloc-free
 void EpochLatencyHistogram::Record(TimeMicros value) {
   if (count_ == 0 || value < min_) {
     min_ = value;

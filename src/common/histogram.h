@@ -1,4 +1,4 @@
-// Log-linear latency histogram (HdrHistogram-style) plus windowed metrics.
+// Log-linear latency histogram (HdrHistogram-style) and its windowed variant.
 //
 // LatencyHistogram records microsecond values into log-linear buckets with
 // bounded relative error, supporting cheap percentile queries. It is the
@@ -97,65 +97,6 @@ class EpochLatencyHistogram {
   uint64_t sum_ = 0;
   TimeMicros min_ = 0;
   TimeMicros max_ = 0;
-};
-
-// Tracks completions over fixed windows to produce a throughput series and
-// detect "throughput remains flat" (the Breakwater-style overload signal).
-class ThroughputMeter {
- public:
-  explicit ThroughputMeter(TimeMicros window = Millis(100)) : window_(window) {}
-
-  void RecordCompletion(TimeMicros now) {
-    RollTo(now);
-    current_count_++;
-    total_++;
-  }
-
-  // Completions/second over the most recently *closed* window.
-  double LastWindowRate(TimeMicros now) {
-    RollTo(now);
-    return static_cast<double>(last_count_) / ToSeconds(window_);
-  }
-
-  uint64_t total() const { return total_; }
-  TimeMicros window() const { return window_; }
-
- private:
-  void RollTo(TimeMicros now) {
-    TimeMicros idx = now / window_;
-    if (idx == current_window_) {
-      return;
-    }
-    last_count_ = (idx == current_window_ + 1) ? current_count_ : 0;
-    current_window_ = idx;
-    current_count_ = 0;
-  }
-
-  TimeMicros window_;
-  TimeMicros current_window_ = 0;
-  uint64_t current_count_ = 0;
-  uint64_t last_count_ = 0;
-  uint64_t total_ = 0;
-};
-
-// Online mean/variance (Welford).
-class RunningStats {
- public:
-  void Add(double x) {
-    n_++;
-    double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-  }
-
-  uint64_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double Variance() const { return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1); }
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
 };
 
 }  // namespace atropos

@@ -69,16 +69,6 @@ class Rng {
     return -mean * std::log(1.0 - u);
   }
 
-  // Bounded Pareto-ish heavy tail: mean roughly `mean`, occasionally much
-  // larger, capped at cap. Used for "heavy" request service times.
-  double NextHeavyTail(double mean, double cap) {
-    double v = NextExponential(mean);
-    if (NextBernoulli(0.05)) {
-      v *= 8.0;
-    }
-    return v < cap ? v : cap;
-  }
-
   // Zipf-distributed rank in [0, n). theta in (0, 1); higher theta = more skew.
   // Uses the classic CDF-inversion approximation of Gray et al.
   uint64_t NextZipf(uint64_t n, double theta) {

@@ -43,7 +43,6 @@ struct BufferPoolOptions {
   // admission wait is a cancellable FIFO semaphore: Atropos can abort a
   // task parked at admission without it ever taking a slot.
   uint64_t admission_limit = 0;
-  CancelMode cancel_mode = CancelMode::kSmart;
 };
 
 struct PageAccess {
@@ -60,7 +59,6 @@ class BufferPool {
       : executor_(executor), options_(options), tracer_(tracer), resource_(resource) {
     if (options_.admission_limit > 0) {
       admission_ = std::make_unique<SimSemaphore>(executor_, options_.admission_limit);
-      admission_->set_cancel_mode(options_.cancel_mode);
     }
   }
 

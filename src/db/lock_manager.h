@@ -19,11 +19,10 @@ namespace atropos {
 class TableLockManager {
  public:
   TableLockManager(Executor& executor, int num_tables, OverloadController* tracer,
-                   ResourceId resource, CancelMode cancel_mode = CancelMode::kSmart) {
+                   ResourceId resource) {
     locks_.reserve(static_cast<size_t>(num_tables));
     for (int i = 0; i < num_tables; i++) {
-      locks_.push_back(
-          std::make_unique<InstrumentedRwLock>(executor, tracer, resource, cancel_mode));
+      locks_.push_back(std::make_unique<InstrumentedRwLock>(executor, tracer, resource));
     }
   }
 

@@ -154,14 +154,10 @@ void SimSemaphore::GrantWaiters() {
 }
 
 void SimSemaphore::CancelWaiter(WaitNode& node) {
-  // The unlink is eager in both modes — the node lives in the cancelled
-  // coroutine's frame (see header). Only the grant-chain repair is modal.
   waiters_.Remove(&node);
   CompleteNode(&node, Status::Cancelled("semaphore wait cancelled"));
-  if (cancel_mode_ == CancelMode::kSmart) {
-    // The removed head may have been blocking smaller requests behind it.
-    GrantWaiters();
-  }
+  // The removed head may have been blocking smaller requests behind it.
+  GrantWaiters();
 }
 
 void SimSemaphore::CompleteNode(WaitNode* node, Status status) {
@@ -241,13 +237,10 @@ void SimRwLock::GrantWaiters() {
 }
 
 void SimRwLock::CancelWaiter(WaitNode& node) {
-  // Eager unlink in both modes (frame-resident node); modal grant pass.
   waiters_.Remove(&node);
   CompleteNode(&node, Status::Cancelled("rwlock wait cancelled"));
-  if (cancel_mode_ == CancelMode::kSmart) {
-    // Removing a queued writer can unblock the readers queued behind it.
-    GrantWaiters();
-  }
+  // Removing a queued writer can unblock the readers queued behind it.
+  GrantWaiters();
 }
 
 void SimRwLock::CompleteNode(WaitNode* node, Status status) {

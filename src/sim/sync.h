@@ -6,13 +6,11 @@
 // Every blocking operation accepts an optional CancelToken so Atropos
 // cancellation can abort a wait in progress.
 //
-// Cancellation follows the CQS smart/simple split (src/sync/cancel_mode.h).
-// The coroutine substrate always unlinks a cancelled node eagerly — the node
-// lives in the cancelled coroutine's frame, which resumes and may unwind, so
-// leaving it linked (textbook simple mode) would dangle. The observable
-// difference is therefore the grant pass: kSmart (default, the historical
-// behavior — fuzz-corpus digests are byte-stable) repairs the grant chain at
-// cancellation time; kSimple defers it to the next release.
+// Cancellation is CQS's smart mode (PAPERS.md): a cancelled node is unlinked
+// eagerly — it lives in the cancelled coroutine's frame, which resumes and may
+// unwind, so leaving it linked would dangle — and the grant chain is repaired
+// at cancellation time, so requests the cancelled waiter was blocking are
+// granted without waiting for the next release.
 
 #ifndef SRC_SIM_SYNC_H_
 #define SRC_SIM_SYNC_H_
@@ -23,7 +21,6 @@
 #include "src/sim/cancel.h"
 #include "src/sim/executor.h"
 #include "src/sim/wait.h"
-#include "src/sync/cancel_mode.h"
 
 namespace atropos {
 
@@ -88,11 +85,6 @@ class SimMutex final : public WaiterOwner {
   bool held() const { return held_; }
   size_t waiter_count() const { return waiters_.size(); }
 
-  // For a mutex both modes behave identically (a cancelled waiter holds no
-  // grant to transfer); kept for API uniformity with the semaphore/rwlock.
-  void set_cancel_mode(CancelMode mode) { cancel_mode_ = mode; }
-  CancelMode cancel_mode() const { return cancel_mode_; }
-
   void CancelWaiter(WaitNode& node) override;
 
  private:
@@ -101,7 +93,6 @@ class SimMutex final : public WaiterOwner {
 
   Executor& executor_;
   bool held_ = false;
-  CancelMode cancel_mode_ = CancelMode::kSmart;
   WaitList waiters_;
 };
 
@@ -138,12 +129,6 @@ class SimSemaphore final : public WaiterOwner {
   uint64_t capacity() const { return capacity_; }
   size_t waiter_count() const { return waiters_.size(); }
 
-  // kSmart (default): cancelling a queued waiter immediately grants any
-  // smaller requests it was blocking. kSimple: they wait for the next
-  // Release (CQS cleanup-on-resume economy).
-  void set_cancel_mode(CancelMode mode) { cancel_mode_ = mode; }
-  CancelMode cancel_mode() const { return cancel_mode_; }
-
   void CancelWaiter(WaitNode& node) override;
 
  private:
@@ -154,7 +139,6 @@ class SimSemaphore final : public WaiterOwner {
   Executor& executor_;
   uint64_t capacity_;
   uint64_t available_;
-  CancelMode cancel_mode_ = CancelMode::kSmart;
   WaitList waiters_;
 };
 
@@ -194,11 +178,6 @@ class SimRwLock final : public WaiterOwner {
   // forming behind a writer.
   bool writer_queued() const { return !waiters_.empty() && waiters_.front()->tag == kWriter; }
 
-  // kSmart (default): cancelling a queued writer immediately admits the
-  // readers queued behind it. kSimple: they wait for the next release.
-  void set_cancel_mode(CancelMode mode) { cancel_mode_ = mode; }
-  CancelMode cancel_mode() const { return cancel_mode_; }
-
   void CancelWaiter(WaitNode& node) override;
 
  private:
@@ -209,7 +188,6 @@ class SimRwLock final : public WaiterOwner {
   Executor& executor_;
   int active_readers_ = 0;
   bool writer_held_ = false;
-  CancelMode cancel_mode_ = CancelMode::kSmart;
   WaitList waiters_;
 };
 

@@ -23,7 +23,6 @@
 
 #include "src/common/thread_annotations.h"
 #include "src/sync/abort_cell.h"
-#include "src/sync/cancel_mode.h"
 
 namespace atropos {
 
@@ -34,7 +33,7 @@ enum class SyncOutcome {
 
 class CancellableMutex {
  public:
-  explicit CancellableMutex(CancelMode mode = CancelMode::kSmart) : mode_(mode) {}
+  CancellableMutex() = default;
 
   CancellableMutex(const CancellableMutex&) = delete;
   CancellableMutex& operator=(const CancellableMutex&) = delete;
@@ -54,12 +53,6 @@ class CancellableMutex {
   bool TryAcquire();
   void Release();
 
-  // For a mutex the two CQS modes coincide — a cancelled waiter holds no
-  // units whose grant could transfer, and the release path already skips
-  // cancelled cells — but the mode is kept for API uniformity with the
-  // semaphore, where the difference is observable.
-  CancelMode cancel_mode() const { return mode_; }
-
   size_t waiter_count();
   bool held();
 
@@ -73,7 +66,6 @@ class CancellableMutex {
   uint64_t spurious_aborts() const { return spurious_aborts_.load(std::memory_order_relaxed); }
 
  private:
-  const CancelMode mode_;
   std::mutex mu_;
   bool held_ ATROPOS_GUARDED_BY(mu_) = false;
   CellList waiters_ ATROPOS_GUARDED_BY(mu_);

@@ -40,15 +40,13 @@ SyncOutcome CancellableSemaphore::Acquire(uint64_t key, uint64_t units, AbortCel
       return SyncOutcome::kAcquired;
     }
 
-    // Aborted in place: unlink and, in smart mode, transfer the grant — a
-    // cancelled multi-unit head may have been the only thing blocking smaller
-    // requests behind it.
+    // Aborted in place: unlink and transfer the grant — a cancelled
+    // multi-unit head may have been the only thing blocking smaller requests
+    // behind it.
     {
       std::lock_guard<std::mutex> lk(mu_);
       waiters_.Remove(c);
-      if (mode_ == CancelMode::kSmart) {
-        GrantLocked();
-      }
+      GrantLocked();
     }
     c->EndWait();
 

@@ -1,12 +1,10 @@
 // CancellableSemaphore: strict-FIFO counting semaphore for real OS threads
 // with CQS-style abortable waits (src/sync/abort_cell.h, DESIGN.md §16).
 //
-// This is where the smart/simple cancellation modes differ observably: a
-// cancelled multi-unit waiter at the head of the queue may be the only thing
-// blocking smaller requests behind it. In kSmart mode the cancelling waiter
-// re-runs the grant pass as it unlinks, transferring the head position to the
-// next eligible waiter immediately; in kSimple mode the repair is deferred to
-// the next Release (the CQS cleanup-on-resume economy).
+// Cancellation is CQS's smart mode: a cancelled multi-unit waiter at the head
+// of the queue may be the only thing blocking smaller requests behind it, so
+// the cancelling waiter re-runs the grant pass as it unlinks, transferring the
+// head position to the next eligible waiter without waiting for a Release.
 //
 // Invariants (checked by the sync storm tests):
 //   - unit conservation: available + units held by granted-and-not-released
@@ -26,15 +24,13 @@
 
 #include "src/common/thread_annotations.h"
 #include "src/sync/abort_cell.h"
-#include "src/sync/cancel_mode.h"
 #include "src/sync/cancellable_mutex.h"  // SyncOutcome
 
 namespace atropos {
 
 class CancellableSemaphore {
  public:
-  explicit CancellableSemaphore(uint64_t capacity, CancelMode mode = CancelMode::kSmart)
-      : mode_(mode), capacity_(capacity), available_(capacity) {}
+  explicit CancellableSemaphore(uint64_t capacity) : capacity_(capacity), available_(capacity) {}
 
   CancellableSemaphore(const CancellableSemaphore&) = delete;
   CancellableSemaphore& operator=(const CancellableSemaphore&) = delete;
@@ -47,7 +43,6 @@ class CancellableSemaphore {
   bool TryAcquire(uint64_t units = 1);
   void Release(uint64_t units = 1);
 
-  CancelMode cancel_mode() const { return mode_; }
   uint64_t capacity() const { return capacity_; }
   uint64_t available();
   size_t waiter_count();
@@ -61,7 +56,6 @@ class CancellableSemaphore {
   // Grants from the head while units fit, skipping cancelled cells.
   void GrantLocked() ATROPOS_REQUIRES(mu_);
 
-  const CancelMode mode_;
   const uint64_t capacity_;
   std::mutex mu_;
   uint64_t available_ ATROPOS_GUARDED_BY(mu_);

@@ -8,6 +8,22 @@
 // the structures past their high-water mark, arm the counter, drive tens of
 // thousands of events, and require the allocation count to still be zero.
 //
+// The hot-path functions the armed loops reach. For each, a scratch copy
+// that appends to a growing vector on entry fails the tests named here:
+//   TaskLedger::RecordWaitBegin, RecordWaitEnd, RecordUsage, RecordProgress
+//     and Lookup                        -> LedgerSteadyState
+//   TaskLedger::RecordGet, RecordFree, ReleaseSlot, UsageFor and
+//     DenseKeyIndex::Find               -> LedgerSteadyState, KeyChurn,
+//                                          both Frontend tests
+//   DenseKeyIndex::Erase                -> all of the above and
+//                                          WindowAggregatorSteadyState
+//   WindowAggregator::OnRequestEnd, DropKey, ReleaseRequestSlot,
+//     CountOverdue, Roll and EpochLatencyHistogram::Record
+//                                       -> WindowAggregatorSteadyState,
+//                                          both Frontend tests
+//   ConcurrentFrontend::ApplyMerged     -> both Frontend tests
+// Nothing else checks that these stay allocation-free.
+//
 // The oracle lives in its own test binary because replacing global
 // operator new affects the whole program; keeping it isolated means the main
 // suites run against the stock allocator.

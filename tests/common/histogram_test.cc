@@ -85,28 +85,5 @@ TEST(LatencyHistogramTest, ResetClearsEverything) {
   EXPECT_EQ(h.P99(), 0u);
 }
 
-TEST(ThroughputMeterTest, RatesPerClosedWindow) {
-  ThroughputMeter m(Millis(100));
-  for (int i = 0; i < 50; i++) {
-    m.RecordCompletion(Millis(i));  // all within window 0
-  }
-  // Window 0 not yet closed.
-  EXPECT_EQ(m.LastWindowRate(Millis(50)), 0.0);
-  // After rolling into window 1, the closed window held 50 completions in 0.1s.
-  EXPECT_DOUBLE_EQ(m.LastWindowRate(Millis(150)), 500.0);
-  // Two windows later with no completions, the last closed window had none.
-  EXPECT_DOUBLE_EQ(m.LastWindowRate(Millis(350)), 0.0);
-  EXPECT_EQ(m.total(), 50u);
-}
-
-TEST(RunningStatsTest, MeanAndVariance) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.Variance(), 4.571428, 1e-5);
-}
-
 }  // namespace
 }  // namespace atropos

@@ -81,12 +81,5 @@ TEST(RngTest, ForkProducesIndependentStream) {
   EXPECT_NE(parent.NextUint64(), child.NextUint64());
 }
 
-TEST(RngTest, HeavyTailRespectsCap) {
-  Rng rng(10);
-  for (int i = 0; i < 10000; i++) {
-    EXPECT_LE(rng.NextHeavyTail(100.0, 5000.0), 5000.0);
-  }
-}
-
 }  // namespace
 }  // namespace atropos

@@ -44,10 +44,6 @@ std::string Golden(const std::string& name) {
   return ReadFile(std::string(ATROPOS_LINT_TEST_DATA_DIR) + "/golden/" + name);
 }
 
-TEST(GoldenTest, AllocFreeBadMatchesGolden) {
-  EXPECT_EQ(LintFixture("alloc_free_bad.cc"), Golden("alloc_free_bad.expected"));
-}
-
 TEST(GoldenTest, CapiPairingBadMatchesGolden) {
   EXPECT_EQ(LintFixture("capi_pairing_bad.cc"), Golden("capi_pairing_bad.expected"));
 }
@@ -100,7 +96,6 @@ TEST(GoldenTest, StaleSuppressionBadMatchesGolden) {
 }
 
 TEST(GoldenTest, GoodFixturesLintClean) {
-  EXPECT_EQ(LintFixture("alloc_free_good.cc"), "");
   EXPECT_EQ(LintFixture("capi_pairing_good.cc"), "");
   EXPECT_EQ(LintFixture("cancel_safety_good.cc"), "");
   EXPECT_EQ(LintFixture("determinism_good.cc"), "");

@@ -184,12 +184,12 @@ TEST(SimSemaphoreTest, CancellingBlockedHeadUnblocksTail) {
   EXPECT_EQ(log[2].first, 100u);
 }
 
-// The smart/simple cancellation-mode difference (src/sync/cancel_mode.h): a
-// cancelled head that was the only thing blocking a smaller request behind
-// it. One unit is free the whole time; only the FIFO head gates the tail.
+// The smart grant pass: a cancelled head that was the only thing blocking a
+// smaller request behind it. One unit is free the whole time; only the FIFO
+// head gates the tail.
 TEST(SimSemaphoreTest, SmartModeCancelGrantsBlockedTailImmediately) {
   Executor ex;
-  SimSemaphore sem(ex, 2);  // kSmart default
+  SimSemaphore sem(ex, 2);
   CancelToken token(ex);
   std::vector<std::pair<TimeMicros, Status>> log;
   UseSemaphore(ex, sem, 1, 100, nullptr, log);  // holds 1 until 100; 1 free
@@ -200,22 +200,6 @@ TEST(SimSemaphoreTest, SmartModeCancelGrantsBlockedTailImmediately) {
   EXPECT_TRUE(log[1].second.IsCancelled());
   EXPECT_EQ(log[1].first, 20u);
   EXPECT_EQ(log[2].first, 20u);  // grant transferred at cancellation time
-}
-
-TEST(SimSemaphoreTest, SimpleModeCancelDefersGrantToNextRelease) {
-  Executor ex;
-  SimSemaphore sem(ex, 2);
-  sem.set_cancel_mode(CancelMode::kSimple);
-  CancelToken token(ex);
-  std::vector<std::pair<TimeMicros, Status>> log;
-  UseSemaphore(ex, sem, 1, 100, nullptr, log);
-  UseSemaphore(ex, sem, 2, 10, &token, log);
-  UseSemaphore(ex, sem, 1, 10, nullptr, log);
-  ex.CallAt(20, [&] { token.Cancel(); });
-  ex.Run();
-  EXPECT_TRUE(log[1].second.IsCancelled());
-  EXPECT_EQ(log[1].first, 20u);  // the cancel itself is still immediate
-  EXPECT_EQ(log[2].first, 100u);  // repair deferred to the holder's Release
 }
 
 TEST(SimSemaphoreTest, TryAcquireDoesNotBlock) {
@@ -308,27 +292,6 @@ TEST(SimRwLockTest, CancellingQueuedWriterReleasesConvoy) {
   // Readers join the still-active scan immediately after the writer leaves.
   EXPECT_EQ(log[2].first, 200u);
   EXPECT_EQ(log[3].first, 200u);
-}
-
-TEST(SimRwLockTest, SimpleModeHoldsConvoyUntilNextRelease) {
-  Executor ex;
-  SimRwLock lk(ex);
-  lk.set_cancel_mode(CancelMode::kSimple);
-  CancelToken token(ex);
-  std::vector<std::pair<TimeMicros, Status>> log;
-  ReadLock(ex, lk, 1000, nullptr, log);  // scan holds S [0,1000)
-  WriteLock(ex, lk, 10, &token, log);    // backup queued; cancelled at 200
-  ReadLock(ex, lk, 10, nullptr, log);    // convoyed readers
-  ReadLock(ex, lk, 10, nullptr, log);
-  ex.CallAt(200, [&] { token.Cancel(); });
-  ex.Run();
-  ASSERT_EQ(log.size(), 4u);
-  EXPECT_TRUE(log[1].second.IsCancelled());
-  EXPECT_EQ(log[1].first, 200u);
-  // Unlike kSmart (test above), the convoy only drains when the scan's own
-  // release re-runs the grant pass.
-  EXPECT_EQ(log[2].first, 1000u);
-  EXPECT_EQ(log[3].first, 1000u);
 }
 
 TEST(SimRwLockTest, WriterQueuedFlag) {

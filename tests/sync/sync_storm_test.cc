@@ -123,71 +123,69 @@ TEST(SyncStormTest, MutexStormKeepsExclusionAndNeverStrands) {
 
 TEST(SyncStormTest, SemaphoreStormConservesUnits) {
   constexpr uint64_t kCapacity = 3;
-  for (CancelMode mode : {CancelMode::kSmart, CancelMode::kSimple}) {
-    CancellableSemaphore sem(kCapacity, mode);
-    std::vector<AbortCell> cells(kThreads);
-    // Per-iteration words: see the mutex storm for why this makes the
-    // untargeted-cancel oracle sound.
-    std::vector<std::vector<std::atomic<uint64_t>>> words(kThreads);
-    for (auto& w : words) {
-      w = std::vector<std::atomic<uint64_t>>(kIters);
-    }
-    std::vector<std::atomic<uint64_t>> published(kThreads);
-    std::atomic<uint64_t> in_use{0};
-    std::atomic<bool> conservation_violated{false};
-    std::atomic<bool> untargeted_cancel{false};
-    std::atomic<bool> stop_initiator{false};
+  CancellableSemaphore sem(kCapacity);
+  std::vector<AbortCell> cells(kThreads);
+  // Per-iteration words: see the mutex storm for why this makes the
+  // untargeted-cancel oracle sound.
+  std::vector<std::vector<std::atomic<uint64_t>>> words(kThreads);
+  for (auto& w : words) {
+    w = std::vector<std::atomic<uint64_t>>(kIters);
+  }
+  std::vector<std::atomic<uint64_t>> published(kThreads);
+  std::atomic<uint64_t> in_use{0};
+  std::atomic<bool> conservation_violated{false};
+  std::atomic<bool> untargeted_cancel{false};
+  std::atomic<bool> stop_initiator{false};
 
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; t++) {
-      workers.emplace_back([&, t] {
-        std::mt19937_64 rng(static_cast<uint64_t>(t) + 1);
-        for (uint64_t i = 0; i < kIters; i++) {
-          const uint64_t units = 1 + rng() % kCapacity;
-          const uint64_t key = StormKey(t, i);
-          CancelSignal signal(&words[t][i], key);
-          published[t].store(key, std::memory_order_seq_cst);
-          const SyncOutcome out = sem.Acquire(key, units, &cells[t], &signal);
-          published[t].store(0, std::memory_order_seq_cst);
-          if (out == SyncOutcome::kAcquired) {
-            if (in_use.fetch_add(units, std::memory_order_seq_cst) + units > kCapacity) {
-              conservation_violated.store(true);
-            }
-            in_use.fetch_sub(units, std::memory_order_seq_cst);
-            sem.Release(units);
-          } else if (words[t][i].load(std::memory_order_seq_cst) != key) {
-            untargeted_cancel.store(true);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; t++) {
+    workers.emplace_back([&, t] {
+      std::mt19937_64 rng(static_cast<uint64_t>(t) + 1);
+      for (uint64_t i = 0; i < kIters; i++) {
+        const uint64_t units = 1 + rng() % kCapacity;
+        const uint64_t key = StormKey(t, i);
+        CancelSignal signal(&words[t][i], key);
+        published[t].store(key, std::memory_order_seq_cst);
+        const SyncOutcome out = sem.Acquire(key, units, &cells[t], &signal);
+        published[t].store(0, std::memory_order_seq_cst);
+        if (out == SyncOutcome::kAcquired) {
+          if (in_use.fetch_add(units, std::memory_order_seq_cst) + units > kCapacity) {
+            conservation_violated.store(true);
           }
-        }
-      });
-    }
-
-    std::thread initiator([&] {
-      std::mt19937_64 rng(11);
-      while (!stop_initiator.load(std::memory_order_acquire)) {
-        const int t = static_cast<int>(rng() % kThreads);
-        const uint64_t key = published[t].load(std::memory_order_seq_cst);
-        if (key != 0) {
-          words[t][(key & 0xffffffff) - 1].store(key, std::memory_order_seq_cst);
-          cells[t].TryAbort(key);
+          in_use.fetch_sub(units, std::memory_order_seq_cst);
+          sem.Release(units);
+        } else if (words[t][i].load(std::memory_order_seq_cst) != key) {
+          untargeted_cancel.store(true);
         }
       }
     });
-
-    for (std::thread& w : workers) {
-      w.join();
-    }
-    stop_initiator.store(true, std::memory_order_release);
-    initiator.join();
-
-    EXPECT_FALSE(conservation_violated.load()) << "mode " << static_cast<int>(mode);
-    EXPECT_FALSE(untargeted_cancel.load()) << "mode " << static_cast<int>(mode);
-    // No stranded units: the whole capacity is immediately acquirable.
-    EXPECT_EQ(sem.available(), kCapacity) << "mode " << static_cast<int>(mode);
-    EXPECT_TRUE(sem.TryAcquire(kCapacity));
-    sem.Release(kCapacity);
-    EXPECT_EQ(sem.waiter_count(), 0u);
   }
+
+  std::thread initiator([&] {
+    std::mt19937_64 rng(11);
+    while (!stop_initiator.load(std::memory_order_acquire)) {
+      const int t = static_cast<int>(rng() % kThreads);
+      const uint64_t key = published[t].load(std::memory_order_seq_cst);
+      if (key != 0) {
+        words[t][(key & 0xffffffff) - 1].store(key, std::memory_order_seq_cst);
+        cells[t].TryAbort(key);
+      }
+    }
+  });
+
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  stop_initiator.store(true, std::memory_order_release);
+  initiator.join();
+
+  EXPECT_FALSE(conservation_violated.load());
+  EXPECT_FALSE(untargeted_cancel.load());
+  // No stranded units: the whole capacity is immediately acquirable.
+  EXPECT_EQ(sem.available(), kCapacity);
+  EXPECT_TRUE(sem.TryAcquire(kCapacity));
+  sem.Release(kCapacity);
+  EXPECT_EQ(sem.waiter_count(), 0u);
 }
 
 TEST(SyncStormTest, QueueStormResolvesEveryKeyExactlyOnce) {

@@ -242,10 +242,10 @@ TEST(CancellableSemaphoreTest, TryAcquireIsStrictFifo) {
   EXPECT_EQ(sem.available(), 4u);
 }
 
-// The observable smart/simple difference: a cancelled multi-unit head waiter
-// is the only thing blocking a smaller request behind it.
+// The smart grant pass: a cancelled multi-unit head waiter is the only thing
+// blocking a smaller request behind it.
 TEST(CancellableSemaphoreTest, SmartModeTransfersGrantAtCancel) {
-  CancellableSemaphore sem(4, CancelMode::kSmart);
+  CancellableSemaphore sem(4);
   ASSERT_TRUE(sem.TryAcquire(3));  // available = 1
 
   AbortCell big_cell;
@@ -268,8 +268,8 @@ TEST(CancellableSemaphoreTest, SmartModeTransfersGrantAtCancel) {
   }
   EXPECT_FALSE(small_acquired.load());
 
-  // Abort the head. Smart mode: the cancelling waiter re-runs the grant pass
-  // as it unlinks, so the small request is admitted with NO Release at all.
+  // Abort the head. The cancelling waiter re-runs the grant pass as it
+  // unlinks, so the small request is admitted with NO Release at all.
   EXPECT_TRUE(big_cell.TryAbort(11));
   big.join();
   small.join();
@@ -277,43 +277,6 @@ TEST(CancellableSemaphoreTest, SmartModeTransfersGrantAtCancel) {
   EXPECT_EQ(sem.aborted_waits(), 1u);
   EXPECT_EQ(sem.available(), 0u);  // 3 held by main + 1 by small
   sem.Release(3);
-  sem.Release(1);
-  EXPECT_EQ(sem.available(), 4u);
-}
-
-TEST(CancellableSemaphoreTest, SimpleModeDefersGrantToNextRelease) {
-  CancellableSemaphore sem(4, CancelMode::kSimple);
-  ASSERT_TRUE(sem.TryAcquire(3));  // available = 1
-
-  AbortCell big_cell;
-  AbortCell small_cell;
-  std::atomic<bool> small_acquired{false};
-  std::thread big([&] {
-    EXPECT_EQ(sem.Acquire(21, 4, &big_cell, nullptr), SyncOutcome::kCancelled);
-  });
-  while (sem.waiter_count() != 1) {
-    std::this_thread::yield();
-  }
-  std::thread small([&] {
-    EXPECT_EQ(sem.Acquire(22, 1, &small_cell, nullptr), SyncOutcome::kAcquired);
-    small_acquired.store(true);
-  });
-  while (sem.waiter_count() != 2) {
-    std::this_thread::yield();
-  }
-
-  EXPECT_TRUE(big_cell.TryAbort(21));
-  big.join();
-  // Simple mode: no grant pass at cancellation. The small waiter stays
-  // parked even though a unit is available and the head is gone.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(small_acquired.load());
-
-  // The deferred repair happens at the next Release.
-  sem.Release(1);  // main now holds 2
-  small.join();
-  EXPECT_TRUE(small_acquired.load());
-  sem.Release(2);
   sem.Release(1);
   EXPECT_EQ(sem.available(), 4u);
 }

@@ -53,7 +53,6 @@ class Check {
 };
 
 // Factory per check; `MakeAllChecks` returns them in canonical order.
-std::unique_ptr<Check> MakeAllocFreeCheck();
 std::unique_ptr<Check> MakeAtomicsProtocolCheck();
 std::unique_ptr<Check> MakeCapiPairingCheck();
 std::unique_ptr<Check> MakeCancelActionSafetyCheck();

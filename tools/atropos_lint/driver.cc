@@ -127,7 +127,6 @@ void Check::AnalyzeProgram(const Program& program, DiagnosticSink* sink) {
 
 std::vector<std::unique_ptr<Check>> MakeAllChecks() {
   std::vector<std::unique_ptr<Check>> checks;
-  checks.push_back(MakeAllocFreeCheck());
   checks.push_back(MakeAtomicsProtocolCheck());
   checks.push_back(MakeCapiPairingCheck());
   checks.push_back(MakeCancelActionSafetyCheck());

@@ -24,7 +24,6 @@ struct Directive {
   std::set<std::string> allow;       // per-line suppressions
   std::set<std::string> allow_file;  // file-wide suppressions
   bool digest_path = false;
-  bool alloc_free = false;
   bool atomics_protocol = false;
 };
 
@@ -79,12 +78,9 @@ void ParseDirective(std::string_view comment, Directive* out) {
   if (rest.find("digest-path") != std::string_view::npos) {
     out->digest_path = true;
   }
-  // The alloc-free marker must be the directive's entire body, so that
-  // `allow(alloc-free)` (a suppression naming the check) is not mistaken for
-  // a marker. Same for the atomics-protocol opt-in marker.
-  if (Trimmed(rest) == "alloc-free") {
-    out->alloc_free = true;
-  }
+  // The atomics-protocol opt-in marker must be the directive's entire body,
+  // so that `allow(atomics-protocol)` (a suppression naming the check) is not
+  // mistaken for a marker.
   if (Trimmed(rest) == "atomics-protocol") {
     out->atomics_protocol = true;
   }
@@ -109,8 +105,7 @@ LexedFile Lex(std::string_view src) {
     d.line = at_line;
     d.code_before = (last_token_line == at_line);
     ParseDirective(text, &d);
-    if (!d.allow.empty() || !d.allow_file.empty() || d.digest_path || d.alloc_free ||
-        d.atomics_protocol) {
+    if (!d.allow.empty() || !d.allow_file.empty() || d.digest_path || d.atomics_protocol) {
       directives.push_back(std::move(d));
     }
   };
@@ -258,9 +253,6 @@ LexedFile Lex(std::string_view src) {
     }
     if (d.atomics_protocol) {
       out.atomics_protocol_marker = true;
-    }
-    if (d.alloc_free) {
-      out.alloc_free_lines.push_back(d.line);
     }
     if (d.allow.empty()) {
       continue;

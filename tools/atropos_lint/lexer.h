@@ -9,9 +9,6 @@
 //   // atropos-lint: allow-file(check-a)       suppress for the whole file
 //   // atropos-lint: digest-path               mark this file as a digest path
 //                                              for the determinism check
-//   // atropos-lint: alloc-free                mark the next function as a
-//                                              steady-state allocation-free
-//                                              hot path (alloc-free check)
 //   // atropos-lint: atomics-protocol          opt this file into the
 //                                              atomics-protocol check (src/sync
 //                                              and src/live are always in)
@@ -56,10 +53,6 @@ struct LexedFile {
   std::map<std::string, int> file_suppression_lines;
   bool digest_path_marker = false;
   bool atomics_protocol_marker = false;
-  // Lines carrying a standalone `alloc-free` marker; each binds to the next
-  // function definition (resolved by the alloc-free check against the
-  // outline).
-  std::vector<int> alloc_free_lines;
 };
 
 // Lexes `source`. Never fails: unrecognized bytes become single-char punct
