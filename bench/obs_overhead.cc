@@ -235,8 +235,7 @@ void RunWallClockPart(const std::string& json_path, const ObsMicroCosts& micro) 
 int main(int argc, char** argv) {
   std::printf("Observability overhead\n\n");
   std::printf("Part 1: obs primitive micro-costs (real clock, google-benchmark)\n");
-  // Peel off --json[=path] before handing argv to google-benchmark, which
-  // rejects flags it does not know.
+  // Peel off --json[=path]: it is this bench's flag, not google-benchmark's.
   std::string json_path;
   std::vector<char*> bench_args;
   for (int i = 0; i < argc; i++) {
@@ -256,6 +255,11 @@ int main(int argc, char** argv) {
     int filtered_argc = static_cast<int>(bench_args.size());
     bench_args.push_back(nullptr);
     benchmark::Initialize(&filtered_argc, bench_args.data());
+    // A flag neither this bench nor google-benchmark knows is an error, not
+    // a silent switch to google-benchmark's default min time.
+    if (benchmark::ReportUnrecognizedArguments(filtered_argc, bench_args.data())) {
+      return 1;
+    }
   } else {
     benchmark::Initialize(&bench_argc, bench_argv);
   }

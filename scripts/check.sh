@@ -134,8 +134,8 @@ echo "== sim + apps + obs + workload + atropos + concurrent + sync + baselines +
 echo "== fuzz corpus under ASan/UBSan =="
 ./build-asan/tools/fuzz_atropos --seed=1 --runs=10 --replay-check
 
-echo "== corpus replay under ASan/UBSan (first 20 scenarios) =="
-./build-asan/tools/atropos_mine replay --corpus=corpus --require-agreement=0.95 --limit=20
+echo "== corpus replay under ASan/UBSan (first 28 scenarios) =="
+./build-asan/tools/atropos_mine replay --corpus=corpus --require-agreement=0.95 --limit=28
 
 echo "== configure + build with TSan (build-tsan/) =="
 cmake -B build-tsan -S . -DATROPOS_TSAN=ON >/dev/null

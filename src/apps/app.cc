@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include <sanitizer/asan_interface.h>
+
 namespace atropos {
 
 namespace {
@@ -22,44 +24,84 @@ std::string_view OutcomeName(OutcomeKind outcome) {
 
 }  // namespace
 
+App::~App() {
+  // The deque destroys every slot, the free ones too.
+  for (uint32_t slot : free_slots_) {
+    ASAN_UNPOISON_MEMORY_REGION(&slots_[slot], sizeof(LiveTask));
+  }
+}
+
+App::LiveTask* App::Live(uint64_t key) {
+  const uint32_t slot = live_.Find(key);
+  return slot == DenseKeyIndex::kNotFound ? nullptr : &slots_[slot];
+}
+
+const App::LiveTask* App::Live(uint64_t key) const {
+  const uint32_t slot = live_.Find(key);
+  return slot == DenseKeyIndex::kNotFound ? nullptr : &slots_[slot];
+}
+
+uint32_t App::AcquireSlot(bool cancellable) {
+  if (free_slots_.empty()) {
+    slots_.emplace_back(executor_, cancellable);
+    return static_cast<uint32_t>(slots_.size() - 1);
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  ASAN_UNPOISON_MEMORY_REGION(&slots_[slot], sizeof(LiveTask));
+  LiveTask& task = slots_[slot];
+  task.token.Rearm();
+  task.cancel_reason = CancelReason::kCulprit;
+  task.cancellable = cancellable;
+  task.throttle = 1.0;
+  return slot;
+}
+
+void App::ReleaseSlot(uint32_t slot) {
+  free_slots_.push_back(slot);
+  ASAN_POISON_MEMORY_REGION(&slots_[slot], sizeof(LiveTask));
+}
+
 void App::Cancel(uint64_t key) {
-  auto it = live_.find(key);
-  if (it == live_.end() || !it->second.cancellable) {
+  LiveTask* task = Live(key);
+  if (task == nullptr || !task->cancellable) {
     return;  // gone, or explicitly excluded from cancellation (§3.5 safety contract)
   }
-  it->second.token.Cancel();
+  task->token.Cancel();
 }
 
 void App::ThrottleTask(uint64_t key, double factor) {
-  auto it = live_.find(key);
-  if (it != live_.end()) {
-    it->second.throttle = factor < 1.0 ? 1.0 : factor;
+  if (LiveTask* task = Live(key)) {
+    task->throttle = factor < 1.0 ? 1.0 : factor;
   }
 }
 
 void App::CancelTask(uint64_t key, CancelReason reason) {
-  auto it = live_.find(key);
-  if (it != live_.end()) {
-    it->second.cancel_reason = reason;
+  if (LiveTask* task = Live(key)) {
+    task->cancel_reason = reason;
   }
   Cancel(key);
 }
 
 CancelToken* App::BeginTask(uint64_t key, bool cancellable) {
-  auto [it, inserted] = live_.try_emplace(key, executor_, cancellable);
-  if (!inserted) {
-    live_.erase(it);
-    it = live_.try_emplace(key, executor_, cancellable).first;
+  const uint32_t slot = AcquireSlot(cancellable);
+  uint32_t& cell = live_.FindOrInsert(key);
+  const uint32_t replaced = cell;
+  cell = slot;
+  // A key re-registered while live gets a fresh token; the old slot is
+  // returned only now, so it cannot be the one just handed out.
+  if (replaced != DenseKeyIndex::kNotFound) {
+    ReleaseSlot(replaced);
   }
-  return &it->second.token;
+  return &slots_[slot].token;
 }
 
 void App::FinishTask(const AppRequest& req, const CompletionFn& done, const Status& status) {
   OutcomeKind outcome = OutcomeKind::kCompleted;
   CancelReason reason = CancelReason::kCulprit;
-  if (auto it = live_.find(req.key); it != live_.end()) {
-    reason = it->second.cancel_reason;
-    live_.erase(it);
+  if (const uint32_t slot = live_.Erase(req.key); slot != DenseKeyIndex::kNotFound) {
+    reason = slots_[slot].cancel_reason;
+    ReleaseSlot(slot);
   }
   switch (status.code()) {
     case StatusCode::kOk:
@@ -96,16 +138,16 @@ void App::FinishTask(const AppRequest& req, const CompletionFn& done, const Stat
 }
 
 TimeMicros App::Scaled(uint64_t key, TimeMicros t) const {
-  auto it = live_.find(key);
-  if (it == live_.end() || it->second.throttle <= 1.0) {
+  const LiveTask* task = Live(key);
+  if (task == nullptr || task->throttle <= 1.0) {
     return t;
   }
-  return static_cast<TimeMicros>(static_cast<double>(t) * it->second.throttle);
+  return static_cast<TimeMicros>(static_cast<double>(t) * task->throttle);
 }
 
 CancelToken* App::TokenOf(uint64_t key) {
-  auto it = live_.find(key);
-  return it == live_.end() ? nullptr : &it->second.token;
+  LiveTask* task = Live(key);
+  return task == nullptr ? nullptr : &task->token;
 }
 
 void App::InitClientGates(int num_classes, int64_t parties_capacity) {

@@ -10,6 +10,7 @@
 #define SRC_APPS_APP_H_
 
 #include <array>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string_view>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/atropos/controller.h"
+#include "src/atropos/dense_index.h"
 #include "src/atropos/instrument.h"
 #include "src/common/status.h"
 #include "src/obs/metrics.h"
@@ -50,7 +52,7 @@ using CompletionFn = std::function<void(const AppRequest&, OutcomeKind)>;
 
 class App : public ControlSurface {
  public:
-  ~App() override = default;
+  ~App() override;
 
   virtual std::string_view name() const = 0;
 
@@ -83,8 +85,11 @@ class App : public ControlSurface {
   void SetClientShare(int client_class, double share) override;
 
  protected:
-  // Book-keeping for an in-flight request or background task. The token
-  // lives in the map node, whose address is stable until the entry is erased.
+  // Book-keeping for an in-flight request or background task. Slots are
+  // recycled through a free list; a slot's address is stable for the App's
+  // lifetime, so the token pointer BeginTask hands out stays valid until the
+  // task's FinishTask. A slot on the free list is poisoned for
+  // AddressSanitizer, so a use of a finished task's token is reported.
   struct LiveTask {
     LiveTask(Executor& executor, bool cancellable) : token(executor), cancellable(cancellable) {}
 
@@ -98,19 +103,19 @@ class App : public ControlSurface {
       : executor_(executor), controller_(controller) {}
 
   // Creates the live entry + cancel token for `key`, replacing any entry
-  // still live under it. Non-cancellable requests still get a token, but
-  // Cancel() on them is a no-op (the app-level safety contract).
+  // still live under it with a fresh one. Non-cancellable requests still get
+  // a token, but Cancel() on them is a no-op (the app-level safety contract).
   CancelToken* BeginTask(uint64_t key, bool cancellable = true);
 
   // Maps the handler's final status to an OutcomeKind using the recorded
-  // cancellation reason, erases the live entry, and invokes `done`.
+  // cancellation reason, returns the live slot, and invokes `done`.
   void FinishTask(const AppRequest& req, const CompletionFn& done, const Status& status);
 
   // Throttle-aware delay scaling (pBox penalties).
   TimeMicros Scaled(uint64_t key, TimeMicros t) const;
 
   CancelToken* TokenOf(uint64_t key);
-  bool IsLive(uint64_t key) const { return live_.count(key) != 0; }
+  bool IsLive(uint64_t key) const { return live_.Find(key) != DenseKeyIndex::kNotFound; }
   size_t live_count() const { return live_.size(); }
 
   // Client-class admission gates (PARTIES shares). Gates start effectively
@@ -127,9 +132,20 @@ class App : public ControlSurface {
   // resolves each name once and increments through the cache afterwards.
   std::unordered_map<int, Counter*> type_counters_;
   std::array<Counter*, 4> outcome_counters_{};
-  std::unordered_map<uint64_t, LiveTask> live_;
+  // key -> index into slots_ of the task's LiveTask.
+  DenseKeyIndex live_;
+  std::deque<LiveTask> slots_;
+  std::vector<uint32_t> free_slots_;
   std::vector<std::unique_ptr<AdjustableLimiter>> class_gates_;
   int64_t gate_slots_ = 0;
+
+ private:
+  // The live entry of `key`, or nullptr.
+  LiveTask* Live(uint64_t key);
+  const LiveTask* Live(uint64_t key) const;
+  // Takes a slot off the free list (or appends one) and arms it.
+  uint32_t AcquireSlot(bool cancellable);
+  void ReleaseSlot(uint32_t slot);
 };
 
 }  // namespace atropos

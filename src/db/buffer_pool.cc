@@ -4,6 +4,32 @@
 
 namespace atropos {
 
+void BufferPool::PushFront(uint32_t f) {
+  frames_[f].prev = kNil;
+  frames_[f].next = mru_;
+  if (mru_ != kNil) {
+    frames_[mru_].prev = f;
+  } else {
+    lru_ = f;
+  }
+  mru_ = f;
+}
+
+void BufferPool::Unlink(uint32_t f) {
+  const uint32_t prev = frames_[f].prev;
+  const uint32_t next = frames_[f].next;
+  if (prev != kNil) {
+    frames_[prev].next = next;
+  } else {
+    mru_ = next;
+  }
+  if (next != kNil) {
+    frames_[next].prev = prev;
+  } else {
+    lru_ = prev;
+  }
+}
+
 Task<PageAccess> BufferPool::Access(uint64_t key, uint64_t page_id, bool write,
                                     CancelToken* token) {
   PageAccess out;
@@ -12,16 +38,13 @@ Task<PageAccess> BufferPool::Access(uint64_t key, uint64_t page_id, bool write,
     co_return out;
   }
 
-  auto it = frames_.find(page_id);
-  if (it != frames_.end()) {
+  if (const uint32_t f = page_index_.Find(page_id); f != kNil) {
     // Hit: touch LRU, pay the in-memory cost.
     hits_++;
     out.hit = true;
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(page_id);
-    it->second.lru_pos = lru_.begin();
+    Touch(f);
     if (write) {
-      it->second.dirty = true;
+      frames_[f].dirty = true;
     }
     co_await Delay{executor_, options_.hit_cost};
     out.status = Status::Ok();
@@ -42,13 +65,14 @@ Task<PageAccess> BufferPool::Access(uint64_t key, uint64_t page_id, bool write,
   }
 
   // Make room first so the capacity invariant holds across the awaits.
-  if (frames_.size() >= options_.capacity_pages && !lru_.empty()) {
-    uint64_t victim_page = lru_.back();
-    auto victim = frames_.find(victim_page);
-    bool dirty = victim->second.dirty;
-    uint64_t owner = victim->second.owner_key;
-    lru_.pop_back();
-    frames_.erase(victim);
+  if (page_index_.size() >= options_.capacity_pages && lru_ != kNil) {
+    const uint32_t victim = lru_;
+    bool dirty = frames_[victim].dirty;
+    uint64_t owner = frames_[victim].owner_key;
+    Unlink(victim);
+    page_index_.Erase(frames_[victim].page);
+    frames_[victim].next = free_;
+    free_ = victim;
     evictions_++;
     out.evicted = true;
     out.stall = dirty ? options_.dirty_evict_cost : options_.clean_evict_cost;
@@ -88,24 +112,28 @@ Task<PageAccess> BufferPool::Access(uint64_t key, uint64_t page_id, bool write,
 
   // Another task may have loaded the page while this one was reading; the
   // late copy simply refreshes it.
-  auto existing = frames_.find(page_id);
-  if (existing != frames_.end()) {
-    lru_.erase(existing->second.lru_pos);
-    lru_.push_front(page_id);
-    existing->second.lru_pos = lru_.begin();
+  uint32_t& slot = page_index_.FindOrInsert(page_id);
+  if (slot != kNil) {
+    Touch(slot);
     if (write) {
-      existing->second.dirty = true;
+      frames_[slot].dirty = true;
     }
     out.status = Status::Ok();
     co_return out;
   }
 
-  lru_.push_front(page_id);
-  Frame frame;
+  if (free_ == kNil) {
+    slot = static_cast<uint32_t>(frames_.size());
+    frames_.emplace_back();
+  } else {
+    slot = free_;
+    free_ = frames_[slot].next;
+  }
+  Frame& frame = frames_[slot];
+  frame.page = page_id;
   frame.owner_key = key;
   frame.dirty = write;
-  frame.lru_pos = lru_.begin();
-  frames_.emplace(page_id, frame);
+  PushFront(slot);
   if (tracer_ != nullptr) {
     tracer_->OnGet(key, resource_, 1);
   }
@@ -115,8 +143,8 @@ Task<PageAccess> BufferPool::Access(uint64_t key, uint64_t page_id, bool write,
 
 uint64_t BufferPool::ResidentOwnedBy(uint64_t key) const {
   uint64_t n = 0;
-  for (const auto& [page, frame] : frames_) {
-    if (frame.owner_key == key) {
+  for (uint32_t f = mru_; f != kNil; f = frames_[f].next) {
+    if (frames_[f].owner_key == key) {
       n++;
     }
   }

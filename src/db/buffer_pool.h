@@ -6,15 +6,20 @@
 // the LRU page — costlier still when the victim is dirty (flush-then-read).
 // Every loaded frame remembers the task that brought it in so that eviction
 // events can be attributed (freeResource against the page's owner, Fig 8).
+//
+// Frames live in one flat vector, linked into the LRU order by index and
+// recycled through an intrusive free list; a dense page→frame index finds
+// them. Once the pool has reached its high-water frame count, a hit, a miss
+// and an eviction allocate nothing.
 
 #ifndef SRC_DB_BUFFER_POOL_H_
 #define SRC_DB_BUFFER_POOL_H_
 
-#include <list>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "src/atropos/controller.h"
+#include "src/atropos/dense_index.h"
 #include "src/common/status.h"
 #include "src/sim/cancel.h"
 #include "src/sim/cpu.h"
@@ -66,7 +71,7 @@ class BufferPool {
   // dirty. Cancellation is honoured at the access boundary.
   Task<PageAccess> Access(uint64_t key, uint64_t page_id, bool write, CancelToken* token);
 
-  uint64_t resident_pages() const { return frames_.size(); }
+  uint64_t resident_pages() const { return page_index_.size(); }
   uint64_t capacity() const { return options_.capacity_pages; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -79,19 +84,35 @@ class BufferPool {
   SimSemaphore* admission() { return admission_.get(); }
 
  private:
+  static constexpr uint32_t kNil = DenseKeyIndex::kNotFound;
+
   struct Frame {
+    uint64_t page = 0;
     uint64_t owner_key = 0;
+    uint32_t prev = kNil;  // toward the MRU end
+    uint32_t next = kNil;  // toward the LRU end; on the free list, the next free frame
     bool dirty = false;
-    std::list<uint64_t>::iterator lru_pos;
   };
+
+  // Links frame `f` in at the MRU end.
+  void PushFront(uint32_t f);
+  void Unlink(uint32_t f);
+  // Moves a resident frame to the MRU end.
+  void Touch(uint32_t f) {
+    Unlink(f);
+    PushFront(f);
+  }
 
   Executor& executor_;
   BufferPoolOptions options_;
   OverloadController* tracer_;
   ResourceId resource_;
 
-  std::unordered_map<uint64_t, Frame> frames_;
-  std::list<uint64_t> lru_;  // front = MRU, back = LRU victim
+  std::vector<Frame> frames_;
+  DenseKeyIndex page_index_;  // page id -> index into frames_ of its frame
+  uint32_t mru_ = kNil;
+  uint32_t lru_ = kNil;  // the next eviction victim
+  uint32_t free_ = kNil;  // head of the evicted frames, linked through `next`
   std::unique_ptr<SimSemaphore> admission_;
 
   uint64_t hits_ = 0;

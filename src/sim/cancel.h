@@ -49,7 +49,19 @@ class CancelToken {
   // Clears the flag so the task can be re-executed (§4 re-execution).
   void Reset() { cancelled_ = false; }
 
+  // Returns a recycled token to its freshly constructed state: not cancelled,
+  // never counted, no waiters. The waiter list keeps its capacity, so a
+  // pooled token registers its waits without allocating.
+  void Rearm() {
+    cancelled_ = false;
+    cancel_count_ = 0;
+    waiters_.clear();
+  }
+
   Executor& executor() { return executor_; }
+
+  // Waits currently registered (aborted by the next Cancel()).
+  size_t waiter_count() const { return waiters_.size(); }
 
   // Wait registration — called by primitives, not by applications.
   void Register(WaitNode* node) { waiters_.push_back(node); }

@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/atropos/dense_index.h"
 #include "src/atropos/runtime.h"
 
 namespace atropos {
@@ -68,9 +69,8 @@ class AuditController final : public OverloadController {
     CancelRecord rec;
     rec.key = key;
     rec.score = score;
-    auto it = live_.find(key);
-    if (it != live_.end()) {
-      Epoch& epoch = epochs_[it->second];
+    if (const uint32_t idx = live_.Find(key); idx != DenseKeyIndex::kNotFound) {
+      Epoch& epoch = epochs_[idx];
       epoch.cancels++;
       rec.live = true;
       rec.cancellable_at_issue = epoch.cancellable;
@@ -96,31 +96,29 @@ class AuditController final : public OverloadController {
   void OnEvent(const TraceEvent& ev) override {
     switch (ev.kind) {
       case TraceEventKind::kTaskRegistered: {
-        auto it = live_.find(ev.key);
-        if (it != live_.end()) {
-          epochs_[it->second].freed = true;
-          epochs_[it->second].replaced = true;
+        uint32_t& idx = live_.FindOrInsert(ev.key);
+        if (idx != DenseKeyIndex::kNotFound) {
+          epochs_[idx].freed = true;
+          epochs_[idx].replaced = true;
         }
+        idx = static_cast<uint32_t>(epochs_.size());
+        const bool was_cancelled = ever_cancelled_.erase(ev.key) != 0;
         Epoch epoch;
         epoch.key = ev.key;
         epoch.background = ev.background;
-        epoch.cancellable = ev.cancellable && ever_cancelled_.count(ev.key) == 0;
-        ever_cancelled_.erase(ev.key);
-        live_[ev.key] = epochs_.size();
+        epoch.cancellable = ev.cancellable && !was_cancelled;
         epochs_.push_back(epoch);
         break;
       }
       case TraceEventKind::kTaskFreed: {
-        auto it = live_.find(ev.key);
-        if (it != live_.end()) {
-          epochs_[it->second].freed = true;
-          live_.erase(it);
+        if (const uint32_t idx = live_.Erase(ev.key); idx != DenseKeyIndex::kNotFound) {
+          epochs_[idx].freed = true;
         }
         break;
       }
       case TraceEventKind::kGet: {
         auto res = resources_.find(ev.resource);
-        if (res != resources_.end() && live_.count(ev.key) != 0) {
+        if (res != resources_.end() && live_.Find(ev.key) != DenseKeyIndex::kNotFound) {
           res->second.acquired += ev.a;
         }
         break;
@@ -134,13 +132,15 @@ class AuditController final : public OverloadController {
           }
         }
         auto res = resources_.find(ev.resource);
-        if (res != resources_.end() && live_.count(ev.key) != 0) {
+        if (res != resources_.end() && live_.Find(ev.key) != DenseKeyIndex::kNotFound) {
           res->second.released += ev.a;
         }
         break;
       }
       case TraceEventKind::kRequestStart:
-        key_types_[ev.key] = ev.request_type;
+        if (drop_free_type_ >= 0) {
+          key_types_[ev.key] = ev.request_type;
+        }
         break;
       default:
         break;
@@ -179,17 +179,14 @@ class AuditController final : public OverloadController {
   // checks it agrees with the runtime's count.
   size_t cancelled_key_memo_count() const { return ever_cancelled_.size(); }
   uint64_t dropped_frees() const { return dropped_frees_; }
-  int TypeOfKey(uint64_t key) const {
-    auto it = key_types_.find(key);
-    return it == key_types_.end() ? -1 : it->second;
-  }
 
  private:
   AtroposRuntime& runtime_;
   std::vector<Epoch> epochs_;
-  std::unordered_map<uint64_t, size_t> live_;  // key -> index of unfreed epoch
+  DenseKeyIndex live_;  // key -> index into epochs_ of its unfreed epoch
   // Mirrors runtime cancelled_keys_: key -> calm_windows_total() at issue.
   std::unordered_map<uint64_t, uint64_t> ever_cancelled_;
+  // key -> request type; filled only while a drop is injected.
   std::unordered_map<uint64_t, int> key_types_;
   std::unordered_map<ResourceId, ResourceInfo> resources_;
   std::vector<CancelRecord> cancels_;

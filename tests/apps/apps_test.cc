@@ -334,6 +334,78 @@ TEST_F(MiniSearchTest, CancelLongQueryReleasesCpu) {
 }
 
 // --------------------------------------------------------------------------
+// App task table
+
+// Exposes App's live-task table; serves nothing.
+class TaskTableApp final : public App {
+ public:
+  explicit TaskTableApp(Executor& executor) : App(executor, nullptr) {}
+  std::string_view name() const override { return "task_table"; }
+  void Start(const AppRequest&, CompletionFn) override {}
+  void Shutdown() override {}
+  using App::BeginTask;
+  using App::FinishTask;
+  using App::IsLive;
+  using App::live_count;
+};
+
+TEST(AppTaskTableTest, RecycledSlotGetsAFreshToken) {
+  Executor ex;
+  TaskTableApp app(ex);
+  CancelToken* first = app.BeginTask(7);
+  app.Cancel(7);
+  ASSERT_TRUE(first->cancelled());
+  ASSERT_EQ(first->cancel_count(), 1u);
+  WaitNode stale;
+  first->Register(&stale);  // a wait its handler never unregistered
+  app.FinishTask(Req(7, 0), nullptr, Status::Cancelled());
+  EXPECT_FALSE(app.IsLive(7));
+
+  CancelToken* again = app.BeginTask(7);
+  EXPECT_EQ(again, first);  // the finished task's slot is reused
+  EXPECT_FALSE(again->cancelled());
+  EXPECT_EQ(again->cancel_count(), 0u);
+  EXPECT_EQ(again->waiter_count(), 0u);
+  EXPECT_EQ(app.live_count(), 1u);
+}
+
+TEST(AppTaskTableTest, ReRegisteringALiveKeyReplacesItsToken) {
+  Executor ex;
+  TaskTableApp app(ex);
+  CancelToken* first = app.BeginTask(7);
+  app.Cancel(7);
+  ASSERT_TRUE(first->cancelled());
+  CancelToken* second = app.BeginTask(7, /*cancellable=*/false);
+  EXPECT_NE(second, first);
+  EXPECT_FALSE(second->cancelled());
+  EXPECT_EQ(second->cancel_count(), 0u);
+  EXPECT_EQ(second->waiter_count(), 0u);
+  EXPECT_EQ(app.live_count(), 1u);
+  app.Cancel(7);  // the replacement is non-cancellable
+  EXPECT_FALSE(second->cancelled());
+  // The replaced slot is recycled by the next registration.
+  EXPECT_EQ(app.BeginTask(8), first);
+  EXPECT_FALSE(first->cancelled());
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Pooling must not blind AddressSanitizer: a read of a finished task's token,
+// whose slot now sits on the free list, is reported.
+TEST(AppTaskTableDeathTest, UsingAFinishedTasksTokenIsReported) {
+  Executor ex;
+  TaskTableApp app(ex);
+  CancelToken* token = app.BeginTask(7);
+  app.FinishTask(Req(7, 0), nullptr, Status::Ok());
+  EXPECT_DEATH(
+      {
+        volatile bool cancelled = token->cancelled();
+        (void)cancelled;
+      },
+      "AddressSanitizer: use-after-poison");
+}
+#endif
+
+// --------------------------------------------------------------------------
 // MiniKv
 
 TEST(MiniKvTest, RangeReadCancellation) {

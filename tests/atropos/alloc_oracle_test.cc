@@ -22,6 +22,11 @@
 //                                       -> WindowAggregatorSteadyState,
 //                                          both Frontend tests
 //   ConcurrentFrontend::ApplyMerged     -> both Frontend tests
+//   App::BeginTask, FinishTask, AcquireSlot, ReleaseSlot, Live (const),
+//     Scaled, GateEnter and GateExit; CancelToken::Rearm;
+//     AdjustableLimiter::Acquire and Release; BufferPool::Access,
+//     PushFront and Unlink; MiniDb::Serve, Dispatch, PointSelect and
+//     RowUpdate                         -> WarmSimRequests
 // Nothing else checks that these stay allocation-free.
 //
 // The oracle lives in its own test binary because replacing global
@@ -36,14 +41,18 @@
 //
 // The simulator's per-await path is armed as well: warm wake push/fire
 // cycles on an Executor, and nested Task<Status> awaits whose frames come
-// from the per-thread frame pool.
+// from the per-thread frame pool. So is a whole simulated request: MiniDb
+// point selects and row updates over a buffer pool, through the app's
+// pooled task slots and an AtroposRuntime fed by the request's hooks.
 //
 // Deliberately NOT inside the armed region: the selection path of Tick()
 // (overload suspected, a resource confirmed, pacing admitted: the estimator
-// builds one candidate row per live task for the policy by design) and
+// builds one candidate row per live task for the policy by design),
 // first-touch growth (new tasks/resources/producers beyond the high-water
-// mark).
+// mark), and the books that grow with every request by design: the
+// workload Frontend's and the fuzz AuditController's.
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -51,6 +60,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/apps/minidb.h"
 #include "src/atropos/concurrent_frontend.h"
 #include "src/atropos/ledger.h"
 #include "src/atropos/window.h"
@@ -406,6 +416,123 @@ TEST(AllocOracleTest, WarmNestedTaskAwaitsAreAllocationFree) {
   // Leaf(i) fails when i % 5 == 0, Leaf(i + 1) when i % 5 == 4: 3 of 5 pass.
   EXPECT_EQ(ok, kRequests * kRounds * 3 / 5);
   EXPECT_EQ(ex.live_procs(), 0);
+}
+
+// A simulated request as Frontend::Submit drives it, without the frontend's
+// own books: the runtime registers the task and sees the request start,
+// MiniDb serves it (class gate, pooled task slot and token, buffer pool
+// pages), and the completion reports the end and frees the task. The
+// completion captures one pointer, so std::function stores it in place.
+class SimRequests {
+ public:
+  static constexpr TimeMicros kArrivalGap = 50;
+
+  SimRequests() : runtime_(ex_.clock(), MakeConfig()), db_(ex_, &runtime_, MakeOptions()) {}
+
+  static AtroposConfig MakeConfig() {
+    AtroposConfig config;
+    config.window = Millis(10);
+    return config;
+  }
+
+  // Point selects (4 Zipf pages each) and row updates (1 page, dirtied) over
+  // a 64-page pool: the 5 x 256-page hot set overflows it, so misses evict,
+  // clean and dirty, while the hottest pages hit.
+  static MiniDbOptions MakeOptions() {
+    MiniDbOptions opt;
+    opt.use_buffer_pool = true;
+    opt.pool.capacity_pages = 64;
+    opt.hot_pages_per_table = 256;
+    return opt;
+  }
+
+  // Runs `windows` control windows with one request arriving every
+  // kArrivalGap and a Tick at each window's end.
+  void Run(int windows) {
+    const TimeMicros window = runtime_.config().window;
+    Arrivals(static_cast<int>(windows * window / kArrivalGap));
+    Ticker(windows);
+    ex_.Run();
+  }
+
+  AtroposRuntime& runtime() { return runtime_; }
+  MiniDb& db() { return db_; }
+  Executor& executor() { return ex_; }
+  uint64_t submitted() const { return next_key_ - 1; }
+  uint64_t completed() const { return completed_; }
+
+ private:
+  Coro Arrivals(int requests) {
+    co_await BindExecutor{ex_};
+    for (int i = 0; i < requests; i++) {
+      Submit(i % 3 == 0 ? kDbRowUpdate : kDbPointSelect);
+      co_await Delay{ex_, kArrivalGap};
+    }
+  }
+
+  Coro Ticker(int windows) {
+    co_await BindExecutor{ex_};
+    for (int w = 0; w < windows; w++) {
+      co_await Delay{ex_, runtime_.config().window};
+      runtime_.Tick();
+    }
+  }
+
+  void Submit(int type) {
+    AppRequest req;
+    req.key = next_key_++;
+    req.type = type;
+    req.arg = req.key;  // the table
+    runtime_.OnTaskRegistered(req.key, /*background=*/false);
+    runtime_.OnRequestStart(req.key, req.type, req.client_class);
+    started_[req.key % started_.size()] = ex_.now();
+    db_.Start(req, [this](const AppRequest& r, OutcomeKind kind) { Done(r, kind); });
+  }
+
+  void Done(const AppRequest& req, OutcomeKind kind) {
+    if (kind == OutcomeKind::kCompleted) {
+      completed_++;
+    }
+    const TimeMicros latency = ex_.now() - started_[req.key % started_.size()];
+    runtime_.OnRequestEnd(req.key, latency, req.type, req.client_class);
+    runtime_.OnTaskFreed(req.key);
+  }
+
+  Executor ex_;
+  AtroposRuntime runtime_;
+  MiniDb db_;
+  // Arrival times by key; a request completes long before its key's cell is
+  // reused.
+  std::array<TimeMicros, 1024> started_{};
+  uint64_t next_key_ = 1;
+  uint64_t completed_ = 0;
+};
+
+// Warm simulated requests through App::BeginTask/FinishTask, the buffer
+// pool's hits, misses and evictions, and an AtroposRuntime fed by the
+// request's hooks: none allocates.
+TEST(AllocOracleTest, WarmSimRequestsAreAllocationFree) {
+  SimRequests sim;
+  BufferPool& pool = *sim.db().buffer_pool();
+  // Long enough for the request concurrency, and so the frame pool's and
+  // the task and page tables' populations, to reach their high-water marks.
+  sim.Run(200);
+  const uint64_t hits_before = pool.hits();
+  const uint64_t evictions_before = pool.evictions();
+  const uint64_t submitted_before = sim.submitted();
+  {
+    AllocArmed armed;
+    sim.Run(50);
+    EXPECT_EQ(armed.count(), 0u) << "warm simulated requests allocated";
+  }
+  const uint64_t requests = sim.submitted() - submitted_before;
+  EXPECT_EQ(requests, 50u * 200u);
+  EXPECT_EQ(sim.completed(), sim.submitted());
+  EXPECT_GT(pool.hits() - hits_before, requests / 2);
+  EXPECT_GT(pool.evictions() - evictions_before, requests);
+  EXPECT_EQ(sim.runtime().stats().cancels_issued, 0u);
+  EXPECT_EQ(sim.runtime().live_task_count(), 0u);
+  EXPECT_EQ(sim.executor().live_procs(), 0);
 }
 
 }  // namespace

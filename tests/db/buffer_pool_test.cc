@@ -1,7 +1,14 @@
 #include "src/db/buffer_pool.h"
 
+#include <deque>
+#include <list>
+#include <memory>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/sim/coro.h"
 #include "src/testing/recording_controller.h"
 
@@ -195,6 +202,288 @@ TEST_F(BufferPoolTest, ConcurrentMissesOnSamePageDoNotDoubleInsert) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_TRUE(out[0].status.ok());
   EXPECT_TRUE(out[1].status.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Model check: BufferPool against a node-based reference LRU.
+
+// The pool's algorithm over a std::list LRU and a page-keyed
+// std::unordered_map, with the same awaits in the same order. It also counts
+// the paths a random script must reach.
+class ReferencePool {
+ public:
+  ReferencePool(Executor& executor, const BufferPoolOptions& options, OverloadController* tracer,
+                ResourceId resource)
+      : executor_(executor), options_(options), tracer_(tracer), resource_(resource) {
+    if (options_.admission_limit > 0) {
+      admission_ = std::make_unique<SimSemaphore>(executor_, options_.admission_limit);
+    }
+  }
+
+  Task<PageAccess> Access(uint64_t key, uint64_t page_id, bool write, CancelToken* token) {
+    PageAccess out;
+    if (token != nullptr && token->cancelled()) {
+      out.status = Status::Cancelled();
+      co_return out;
+    }
+    if (auto it = frames_.find(page_id); it != frames_.end()) {
+      hits_++;
+      out.hit = true;
+      Touch(it->second, page_id);
+      it->second.dirty = it->second.dirty || write;
+      co_await Delay{executor_, options_.hit_cost};
+      out.status = Status::Ok();
+      co_return out;
+    }
+    misses_++;
+    if (admission_ != nullptr) {
+      Status admitted = co_await admission_->Acquire(1, token);
+      if (!admitted.ok()) {
+        admission_aborts_++;
+        out.status = std::move(admitted);
+        co_return out;
+      }
+    }
+    if (frames_.size() >= options_.capacity_pages && !lru_.empty()) {
+      auto victim = frames_.find(lru_.back());
+      const bool dirty = victim->second.dirty;
+      const uint64_t owner = victim->second.owner_key;
+      lru_.pop_back();
+      frames_.erase(victim);
+      evictions_++;
+      dirty_evictions_ += dirty ? 1 : 0;
+      out.evicted = true;
+      out.stall = dirty ? options_.dirty_evict_cost : options_.clean_evict_cost;
+      tracer_->OnFree(owner, resource_, 1);
+      tracer_->OnWaitBegin(key, resource_);
+      co_await Delay{executor_, out.stall};
+    }
+    co_await Delay{executor_, options_.miss_cost};
+    if (out.evicted) {
+      tracer_->OnWaitEnd(key, resource_);
+    }
+    if (admission_ != nullptr) {
+      admission_->Release(1);
+    }
+    if (token != nullptr && token->cancelled()) {
+      out.status = Status::Cancelled();
+      co_return out;
+    }
+    if (auto it = frames_.find(page_id); it != frames_.end()) {
+      refreshes_++;
+      Touch(it->second, page_id);
+      it->second.dirty = it->second.dirty || write;
+      out.status = Status::Ok();
+      co_return out;
+    }
+    lru_.push_front(page_id);
+    frames_.emplace(page_id, Frame{key, write, lru_.begin()});
+    tracer_->OnGet(key, resource_, 1);
+    out.status = Status::Ok();
+    co_return out;
+  }
+
+  uint64_t resident_pages() const { return frames_.size(); }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+  uint64_t evictions() const { return evictions_; }
+  uint64_t admission_aborts() const { return admission_aborts_; }
+  uint64_t ResidentOwnedBy(uint64_t key) const {
+    uint64_t n = 0;
+    for (const auto& [page, frame] : frames_) {
+      n += frame.owner_key == key ? 1 : 0;
+    }
+    return n;
+  }
+  uint64_t dirty_evictions() const { return dirty_evictions_; }
+  uint64_t refreshes() const { return refreshes_; }
+
+ private:
+  struct Frame {
+    uint64_t owner_key;
+    bool dirty;
+    std::list<uint64_t>::iterator lru_pos;
+  };
+
+  void Touch(Frame& frame, uint64_t page_id) {
+    lru_.erase(frame.lru_pos);
+    lru_.push_front(page_id);
+    frame.lru_pos = lru_.begin();
+  }
+
+  Executor& executor_;
+  BufferPoolOptions options_;
+  OverloadController* tracer_;
+  ResourceId resource_;
+  std::unordered_map<uint64_t, Frame> frames_;
+  std::list<uint64_t> lru_;  // front = MRU
+  std::unique_ptr<SimSemaphore> admission_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t evictions_ = 0;
+  uint64_t admission_aborts_ = 0;
+  uint64_t dirty_evictions_ = 0;
+  uint64_t refreshes_ = 0;
+};
+
+struct ScriptStep {
+  TimeMicros at = 0;
+  uint64_t key = 0;
+  uint64_t page = 0;
+  bool write = false;
+  TimeMicros cancel_after = 0;  // 0: never cancelled
+};
+
+// Random arrivals over a working set twice the pool's capacity. Some steps
+// share a tenant key (so a key owns several pages), some arrive as a twin
+// missing on the same page at the same instant, and some are cancelled
+// mid-access.
+std::vector<ScriptStep> RandomScript(uint64_t seed, int steps) {
+  Rng rng(seed);
+  std::vector<ScriptStep> script;
+  TimeMicros now = 0;
+  for (int i = 0; i < steps; i++) {
+    ScriptStep step;
+    now += rng.NextBounded(60);
+    step.at = now;
+    step.key = rng.NextBernoulli(0.2) ? 1'000'000 + rng.NextBounded(3)
+                                      : static_cast<uint64_t>(script.size()) + 1;
+    step.page = rng.NextBounded(12);
+    step.write = rng.NextBernoulli(0.3);
+    if (rng.NextBernoulli(0.1)) {
+      step.cancel_after = 1 + rng.NextBounded(150);
+    }
+    script.push_back(step);
+    if (rng.NextBernoulli(0.15)) {
+      ScriptStep twin = step;
+      twin.key = static_cast<uint64_t>(script.size()) + 1;
+      twin.write = !step.write;
+      twin.cancel_after = 0;
+      script.push_back(twin);
+    }
+  }
+  return script;
+}
+
+struct Observed {
+  std::vector<TraceEvent> events;
+  std::vector<uint64_t> victim_owners;  // OnFree keys, in eviction order
+  std::vector<int> codes;               // per step: status code, -1 if unfinished
+  std::vector<bool> hit;
+  std::vector<bool> evicted;
+  std::vector<TimeMicros> stall;
+  std::vector<TimeMicros> done_at;
+  std::vector<uint64_t> owned;  // ResidentOwnedBy(step key) after the run
+  uint64_t hits = 0, misses = 0, evictions = 0, admission_aborts = 0, resident = 0;
+  uint64_t dirty_evictions = 0, refreshes = 0;  // counted by the model only
+};
+
+void CountModelPaths(const ReferencePool& model, Observed& obs) {
+  obs.dirty_evictions = model.dirty_evictions();
+  obs.refreshes = model.refreshes();
+}
+void CountModelPaths(const BufferPool&, Observed&) {}
+
+template <typename Pool>
+Coro ScriptedAccess(Executor& ex, Pool& pool, const ScriptStep& step, CancelToken* token,
+                    Observed& obs, size_t i) {
+  co_await BindExecutor{ex};
+  PageAccess r = co_await pool.Access(step.key, step.page, step.write, token);
+  obs.codes[i] = static_cast<int>(r.status.code());
+  obs.hit[i] = r.hit;
+  obs.evicted[i] = r.evicted;
+  obs.stall[i] = r.stall;
+  obs.done_at[i] = ex.now();
+}
+
+template <typename Pool>
+Observed RunScript(const std::vector<ScriptStep>& script, const BufferPoolOptions& opt) {
+  Executor ex;
+  RecordingController ctl;
+  Pool pool(ex, opt, &ctl, 1);
+  std::deque<CancelToken> tokens;
+  Observed obs;
+  const size_t n = script.size();
+  obs.codes.assign(n, -1);
+  obs.hit.assign(n, false);
+  obs.evicted.assign(n, false);
+  obs.stall.assign(n, 0);
+  obs.done_at.assign(n, 0);
+  for (size_t i = 0; i < n; i++) {
+    const ScriptStep& step = script[i];
+    CancelToken* token = &tokens.emplace_back(ex);
+    ex.CallAt(step.at, [&, token, i] { ScriptedAccess(ex, pool, script[i], token, obs, i); });
+    if (step.cancel_after > 0) {
+      ex.CallAt(step.at + step.cancel_after, [token] { token->Cancel(); });
+    }
+  }
+  ex.Run();
+  obs.events = ctl.events;
+  for (const TraceEvent& e : ctl.events) {
+    if (e.kind == TraceEventKind::kFree) {
+      obs.victim_owners.push_back(e.key);
+    }
+  }
+  for (const ScriptStep& step : script) {
+    obs.owned.push_back(pool.ResidentOwnedBy(step.key));
+  }
+  obs.hits = pool.hits();
+  obs.misses = pool.misses();
+  obs.evictions = pool.evictions();
+  obs.admission_aborts = pool.admission_aborts();
+  obs.resident = pool.resident_pages();
+  CountModelPaths(pool, obs);
+  return obs;
+}
+
+TEST(BufferPoolModelTest, MatchesReferenceLruOnRandomScripts) {
+  for (uint64_t admission_limit : {uint64_t{0}, uint64_t{2}}) {
+    for (uint64_t seed : {1, 2, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << "admission_limit=" << admission_limit
+                                      << " seed=" << seed);
+      BufferPoolOptions opt;
+      opt.capacity_pages = 6;
+      opt.hit_cost = 2;
+      opt.miss_cost = 80;
+      opt.clean_evict_cost = 10;
+      opt.dirty_evict_cost = 250;
+      opt.admission_limit = admission_limit;
+      const std::vector<ScriptStep> script = RandomScript(seed, 400);
+
+      const Observed want = RunScript<ReferencePool>(script, opt);
+      const Observed got = RunScript<BufferPool>(script, opt);
+
+      // The script reaches every path it is meant to.
+      EXPECT_GT(want.hits, 0u);
+      EXPECT_GT(want.evictions, want.dirty_evictions);
+      EXPECT_GT(want.dirty_evictions, 0u);
+      EXPECT_GT(want.refreshes, 0u);
+      if (admission_limit > 0) {
+        EXPECT_GT(want.admission_aborts, 0u);
+      }
+
+      EXPECT_EQ(got.hits, want.hits);
+      EXPECT_EQ(got.misses, want.misses);
+      EXPECT_EQ(got.evictions, want.evictions);
+      EXPECT_EQ(got.admission_aborts, want.admission_aborts);
+      EXPECT_EQ(got.resident, want.resident);
+      EXPECT_EQ(got.victim_owners, want.victim_owners);
+      EXPECT_EQ(got.owned, want.owned);
+      EXPECT_EQ(got.codes, want.codes);
+      EXPECT_EQ(got.hit, want.hit);
+      EXPECT_EQ(got.evicted, want.evicted);
+      EXPECT_EQ(got.stall, want.stall);
+      EXPECT_EQ(got.done_at, want.done_at);
+      ASSERT_EQ(got.events.size(), want.events.size());
+      for (size_t i = 0; i < got.events.size(); i++) {
+        SCOPED_TRACE(testing::Message() << "event " << i);
+        EXPECT_EQ(got.events[i].kind, want.events[i].kind);
+        EXPECT_EQ(got.events[i].key, want.events[i].key);
+        EXPECT_EQ(got.events[i].resource, want.events[i].resource);
+        EXPECT_EQ(got.events[i].a, want.events[i].a);
+      }
+    }
+  }
 }
 
 }  // namespace
