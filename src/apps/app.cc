@@ -119,7 +119,11 @@ void App::FinishTask(const AppRequest& req, const CompletionFn& done, const Stat
       break;
   }
   if (metrics_ != nullptr) {
-    Counter*& by_type = type_counters_[req.type];
+    const size_t type = static_cast<size_t>(req.type);
+    if (type >= type_counters_.size()) {
+      type_counters_.resize(type + 1, nullptr);
+    }
+    Counter*& by_type = type_counters_[type];
     if (by_type == nullptr) {
       by_type = metrics_->GetCounter(std::string(name()) + ".requests." +
                                      std::string(RequestTypeName(req.type)));

@@ -14,7 +14,6 @@
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/atropos/controller.h"
@@ -130,7 +129,7 @@ class App : public ControlSurface {
   MetricsRegistry* metrics_ = nullptr;
   // Counter pointers are stable for the registry's lifetime, so FinishTask
   // resolves each name once and increments through the cache afterwards.
-  std::unordered_map<int, Counter*> type_counters_;
+  std::vector<Counter*> type_counters_;  // indexed by request type
   std::array<Counter*, 4> outcome_counters_{};
   // key -> index into slots_ of the task's LiveTask.
   DenseKeyIndex live_;

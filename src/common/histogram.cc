@@ -30,6 +30,17 @@ uint64_t BucketMidpoint(int index) {
 
 }  // namespace hist_detail
 
+namespace {
+
+// The bucket that holds `min`, clamped as Record clamps. BucketIndex is
+// monotone, so no lower bucket holds a count: Percentile starts its scan here.
+size_t FirstBucket(TimeMicros min) {
+  return std::min<size_t>(static_cast<size_t>(hist_detail::BucketIndex(min)),
+                          hist_detail::kBucketCount - 1);
+}
+
+}  // namespace
+
 LatencyHistogram::LatencyHistogram() : buckets_(hist_detail::kBucketCount, 0) {}
 
 void LatencyHistogram::Record(TimeMicros value) {
@@ -90,7 +101,7 @@ TimeMicros LatencyHistogram::Percentile(double q) const {
     target = count_ - 1;
   }
   uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); i++) {
+  for (size_t i = FirstBucket(min_); i < buckets_.size(); i++) {
     seen += buckets_[i];
     if (seen > target) {
       uint64_t mid = hist_detail::BucketMidpoint(static_cast<int>(i));
@@ -154,7 +165,7 @@ TimeMicros EpochLatencyHistogram::Percentile(double q) const {
     target = count_ - 1;
   }
   uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); i++) {
+  for (size_t i = FirstBucket(min_); i < buckets_.size(); i++) {
     if (bucket_epoch_[i] != epoch_) {
       continue;  // stale bucket: logically zero this window
     }

@@ -83,6 +83,7 @@ class Rng {
       zeta2_ = Zeta(2, theta);
       zetan_ = Zeta(n, theta);
       zipf_alpha_ = 1.0 / (1.0 - theta);
+      zipf_half_pow_theta_ = std::pow(0.5, theta);
       zipf_eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
                   (1.0 - zeta2_ / zetan_);
     }
@@ -91,7 +92,7 @@ class Rng {
     if (uz < 1.0) {
       return 0;
     }
-    if (uz < 1.0 + std::pow(0.5, theta)) {
+    if (uz < 1.0 + zipf_half_pow_theta_) {
       return 1;
     }
     auto rank = static_cast<uint64_t>(static_cast<double>(n) *
@@ -129,6 +130,7 @@ class Rng {
   double zeta2_ = 0.0;
   double zetan_ = 0.0;
   double zipf_alpha_ = 0.0;
+  double zipf_half_pow_theta_ = 0.0;  // pow(0.5, theta)
   double zipf_eta_ = 0.0;
 };
 

@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <cassert>
+#include <utility>
 
 namespace atropos {
 
@@ -51,9 +52,9 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
 SeriesRecorder::SeriesRecorder(std::vector<std::string> columns)
     : columns_(std::move(columns)) {}
 
-void SeriesRecorder::Sample(TimeMicros t, const std::vector<double>& values) {
+void SeriesRecorder::Sample(TimeMicros t, std::vector<double> values) {
   assert(values.size() == columns_.size());
-  rows_.push_back(Row{t, values});
+  rows_.push_back(Row{t, std::move(values)});
 }
 
 }  // namespace atropos

@@ -97,8 +97,10 @@ class SeriesRecorder {
 
   const std::vector<std::string>& columns() const { return columns_; }
 
-  // Appends one row; `values` must match columns().size().
-  void Sample(TimeMicros t, const std::vector<double>& values);
+  // Appends one row; `values` must match columns().size(). Taken by value
+  // and moved into the row, so a braced list at the call site is the row's
+  // only allocation.
+  void Sample(TimeMicros t, std::vector<double> values);
 
   struct Row {
     TimeMicros time = 0;

@@ -89,6 +89,9 @@ class AuditController final : public OverloadController {
     info.id = id;
     info.name = name;
     info.cls = cls;
+    if (id >= resources_.size()) {
+      resources_.resize(id + 1);
+    }
     resources_[id] = std::move(info);
     return id;
   }
@@ -102,7 +105,7 @@ class AuditController final : public OverloadController {
           epochs_[idx].replaced = true;
         }
         idx = static_cast<uint32_t>(epochs_.size());
-        const bool was_cancelled = ever_cancelled_.erase(ev.key) != 0;
+        const bool was_cancelled = !ever_cancelled_.empty() && ever_cancelled_.erase(ev.key) != 0;
         Epoch epoch;
         epoch.key = ev.key;
         epoch.background = ev.background;
@@ -117,9 +120,9 @@ class AuditController final : public OverloadController {
         break;
       }
       case TraceEventKind::kGet: {
-        auto res = resources_.find(ev.resource);
-        if (res != resources_.end() && live_.Find(ev.key) != DenseKeyIndex::kNotFound) {
-          res->second.acquired += ev.a;
+        if (ResourceInfo* res = Resource(ev.resource);
+            res != nullptr && live_.Find(ev.key) != DenseKeyIndex::kNotFound) {
+          res->acquired += ev.a;
         }
         break;
       }
@@ -131,9 +134,9 @@ class AuditController final : public OverloadController {
             return;
           }
         }
-        auto res = resources_.find(ev.resource);
-        if (res != resources_.end() && live_.Find(ev.key) != DenseKeyIndex::kNotFound) {
-          res->second.released += ev.a;
+        if (ResourceInfo* res = Resource(ev.resource);
+            res != nullptr && live_.Find(ev.key) != DenseKeyIndex::kNotFound) {
+          res->released += ev.a;
         }
         break;
       }
@@ -173,7 +176,9 @@ class AuditController final : public OverloadController {
   // ---- Oracle access ------------------------------------------------------
   const std::vector<Epoch>& epochs() const { return epochs_; }
   const std::vector<CancelRecord>& cancels() const { return cancels_; }
-  const std::unordered_map<ResourceId, ResourceInfo>& resources() const { return resources_; }
+  // Indexed by ResourceId; a slot whose `id` is kInvalidResourceId was never
+  // registered (slot 0 always).
+  const std::vector<ResourceInfo>& resources() const { return resources_; }
   size_t live_epoch_count() const { return live_.size(); }
   // Shadow of the runtime's cancelled-key memo; the bounded-memo oracle
   // checks it agrees with the runtime's count.
@@ -181,6 +186,13 @@ class AuditController final : public OverloadController {
   uint64_t dropped_frees() const { return dropped_frees_; }
 
  private:
+  ResourceInfo* Resource(ResourceId id) {
+    if (id >= resources_.size() || resources_[id].id == kInvalidResourceId) {
+      return nullptr;
+    }
+    return &resources_[id];
+  }
+
   AtroposRuntime& runtime_;
   std::vector<Epoch> epochs_;
   DenseKeyIndex live_;  // key -> index into epochs_ of its unfreed epoch
@@ -188,7 +200,7 @@ class AuditController final : public OverloadController {
   std::unordered_map<uint64_t, uint64_t> ever_cancelled_;
   // key -> request type; filled only while a drop is injected.
   std::unordered_map<uint64_t, int> key_types_;
-  std::unordered_map<ResourceId, ResourceInfo> resources_;
+  std::vector<ResourceInfo> resources_;  // indexed by ResourceId
   std::vector<CancelRecord> cancels_;
   int drop_free_type_ = -1;
   uint64_t dropped_frees_ = 0;

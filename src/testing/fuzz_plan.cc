@@ -206,8 +206,22 @@ FuzzPlan PlanFromSeed(uint64_t seed, const FuzzPlanOptions& options) {
     shot.non_cancellable = true;
     plan.requests.push_back(shot);
   }
-  std::stable_sort(plan.requests.begin(), plan.requests.end(),
-                   [](const FuzzRequest& a, const FuzzRequest& b) { return a.at < b.at; });
+  // Each stream above is generated in time order except the storm's bursts,
+  // so the schedule is a concatenation of sorted runs: one per stream, one per
+  // stretch of the storm between descents, and the shot. Fold each run into
+  // the sorted prefix with a stable merge, which sends ties to the earlier
+  // run: the result is the stable sort of the whole schedule, without
+  // re-sorting what is already sorted. The shot pick above indexes the
+  // unmerged concatenation.
+  const auto first = plan.requests.begin();
+  const auto last = plan.requests.end();
+  auto by_time = [](const FuzzRequest& a, const FuzzRequest& b) { return a.at < b.at; };
+  auto sorted_end = std::is_sorted_until(first, last, by_time);
+  while (sorted_end != last) {
+    const auto run_end = std::is_sorted_until(sorted_end, last, by_time);
+    std::inplace_merge(first, sorted_end, run_end, by_time);
+    sorted_end = run_end;
+  }
 
   // ---- Fault injections.
   if (rng.NextBernoulli(0.5)) {

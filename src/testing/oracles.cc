@@ -71,9 +71,12 @@ void AccountingStrict(const OracleContext& ctx, std::vector<OracleViolation>* ou
 // the forwarded stream.
 void LedgerMatch(const OracleContext& ctx, std::vector<OracleViolation>* out) {
   auto rows = ctx.runtime->AuditAccounting();
-  for (const auto& [id, info] : ctx.audit->resources()) {
+  for (const AuditController::ResourceInfo& info : ctx.audit->resources()) {
+    if (info.id == kInvalidResourceId) {
+      continue;
+    }
     auto it = std::find_if(rows.begin(), rows.end(),
-                           [&](const AtroposRuntime::ResourceAudit& r) { return r.id == id; });
+                           [&](const AtroposRuntime::ResourceAudit& r) { return r.id == info.id; });
     if (it == rows.end()) {
       Add(out, "ledger_match", Fmt("%s: registered but missing from runtime audit",
                                    info.name.c_str()));

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/common/rng.h"
 
 namespace atropos {
@@ -83,6 +87,118 @@ TEST(LatencyHistogramTest, ResetClearsEverything) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0u);
   EXPECT_EQ(h.P99(), 0u);
+}
+
+// Percentile by the full scan from bucket 0 that Percentile's min-bucket
+// start replaced, over the values a histogram holds.
+TimeMicros FullScanPercentile(const std::vector<uint64_t>& values, double q) {
+  if (values.empty()) {
+    return 0;
+  }
+  const uint64_t lo = *std::min_element(values.begin(), values.end());
+  const uint64_t hi = *std::max_element(values.begin(), values.end());
+  if (q <= 0.0) {
+    return lo;
+  }
+  if (q >= 1.0) {
+    return hi;
+  }
+  std::vector<uint64_t> buckets(hist_detail::kBucketCount, 0);
+  for (uint64_t v : values) {
+    buckets[std::min<size_t>(static_cast<size_t>(hist_detail::BucketIndex(v)),
+                             buckets.size() - 1)]++;
+  }
+  const uint64_t count = values.size();
+  uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count));
+  target = std::min(target, count - 1);
+  uint64_t seen = 0;
+  for (size_t i = 0; i < buckets.size(); i++) {
+    seen += buckets[i];
+    if (seen > target) {
+      return std::clamp<uint64_t>(hist_detail::BucketMidpoint(static_cast<int>(i)), lo, hi);
+    }
+  }
+  return hi;
+}
+
+// Values from each magnitude class, so the minimum's bucket ranges from 0
+// (the exact small-value buckets) to far above 2^40.
+uint64_t DrawValue(Rng& rng, int shape) {
+  switch (shape) {
+    case 0:
+      return rng.NextBounded(64);
+    case 1:
+      return (1ull << 40) + rng.NextBounded(1ull << 50);
+    default:
+      switch (rng.NextBounded(4)) {
+        case 0:
+          return 0;
+        case 1:
+          return rng.NextBounded(64);
+        case 2:
+          return (1ull << 40) + rng.NextBounded(1ull << 50);
+        default:
+          return 64 + rng.NextBounded(1'000'000);
+      }
+  }
+}
+
+constexpr double kQuantiles[] = {0.0, 1e-6, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 0.999999, 1.0};
+
+template <typename Histogram>
+void ExpectMatchesFullScan(const Histogram& h, const std::vector<uint64_t>& values,
+                           const std::string& where) {
+  ASSERT_EQ(h.count(), values.size()) << where;
+  for (double q : kQuantiles) {
+    EXPECT_EQ(h.Percentile(q), FullScanPercentile(values, q)) << where << " q=" << q;
+  }
+}
+
+TEST(LatencyHistogramTest, PercentileMatchesFullScan) {
+  Rng rng(24);
+  for (int shape = 0; shape < 3; shape++) {
+    LatencyHistogram h;
+    for (int epoch = 0; epoch < 4; epoch++) {
+      LatencyHistogram other;
+      std::vector<uint64_t> values;
+      const int n = 1 + static_cast<int>(rng.NextBounded(2000));
+      for (int i = 0; i < n; i++) {
+        const uint64_t v = DrawValue(rng, shape);
+        values.push_back(v);
+        h.Record(v);
+      }
+      const std::string where = "shape " + std::to_string(shape) + " epoch " +
+                                std::to_string(epoch);
+      ExpectMatchesFullScan(h, values, where);
+      // Merge in values of another shape: the merged minimum may move down.
+      for (int i = 0; i < n; i++) {
+        const uint64_t v = DrawValue(rng, (shape + 1) % 3);
+        values.push_back(v);
+        other.Record(v);
+      }
+      h.Merge(other);
+      ExpectMatchesFullScan(h, values, where + " after Merge");
+      h.Reset();
+    }
+  }
+}
+
+TEST(EpochLatencyHistogramTest, PercentileMatchesFullScan) {
+  Rng rng(25);
+  EpochLatencyHistogram h;
+  // Shapes rotate across epochs, so a later window's minimum sits below,
+  // above and level with the stale counts an earlier window left behind.
+  for (int epoch = 0; epoch < 9; epoch++) {
+    std::vector<uint64_t> values;
+    const int n = 1 + static_cast<int>(rng.NextBounded(2000));
+    for (int i = 0; i < n; i++) {
+      const uint64_t v = DrawValue(rng, epoch % 3);
+      values.push_back(v);
+      h.Record(v);
+    }
+    ExpectMatchesFullScan(h, values, "epoch " + std::to_string(epoch));
+    h.Reset();
+  }
 }
 
 }  // namespace

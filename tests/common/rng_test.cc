@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace atropos {
 namespace {
 
@@ -72,6 +74,33 @@ TEST(RngTest, ZipfSkewsTowardLowRanks) {
   }
   // Rank 0 should be far more popular than rank 500.
   EXPECT_GT(counts[0], counts[500] * 10);
+}
+
+// FNV-1a over `draws` Zipf ranks of (n, theta) from `rng`.
+uint64_t ZipfFingerprint(Rng& rng, uint64_t n, double theta, int draws) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (int i = 0; i < draws; i++) {
+    h = (h ^ rng.NextZipf(n, theta)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// NextZipf caches its per-(n, theta) constants. The expected values were
+// printed by the version that recomputed pow(0.5, theta) on every draw. The
+// later phases change n, then theta, on the same generator, so a constant
+// that is not refreshed with its key shows (a stale pow(0.5, theta) moves
+// draws only once theta rises, as in the last phase).
+TEST(RngTest, ZipfDrawsMatchParent) {
+  Rng rng(2024);
+  std::vector<uint64_t> first;
+  for (int i = 0; i < 8; i++) {
+    first.push_back(rng.NextZipf(256, 0.9));
+  }
+  EXPECT_EQ(first, (std::vector<uint64_t>{0, 85, 0, 1, 81, 2, 8, 3}));
+  EXPECT_EQ(ZipfFingerprint(rng, 256, 0.9, 1000), 3774570548529240266ull);
+  EXPECT_EQ(ZipfFingerprint(rng, 4096, 0.9, 1000), 18397632970705209312ull);
+  EXPECT_EQ(ZipfFingerprint(rng, 256, 0.3, 1000), 9263813749328730659ull);
+  EXPECT_EQ(ZipfFingerprint(rng, 256, 0.99, 1000), 8320267301304965529ull);
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {

@@ -108,5 +108,63 @@ TEST(FuzzerTest, RestrictPlanComposesKeptIndices) {
   EXPECT_EQ(twice.requests[1].at, plan.requests[5].at);
 }
 
+// FNV-1a over every field of the schedule and the kept mask.
+uint64_t ScheduleFingerprint(const FuzzPlan& plan) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; i++) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(plan.requests.size());
+  for (const FuzzRequest& req : plan.requests) {
+    mix(req.at);
+    mix(static_cast<uint64_t>(req.type));
+    mix(req.arg);
+    mix(static_cast<uint64_t>(req.client_class));
+    mix(req.background ? 1 : 0);
+    mix(req.non_cancellable ? 1 : 0);
+  }
+  mix(plan.kept.size());
+  for (size_t idx : plan.kept) {
+    mix(idx);
+  }
+  return h;
+}
+
+// PlanFromSeed merges its sorted runs instead of sorting the whole schedule.
+// The expected values were printed by the whole-schedule std::stable_sort it
+// replaced, so any change to the merged order (ties, the storm's unsorted
+// bursts, the shot pick) shows here. One fingerprint per mode and load
+// scale, folding seeds 1-40.
+TEST(FuzzPlanTest, SchedulesMatchParentFingerprints) {
+  constexpr double kScales[] = {0.5, 1.0, 1.3};
+  constexpr uint64_t kExpected[kNumFuzzAppModesExtended][3] = {
+      {0x3212df0bc3ff7458ull, 0xb379a87907ddbb93ull, 0x6deb280ca5950bbaull},  // kv_lock
+      {0x52fcc4e4a2fe25a4ull, 0x1b068063b93311deull, 0xcbfd3a4ad1167c45ull},  // db_table_locks
+      {0x1efe015b97d89a68ull, 0x1435fd2a08b6ed66ull, 0x8e17f16d283e8935ull},  // db_tickets
+      {0xd1ebc711c645032full, 0xd398f33b67912732ull, 0x544b7061a86fb90dull},  // db_buffer_pool
+      {0x145b3413b7d336dfull, 0x597ff0f5fe060036ull, 0x0075c85de45f4c13ull},  // db_io
+      {0x7a76c92b8ab8e8dcull, 0xf23f93d412d4d076ull, 0x467d43a72aff4c28ull},  // storm
+      {0x1a518a3717b01cdaull, 0x2e3868b0179b6311ull, 0xfd452dc20ba91e00ull},  // tenant_noisy
+  };
+  for (int mode = 0; mode < kNumFuzzAppModesExtended; mode++) {
+    for (size_t s = 0; s < 3; s++) {
+      FuzzPlanOptions options;
+      options.extended_modes = true;
+      options.force_mode = mode;
+      options.load_scale = kScales[s];
+      uint64_t h = 0xcbf29ce484222325ull;
+      for (uint64_t seed = 1; seed <= 40; seed++) {
+        h = h * 0x100000001b3ull ^ ScheduleFingerprint(PlanFromSeed(seed, options));
+      }
+      EXPECT_EQ(h, kExpected[mode][s])
+          << FuzzAppModeName(static_cast<FuzzAppMode>(mode)) << " load_scale=" << kScales[s]
+          << ": 0x" << std::hex << h;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace atropos
