@@ -3,9 +3,9 @@
 # corpora), the corpus_smoke stage (mine 5 scenarios from a fixed seed,
 # replay them, diagnoser agreement oracle), then the static-analysis stage
 # (atropos_lint always; clang-tidy and clang's thread-safety analysis when
-# clang is installed), then the sim/apps/obs/workload/atropos/concurrent/
-# baselines/instrument/db tests, a fuzz corpus, and a corpus-replay slice under
-# ASan/UBSan, then the concurrent intake
+# clang is installed), then the common/sim/apps/obs/workload/atropos/
+# concurrent/baselines/instrument/db/testing tests, a fuzz corpus, and a
+# corpus-replay slice under ASan/UBSan, then the concurrent intake
 # tests, the live-mode tests (incl. live_smoke), the abortable-sync storms
 # (sync_test — the CQS oracle gate), and the mt_ingest smoke under TSan, and
 # last the perf trajectory: its single-shot readings can fail on machine noise
@@ -113,11 +113,14 @@ run_lint
 
 echo "== configure + build with ASan/UBSan (build-asan/) =="
 cmake -B build-asan -S . -DATROPOS_SANITIZE=ON >/dev/null
-cmake --build build-asan -j "$JOBS" --target sim_test apps_test obs_test workload_test \
-  atropos_test concurrent_test sync_test baselines_test instrument_test db_test fuzz_atropos \
-  atropos_mine
+cmake --build build-asan -j "$JOBS" --target common_test sim_test apps_test obs_test \
+  workload_test atropos_test concurrent_test sync_test baselines_test instrument_test db_test \
+  testing_test fuzz_atropos atropos_mine
 
-echo "== sim + apps + obs + workload + atropos + concurrent + sync + baselines + instrument + db tests under ASan/UBSan =="
+echo "== common + sim + apps + obs + workload + atropos + concurrent + sync + baselines + instrument + db + testing tests under ASan/UBSan =="
+# common_test and testing_test are the only suites over the histogram, Rng
+# and fuzz-plan code.
+./build-asan/tests/common_test
 ./build-asan/tests/sim_test
 ./build-asan/tests/apps_test
 ./build-asan/tests/obs_test
@@ -130,6 +133,7 @@ echo "== sim + apps + obs + workload + atropos + concurrent + sync + baselines +
 ./build-asan/tests/baselines_test
 ./build-asan/tests/instrument_test
 ./build-asan/tests/db_test
+./build-asan/tests/testing_test
 
 echo "== fuzz corpus under ASan/UBSan =="
 ./build-asan/tools/fuzz_atropos --seed=1 --runs=10 --replay-check

@@ -58,6 +58,9 @@ const Estimator::Output& Estimator::Estimate(const TaskLedger& ledger, TimeMicro
   }
 
   // ---- Contention levels (§3.4 formulas, §3.5 normalization).
+  if (calibrating_ && baseline_contention_.size() < resource_count) {
+    baseline_contention_.resize(resource_count);
+  }
   double t_exec = static_cast<double>(std::max<TimeMicros>(exec_time, 1));
   for (size_t r = 0; r < resource_count; r++) {
     const ResourceRecord& res = ledger.resource_at(r);
@@ -93,7 +96,7 @@ const Estimator::Output& Estimator::Estimate(const TaskLedger& ledger, TimeMicro
         static_cast<double>(m.delay) / (t_exec + static_cast<double>(m.delay));
     if (calibrating_) {
       // Record the healthy level; nothing is overloaded while calibrating.
-      Baseline& baseline = baseline_contention_[m.id];
+      Baseline& baseline = baseline_contention_[m.id - 1];
       baseline.sum += m.contention_norm;
       baseline.windows++;
     } else {

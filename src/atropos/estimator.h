@@ -14,7 +14,6 @@
 #ifndef SRC_ATROPOS_ESTIMATOR_H_
 #define SRC_ATROPOS_ESTIMATOR_H_
 
-#include <map>
 #include <vector>
 
 #include "src/atropos/accounting.h"
@@ -32,12 +31,17 @@ class Estimator {
   // per-resource contention levels are recorded as the healthy baseline and
   // no resource is flagged overloaded.
   void SetCalibrating(bool calibrating) { calibrating_ = calibrating; }
+  // Mean calibrated contention of resource `id`; 0 for a resource that saw
+  // no calibration window.
   double BaselineContention(ResourceId id) const {
-    auto it = baseline_contention_.find(id);
-    if (it == baseline_contention_.end() || it->second.windows == 0) {
+    if (id == 0 || id > baseline_contention_.size()) {
       return 0.0;
     }
-    return it->second.sum / static_cast<double>(it->second.windows);
+    const Baseline& baseline = baseline_contention_[id - 1];
+    if (baseline.windows == 0) {
+      return 0.0;
+    }
+    return baseline.sum / static_cast<double>(baseline.windows);
   }
 
   struct Output {
@@ -84,7 +88,7 @@ class Estimator {
     double sum = 0.0;
     uint64_t windows = 0;
   };
-  std::map<ResourceId, Baseline> baseline_contention_;
+  std::vector<Baseline> baseline_contention_;  // indexed by resource slot (id - 1)
   std::vector<Delta> deltas_;  // indexed by resource slot (id - 1)
   TimeMicros now_ = 0;         // the last Estimate()'s `now`
   Output out_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,11 +26,13 @@ void ExpectMatches(const DenseKeyIndex& index,
   }
 }
 
-// `n` distinct keys whose probe starts at `home` in a table of `capacity`.
+// `n` distinct keys whose probe starts at `home` in a table of `capacity`,
+// as the table itself places them.
 std::vector<uint64_t> KeysHomedAt(size_t home, size_t capacity, size_t n, uint64_t first = 0) {
+  const DenseKeyIndex table(capacity);
   std::vector<uint64_t> keys;
   for (uint64_t k = first; keys.size() < n; k++) {
-    if ((DenseKeyIndex::Hash(k) & (capacity - 1)) == home) {
+    if (table.Home(k) == home) {
       keys.push_back(k);
     }
   }
@@ -145,6 +148,116 @@ TEST(DenseKeyIndexTest, BackwardShiftAcrossTheWrapAround) {
     }
     EXPECT_EQ(index.size(), 0u);
   }
+}
+
+// A stream of requests whose keys are issued by one producer: request `seq`
+// has key `key_of(seq)`, and at most `in_flight` requests are live at once.
+struct KeyStream {
+  std::function<uint64_t(uint64_t)> key_of;
+  uint64_t in_flight;
+};
+
+// Slides every stream's window of live keys through one index, `rounds`
+// times a burst of `burst` requests per stream in turn: each request admits
+// its key (FindOrInsert of an absent key) and retires the stream's oldest
+// (FindOrInsert and Find of the live key, then Erase); the streams drain at
+// the end. After every operation the index and std::unordered_map agree on
+// the operated key and on every live key. Returns how often the table grew.
+size_t SlideWindows(const std::vector<KeyStream>& streams, uint64_t rounds, uint64_t burst) {
+  DenseKeyIndex index;
+  std::unordered_map<uint64_t, uint32_t> ref;
+  size_t grows = 0;
+  size_t capacity = index.capacity();
+  uint32_t next_slot = 0;
+  auto check = [&](uint64_t key) {
+    ASSERT_EQ(index.size(), ref.size());
+    auto it = ref.find(key);
+    ASSERT_EQ(index.Find(key), it == ref.end() ? kNotFound : it->second) << "key " << key;
+    for (const auto& [live, slot] : ref) {
+      ASSERT_EQ(index.Find(live), slot) << "live key " << live;
+    }
+    if (index.capacity() != capacity) {
+      grows++;
+      capacity = index.capacity();
+    }
+  };
+  auto admit = [&](uint64_t key) {
+    uint32_t& cell = index.FindOrInsert(key);
+    ASSERT_EQ(cell, kNotFound) << "key " << key;
+    cell = next_slot;
+    ref[key] = next_slot++;
+    check(key);
+  };
+  auto retire = [&](uint64_t key) {
+    const uint32_t slot = ref.at(key);
+    ASSERT_EQ(index.FindOrInsert(key), slot) << "key " << key;
+    check(key);
+    ASSERT_EQ(index.Erase(key), slot) << "key " << key;
+    ref.erase(key);
+    check(key);
+    ASSERT_EQ(index.Erase(key), kNotFound) << "key " << key;
+  };
+  std::vector<uint64_t> next(streams.size(), 0);
+  for (uint64_t round = 0; round < rounds; round++) {
+    for (size_t s = 0; s < streams.size(); s++) {
+      for (uint64_t b = 0; b < burst; b++) {
+        const uint64_t seq = next[s]++;
+        admit(streams[s].key_of(seq));
+        if (seq >= streams[s].in_flight) {
+          retire(streams[s].key_of(seq - streams[s].in_flight));
+        }
+        if (testing::Test::HasFatalFailure()) {
+          return grows;
+        }
+      }
+    }
+  }
+  for (size_t s = 0; s < streams.size(); s++) {
+    const uint64_t first = next[s] > streams[s].in_flight ? next[s] - streams[s].in_flight : 0;
+    for (uint64_t seq = first; seq < next[s]; seq++) {
+      retire(streams[s].key_of(seq));
+      if (testing::Test::HasFatalFailure()) {
+        return grows;
+      }
+    }
+  }
+  EXPECT_EQ(index.size(), 0u);
+  return grows;
+}
+
+// The key layouts the registries are fed, slid through the index across
+// several growths. Fibonacci homes put structured streams into shared cells
+// (the ingest streams below share a home for about a third of their live
+// keys at 512 cells), which stresses backward-shift deletion differently
+// from random keys.
+TEST(DenseKeyIndexTest, IssuedKeyLayoutsMatchUnorderedMap) {
+  // perfbench ingest: three producers, key ((p + 1) << 40) | request, 100
+  // requests in flight per producer.
+  std::vector<KeyStream> ingest;
+  for (uint64_t p = 0; p < 3; p++) {
+    ingest.push_back({[p](uint64_t r) { return ((p + 1) << 40) | r; }, 100});
+  }
+  EXPECT_GE(SlideWindows(ingest, 100, 8), 2u);
+
+  // Plain sequential ids (task ids, simulated request keys).
+  EXPECT_GE(SlideWindows({{[](uint64_t r) { return r + 1; }, 300}}, 120, 8), 2u);
+
+  // Ids tagged in the high word, as live request keys carry their type:
+  // ((type + 1) << 48) | seq.
+  std::vector<KeyStream> tagged;
+  for (uint64_t type = 0; type < 4; type++) {
+    tagged.push_back({[type](uint64_t r) { return ((type + 1) << 48) | r; }, 80});
+  }
+  EXPECT_GE(SlideWindows(tagged, 100, 4), 2u);
+
+  // Degenerate: keys that differ only in their top 4 bits (12 of the 16
+  // live at once, so they recur), riding on a sequential stream that grows
+  // the table under them.
+  const std::vector<KeyStream> degenerate = {
+      {[](uint64_t r) { return ((r % 16) << 60) | 0x0123456789abcdefull; }, 12},
+      {[](uint64_t r) { return r; }, 300},
+  };
+  EXPECT_GE(SlideWindows(degenerate, 120, 6), 2u);
 }
 
 // FindOrInsert on a present key returns its cell, and writing the cell
