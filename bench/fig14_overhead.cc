@@ -7,7 +7,8 @@
 // loops call OnEvent on the concrete AtroposRuntime, which folds each event
 // to its ledger or window call; a named hook would add an indirect call.
 // Part 1b (--json) adds the drainer's cost per event: ConcurrentFrontend::Tick
-// over the `ingest` benchmark's request pattern.
+// over the `ingest` benchmark's request pattern; and the C API's cost per
+// call into an installed ConcurrentFrontend.
 //
 // The paper's end-to-end overhead (normalized throughput and p99 with tracing
 // on vs off) needs wall-clock runs of a live app; this bench measures only the
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/atropos/capi.h"
 #include "src/atropos/concurrent_frontend.h"
 #include "src/atropos/runtime.h"
 #include "src/common/json_writer.h"
@@ -134,6 +136,7 @@ struct MicroCosts {
   double tick_100_tasks_us = 0;
   double tick_100_waiting_us = 0;
   double drain_apply_ns_per_event = 0;
+  double capi_get_frontend_ns = 0;
 };
 
 double TimeLoopNs(uint64_t iters, const std::function<void()>& body) {
@@ -232,6 +235,50 @@ double MeasureDrainApplyNsPerEvent() {
   return ns / static_cast<double>(events);
 }
 
+// The C API's producer path: getResource under a CancellableScope into an
+// installed ConcurrentFrontend, i.e. the current-task read, the thread's
+// binding check, the clock read and the ring push. Each timed batch fits in
+// the ring, and an untimed Tick drains it before the next, so no push drops.
+double MeasureCApiGetFrontendNs() {
+  constexpr uint64_t kBatch = 4096;
+  constexpr int kBatches = 250;
+  SteadyClock clock;
+  AtroposConfig config;
+  config.baseline_p99 = Millis(100);  // keep the detector quiet
+  ConcurrentFrontend frontend(&clock, config);
+  InstallGlobalFrontend(&frontend);
+  Cancellable* c = createCancel(1);
+  double best = 0;
+  {
+    CancellableScope scope(c);
+    // Best-of-3 after one untimed pass, as TimeLoopNs does.
+    for (int rep = -1; rep < 3; rep++) {
+      double ns = 0;
+      for (int batch = 0; batch < kBatches; batch++) {
+        const auto start = std::chrono::steady_clock::now();
+        for (uint64_t i = 0; i < kBatch; i++) {
+          getResource(1, CApiResourceType::LOCK);
+        }
+        const auto end = std::chrono::steady_clock::now();
+        ns += std::chrono::duration<double, std::nano>(end - start).count();
+        frontend.Tick();
+      }
+      ns /= static_cast<double>(kBatch * kBatches);
+      if (rep == 0 || (rep > 0 && ns < best)) {
+        best = ns;
+      }
+    }
+  }
+  freeCancel(c);
+  frontend.Tick();
+  if (frontend.intake_stats().dropped_total != 0) {
+    std::fprintf(stderr, "capi_get_frontend_ns: %llu events dropped\n",
+                 static_cast<unsigned long long>(frontend.intake_stats().dropped_total));
+  }
+  InstallGlobalFrontend(nullptr);
+  return best;
+}
+
 MicroCosts MeasureMicroCosts() {
   constexpr uint64_t kHookIters = 2'000'000;
   constexpr uint64_t kTickIters = 2'000;
@@ -289,6 +336,7 @@ MicroCosts MeasureMicroCosts() {
     costs.tick_100_waiting_us = TimeLoopNs(kTickIters, tick) / 1000.0;
   }
   costs.drain_apply_ns_per_event = MeasureDrainApplyNsPerEvent();
+  costs.capi_get_frontend_ns = MeasureCApiGetFrontendNs();
   return costs;
 }
 
@@ -336,10 +384,11 @@ int main(int argc, char** argv) {
     std::printf(
         "  on_get sampled %.1f ns | on_get per-event %.1f ns | wait pair %.1f ns\n"
         "  on_request_end %.1f ns | tick(100 tasks) %.2f us | tick(100 waiting) %.2f us\n"
-        "  drain + apply (ingest pattern, 3 producers) %.1f ns/event\n",
+        "  drain + apply (ingest pattern, 3 producers) %.1f ns/event\n"
+        "  capi getResource into a frontend %.1f ns\n",
         costs.on_get_sampled_ns, costs.on_get_per_event_ns, costs.wait_pair_per_event_ns,
         costs.on_request_end_ns, costs.tick_100_tasks_us, costs.tick_100_waiting_us,
-        costs.drain_apply_ns_per_event);
+        costs.drain_apply_ns_per_event, costs.capi_get_frontend_ns);
     atropos::JsonWriter json;
     json.BeginObject();
     json.Field("bench", "fig14_overhead");
@@ -350,6 +399,7 @@ int main(int argc, char** argv) {
     json.Field("tick_100_tasks_us", costs.tick_100_tasks_us);
     json.Field("tick_100_waiting_us", costs.tick_100_waiting_us);
     json.Field("drain_apply_ns_per_event", costs.drain_apply_ns_per_event);
+    json.Field("capi_get_frontend_ns", costs.capi_get_frontend_ns);
     // Headline per-event cost: the sampled-mode OnGet every request pays in
     // normal operation (the ROADMAP ~10ns/event target).
     json.Field("ns_per_event", costs.on_get_sampled_ns);

@@ -9,14 +9,17 @@
 //   getResource / freeResource /
 //   slowByResource                 — trace application resource usage
 //
-// Atropos detects the overload, identifies the lock holder as the culprit,
-// and invokes the initiator — which in this toy app sets a kill flag the
-// query observes at its next checkpoint (the §2.4 pattern).
+// The facade feeds a ConcurrentFrontend, the same intake a multithreaded
+// server uses; here the simulated control loop drains it with Tick(). Atropos
+// detects the overload, identifies the lock holder as the culprit, and
+// invokes the initiator — which in this toy app sets a kill flag the query
+// observes at its next checkpoint (the §2.4 pattern).
 
 #include <cstdio>
 #include <unordered_map>
 
 #include "src/atropos/atropos.h"
+#include "src/atropos/concurrent_frontend.h"
 #include "src/sim/coro.h"
 #include "src/sim/sync.h"
 
@@ -48,13 +51,13 @@ ToyDb* g_db = nullptr;
 void SqlKill(uint64_t key) { g_db->Kill(key); }
 
 // A short point query: lock, do 1 ms of work, unlock.
-Coro PointQuery(ToyDb& db, uint64_t key) {
+Coro PointQuery(ToyDb& db, ConcurrentFrontend& atropos, uint64_t key) {
   co_await BindExecutor{db.executor};
   CancelToken token(db.executor);
   db.kill_flags[key] = &token;
   Cancellable* c = createCancel(key);  // register the cancellable task
   CancellableScope scope(c);
-  GlobalRuntime()->OnRequestStart(key, 0, 0);
+  atropos.OnRequestStart(key, 0, 0);
 
   TimeMicros wait_start = db.executor.now();
   bool contended = db.table_lock.held();
@@ -75,7 +78,7 @@ Coro PointQuery(ToyDb& db, uint64_t key) {
     freeResource(1, CApiResourceType::LOCK);
     db.table_lock.Release();
   }
-  GlobalRuntime()->OnRequestEnd(key, db.executor.now() - wait_start, 0, 0);
+  atropos.OnRequestEnd(key, db.executor.now() - wait_start, 0, 0);
   db.kill_flags.erase(key);
   freeCancel(c);
 }
@@ -112,19 +115,20 @@ Coro HeavyQuery(ToyDb& db, uint64_t key) {
   freeCancel(c);
 }
 
-Coro ClientLoad(ToyDb& db) {
+Coro ClientLoad(ToyDb& db, ConcurrentFrontend& atropos) {
   co_await BindExecutor{db.executor};
   for (uint64_t key = 1; key <= 4000; key++) {
     co_await Delay{db.executor, Millis(1)};
-    PointQuery(db, key);
+    PointQuery(db, atropos, key);
   }
 }
 
-Coro ControlLoop(ToyDb& db, AtroposRuntime& runtime, bool* stop) {
+// Drains the traced events into the runtime and runs its control loop.
+Coro ControlLoop(ToyDb& db, ConcurrentFrontend& atropos, bool* stop) {
   co_await BindExecutor{db.executor};
   while (!*stop) {
     co_await Delay{db.executor, Millis(50)};
-    runtime.Tick();
+    atropos.Tick();
   }
 }
 
@@ -137,29 +141,29 @@ int main() {
 
   AtroposConfig config;
   config.window = Millis(50);
-  AtroposRuntime runtime(executor.clock(), config);
-  InstallGlobalRuntime(&runtime);
+  ConcurrentFrontend atropos(executor.clock(), config);
+  InstallGlobalFrontend(&atropos);
   setCancelAction(&SqlKill);  // Fig 7: register the initiator once, at startup
 
   std::printf("quickstart: 1000 qps of 0.2ms point queries; a heavy query grabs the table lock\n");
   std::printf("at t=2s and would hold it for 200 ms of work per 100k rows...\n\n");
 
   bool stop = false;
-  ClientLoad(db);
-  ControlLoop(db, runtime, &stop);
+  ClientLoad(db, atropos);
+  ControlLoop(db, atropos, &stop);
   executor.CallAt(Seconds(2), [&] { HeavyQuery(db, 777); });
 
   executor.Run(Seconds(4));
   stop = true;
   executor.Run();
 
-  const AtroposStats& stats = runtime.stats();
+  const AtroposStats& stats = atropos.runtime().stats();
   std::printf("\natropos: %llu windows, %llu suspected-overload, %llu cancellations\n",
               static_cast<unsigned long long>(stats.windows),
               static_cast<unsigned long long>(stats.suspected_overload_windows),
               static_cast<unsigned long long>(stats.cancels_issued));
   std::printf("(the culprit was cancelled through the app's own initiator; the\n"
               " victims blocked behind it were never dropped)\n");
-  InstallGlobalRuntime(nullptr);
+  InstallGlobalFrontend(nullptr);
   return 0;
 }

@@ -50,6 +50,9 @@ TRACKED = {
         "on_request_end_ns": "lower",
         "tick_100_tasks_us": "lower",
         "tick_100_waiting_us": "lower",
+        # getResource into an installed ConcurrentFrontend: the C API's
+        # producer path (current task, thread binding, clock read, ring push).
+        "capi_get_frontend_ns": "lower",
     },
     "BENCH_mt_ingest.json": {
         "lossfree_ns_per_event_1p": "lower",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <utility>
 #include <vector>
 
 #include "src/atropos/concurrent_frontend.h"
@@ -11,15 +12,12 @@ namespace atropos {
 
 namespace {
 
-// Installation state. Written only by the Install* functions (setup-time,
+// Installation state. Written only by InstallGlobalFrontend (setup-time,
 // single-threaded by contract) but read from every tracing thread, so the
 // pointers are atomics: a stale-but-consistent read is fine, a torn one is
-// not. `g_sink` is the tracing target (the runtime itself under
-// InstallGlobalRuntime, the frontend's ring intake under
-// InstallGlobalFrontend); `g_runtime` is where setup calls like
-// setCancelAction land either way.
-std::atomic<AtroposRuntime*> g_runtime{nullptr};
-std::atomic<OverloadController*> g_sink{nullptr};
+// not. Tracing calls feed `g_frontend`'s rings; setup calls like
+// setCancelAction land on the runtime it wraps.
+std::atomic<ConcurrentFrontend*> g_frontend{nullptr};
 std::atomic<void (*)(uint64_t)> g_cancel_action{nullptr};
 // Default resource instances, one per facade type, registered eagerly at
 // install (lazy first-use registration would race under multithreaded
@@ -35,14 +33,18 @@ ResourceId DefaultResource(CApiResourceType type) {
 // thread; making the current-task slot, scope chain, and retired-handle list
 // thread-local realizes exactly that under real threads while degenerating to
 // the old process-global behavior in single-threaded use.
+//
+// The current task is read by every tracing call, so it lives in its own
+// trivially destructible, constant-initialized slot that takes no TLS guard.
+constinit thread_local Cancellable* t_current = nullptr;
+
 struct ThreadState {
-  Cancellable* current = nullptr;
   // The `previous_` pointers held by live CancellableScopes, outermost first.
   // Mirrored here so freeCancel can tell whether a handle is still reachable
   // through a scope restore.
   std::vector<Cancellable*> saved_chain;
-  // Handles passed to freeCancel while still referenced by `current` or the
-  // scope chain. Deleting them eagerly would leave a dangling pointer to be
+  // Handles passed to freeCancel while still referenced by `t_current` or
+  // the scope chain. Deleting them eagerly would leave a dangling pointer to be
   // restored at scope exit; instead they stay allocated (their task already
   // freed in the runtime, so tracing counts as ignored_events) until no
   // reference remains.
@@ -57,7 +59,7 @@ struct ThreadState {
   }
 
   bool Referenced(const Cancellable* c) const {
-    if (current == c) {
+    if (t_current == c) {
       return true;
     }
     return std::find(saved_chain.begin(), saved_chain.end(), c) != saved_chain.end();
@@ -82,51 +84,36 @@ ThreadState& State() {
   return state;
 }
 
-void RegisterDefaultResources(AtroposRuntime* runtime) {
-  g_default_resources[static_cast<size_t>(CApiResourceType::LOCK)].store(
-      runtime->RegisterResource("capi_lock", ResourceClass::kLock), std::memory_order_relaxed);
-  g_default_resources[static_cast<size_t>(CApiResourceType::MEMORY)].store(
-      runtime->RegisterResource("capi_memory", ResourceClass::kMemory),
-      std::memory_order_relaxed);
-  g_default_resources[static_cast<size_t>(CApiResourceType::QUEUE)].store(
-      runtime->RegisterResource("capi_queue", ResourceClass::kQueue), std::memory_order_relaxed);
-}
-
-void Install(AtroposRuntime* runtime, OverloadController* sink) {
-  g_runtime.store(runtime, std::memory_order_release);
-  g_sink.store(sink, std::memory_order_release);
-  g_cancel_action.store(nullptr, std::memory_order_relaxed);
-  ThreadState& st = State();
-  st.current = nullptr;
-  st.saved_chain.clear();
-  st.ReapZombies();  // nothing is referenced now — drops every retired handle
-  if (runtime != nullptr) {
-    RegisterDefaultResources(runtime);
-  } else {
-    for (std::atomic<ResourceId>& r : g_default_resources) {
-      r.store(kInvalidResourceId, std::memory_order_relaxed);
-    }
-  }
-}
-
 }  // namespace
 
-void InstallGlobalRuntime(AtroposRuntime* runtime) { Install(runtime, runtime); }
-
 void InstallGlobalFrontend(ConcurrentFrontend* frontend) {
-  Install(frontend != nullptr ? &frontend->runtime() : nullptr, frontend);
+  g_frontend.store(frontend, std::memory_order_release);
+  g_cancel_action.store(nullptr, std::memory_order_relaxed);
+  t_current = nullptr;
+  ThreadState& st = State();
+  st.saved_chain.clear();
+  st.ReapZombies();  // nothing is referenced now — drops every retired handle
+  const std::array<std::pair<const char*, ResourceClass>, 3> defaults = {{
+      {"capi_lock", ResourceClass::kLock},
+      {"capi_memory", ResourceClass::kMemory},
+      {"capi_queue", ResourceClass::kQueue},
+  }};
+  for (size_t i = 0; i < defaults.size(); i++) {
+    g_default_resources[i].store(
+        frontend != nullptr ? frontend->RegisterResource(defaults[i].first, defaults[i].second)
+                            : kInvalidResourceId,
+        std::memory_order_relaxed);
+  }
 }
-
-AtroposRuntime* GlobalRuntime() { return g_runtime.load(std::memory_order_acquire); }
 
 ResourceId CApiDefaultResource(CApiResourceType type) { return DefaultResource(type); }
 
 Cancellable* createCancel(uint64_t key) {
-  OverloadController* sink = g_sink.load(std::memory_order_acquire);
-  if (sink == nullptr) {
+  ConcurrentFrontend* frontend = g_frontend.load(std::memory_order_acquire);
+  if (frontend == nullptr) {
     return nullptr;
   }
-  sink->OnTaskRegistered(key, /*background=*/false);
+  frontend->OnEvent(TraceEvent::TaskRegistered(key, /*background=*/false, /*cancellable=*/true));
   return new Cancellable{key};
 }
 
@@ -134,9 +121,9 @@ void freeCancel(Cancellable* c) {
   if (c == nullptr) {
     return;
   }
-  OverloadController* sink = g_sink.load(std::memory_order_acquire);
-  if (sink != nullptr) {
-    sink->OnTaskFreed(c->key);
+  ConcurrentFrontend* frontend = g_frontend.load(std::memory_order_acquire);
+  if (frontend != nullptr) {
+    frontend->OnEvent(TraceEvent::TaskFreed(c->key));
   }
   ThreadState& st = State();
   if (st.Referenced(c)) {
@@ -154,9 +141,9 @@ void freeCancel(Cancellable* c) {
 
 void setCancelAction(void (*func)(uint64_t)) {
   g_cancel_action.store(func, std::memory_order_release);
-  AtroposRuntime* runtime = g_runtime.load(std::memory_order_acquire);
-  if (runtime != nullptr) {
-    runtime->SetCancelAction([](uint64_t key) {
+  ConcurrentFrontend* frontend = g_frontend.load(std::memory_order_acquire);
+  if (frontend != nullptr) {
+    frontend->runtime().SetCancelAction([](uint64_t key) {
       void (*action)(uint64_t) = g_cancel_action.load(std::memory_order_acquire);
       if (action != nullptr) {
         action(key);
@@ -166,17 +153,16 @@ void setCancelAction(void (*func)(uint64_t)) {
 }
 
 Cancellable* SetCurrentCancellable(Cancellable* c) {
-  ThreadState& st = State();
-  Cancellable* prev = st.current;
-  st.current = c;
-  st.ReapZombies();
+  Cancellable* prev = t_current;
+  t_current = c;
+  State().ReapZombies();
   return prev;
 }
 
 Cancellable* EnterCancellableScope(Cancellable* c) {
   ThreadState& st = State();
-  st.saved_chain.push_back(st.current);
-  st.current = c;
+  st.saved_chain.push_back(t_current);
+  t_current = c;
   return st.saved_chain.back();
 }
 
@@ -185,63 +171,65 @@ void ExitCancellableScope(Cancellable* previous) {
   if (!st.saved_chain.empty()) {
     st.saved_chain.pop_back();
   }
-  st.current = previous;
+  t_current = previous;
   st.ReapZombies();
 }
 
 void getResource(long value, CApiResourceType rsc_type) {
-  OverloadController* sink = g_sink.load(std::memory_order_acquire);
-  Cancellable* current = State().current;
-  if (sink == nullptr || current == nullptr || value <= 0) {
+  ConcurrentFrontend* frontend = g_frontend.load(std::memory_order_acquire);
+  Cancellable* current = t_current;
+  if (frontend == nullptr || current == nullptr || value <= 0) {
     return;
   }
-  sink->OnGet(current->key, DefaultResource(rsc_type), static_cast<uint64_t>(value));
+  frontend->OnEvent(
+      TraceEvent::Get(current->key, DefaultResource(rsc_type), static_cast<uint64_t>(value)));
 }
 
 void freeResource(long value, CApiResourceType rsc_type) {
-  OverloadController* sink = g_sink.load(std::memory_order_acquire);
-  Cancellable* current = State().current;
-  if (sink == nullptr || current == nullptr || value <= 0) {
+  ConcurrentFrontend* frontend = g_frontend.load(std::memory_order_acquire);
+  Cancellable* current = t_current;
+  if (frontend == nullptr || current == nullptr || value <= 0) {
     return;
   }
-  sink->OnFree(current->key, DefaultResource(rsc_type), static_cast<uint64_t>(value));
+  frontend->OnEvent(
+      TraceEvent::Free(current->key, DefaultResource(rsc_type), static_cast<uint64_t>(value)));
 }
 
 void slowByResource(long value, CApiResourceType rsc_type) {
-  OverloadController* sink = g_sink.load(std::memory_order_acquire);
-  Cancellable* current = State().current;
-  if (sink == nullptr || current == nullptr || value <= 0) {
+  ConcurrentFrontend* frontend = g_frontend.load(std::memory_order_acquire);
+  Cancellable* current = t_current;
+  if (frontend == nullptr || current == nullptr || value <= 0) {
     return;
   }
-  sink->OnUsage(current->key, DefaultResource(rsc_type),
-                /*waited=*/static_cast<TimeMicros>(value), /*used=*/0);
+  frontend->OnEvent(TraceEvent::Usage(current->key, DefaultResource(rsc_type),
+                                      /*waited=*/static_cast<TimeMicros>(value), /*used=*/0));
 }
 
 void slowByResourceBegin(CApiResourceType rsc_type) {
-  OverloadController* sink = g_sink.load(std::memory_order_acquire);
-  Cancellable* current = State().current;
-  if (sink == nullptr || current == nullptr) {
+  ConcurrentFrontend* frontend = g_frontend.load(std::memory_order_acquire);
+  Cancellable* current = t_current;
+  if (frontend == nullptr || current == nullptr) {
     return;
   }
-  sink->OnWaitBegin(current->key, DefaultResource(rsc_type));
+  frontend->OnEvent(TraceEvent::WaitBegin(current->key, DefaultResource(rsc_type)));
 }
 
 void slowByResourceEnd(CApiResourceType rsc_type) {
-  OverloadController* sink = g_sink.load(std::memory_order_acquire);
-  Cancellable* current = State().current;
-  if (sink == nullptr || current == nullptr) {
+  ConcurrentFrontend* frontend = g_frontend.load(std::memory_order_acquire);
+  Cancellable* current = t_current;
+  if (frontend == nullptr || current == nullptr) {
     return;
   }
-  sink->OnWaitEnd(current->key, DefaultResource(rsc_type));
+  frontend->OnEvent(TraceEvent::WaitEnd(current->key, DefaultResource(rsc_type)));
 }
 
 void reportProgress(uint64_t done, uint64_t total) {
-  OverloadController* sink = g_sink.load(std::memory_order_acquire);
-  Cancellable* current = State().current;
-  if (sink == nullptr || current == nullptr) {
+  ConcurrentFrontend* frontend = g_frontend.load(std::memory_order_acquire);
+  Cancellable* current = t_current;
+  if (frontend == nullptr || current == nullptr) {
     return;
   }
-  sink->OnProgress(current->key, done, total);
+  frontend->OnEvent(TraceEvent::Progress(current->key, done, total));
 }
 
 }  // namespace atropos

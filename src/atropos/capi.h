@@ -6,21 +6,27 @@
 // setCancelAction and getResource / freeResource / slowByResource with an
 // implicit "current task" (in the paper: the calling thread; here: a
 // scope-managed current cancellable). This facade provides exactly that
-// surface on top of a process-global runtime; the quickstart example uses it.
+// surface on top of one process-global ConcurrentFrontend.
+//
+// Hot path: a tracing call reads the installed frontend and the calling
+// thread's current task (a plain thread-local slot), builds the event and
+// calls the frontend's OnEvent, which is statically dispatched and inlined:
+// one thread-binding check, one clock read and one ring push. The events
+// reach the runtime when the frontend's drainer calls Tick().
 
 #ifndef SRC_ATROPOS_CAPI_H_
 #define SRC_ATROPOS_CAPI_H_
 
 #include <cstdint>
 
-#include "src/atropos/runtime.h"
+#include "src/atropos/types.h"
 
 namespace atropos {
 
 class ConcurrentFrontend;
 
 // Fig 6b: the unified resource-type enum. Each type maps to one implicitly
-// registered default resource instance in the global runtime.
+// registered default resource instance in the installed frontend's runtime.
 enum class CApiResourceType { LOCK = 0, MEMORY = 1, QUEUE = 2 };
 
 // Opaque handle for a registered cancellable task (Fig 6a).
@@ -28,22 +34,19 @@ struct Cancellable {
   uint64_t key;
 };
 
-// Installs the runtime the facade forwards to. Must be called before any
-// other facade function; passing nullptr uninstalls. Tracing calls then feed
-// the runtime directly, which is single-threaded: all facade calls must come
-// from one thread (the simulator's discipline).
-void InstallGlobalRuntime(AtroposRuntime* runtime);
-
-// Multithreaded installation: tracing calls feed the frontend's per-thread
-// SPSC rings instead of the runtime, so every facade function below becomes
-// safe to call from any thread (the live-mode discipline; the paper keys the
-// current task off the calling thread and so do we — the current-cancellable
-// slot, scope chain, and retired-handle list are all thread-local).
-// Setup-type calls (setCancelAction) still route to the wrapped runtime and
-// stay single-threaded-before-producers-start. Passing nullptr uninstalls.
+// Installs the frontend the facade forwards to. Must be called before any
+// other facade function; passing nullptr uninstalls (tracing calls become
+// no-ops and createCancel returns nullptr). Install and uninstall while no
+// other thread calls the facade.
+//
+// Tracing calls feed the frontend's per-thread SPSC rings, so every facade
+// function below is safe to call from any thread (the paper keys the current
+// task off the calling thread and so do we: the current-cancellable slot,
+// scope chain, and retired-handle list are all thread-local). Setup-type
+// calls (setCancelAction) route to the wrapped runtime and stay
+// single-threaded-before-producers-start. A single-threaded caller, such as
+// a simulation, drains what it traced by calling the frontend's Tick().
 void InstallGlobalFrontend(ConcurrentFrontend* frontend);
-
-AtroposRuntime* GlobalRuntime();
 
 // The implicitly registered default resource instance behind a facade type
 // (kInvalidResourceId when nothing is installed). Lets embedding code — the

@@ -48,6 +48,9 @@ struct CapturedTlsBindings {
   std::vector<Binding> bindings;
 
   ~CapturedTlsBindings() {
+    // A hook run by a later thread-exit destructor must not reach a ring
+    // retired here through the cache.
+    ConcurrentFrontend::tls_binding_ = {0, nullptr};
     std::lock_guard<std::mutex> lock(FrontendRegistryMu());
     for (const Binding& b : bindings) {
       auto it = FrontendRegistry().find(b.frontend_id);
@@ -109,13 +112,14 @@ size_t ConcurrentFrontend::live_producer_count() {
   return producers_.size();
 }
 
-ConcurrentFrontend::Producer* ConcurrentFrontend::ThisThreadProducer() {
+ConcurrentFrontend::Producer* ConcurrentFrontend::BindThisThread() {
   // Keyed by a never-reused instance id so a binding to a destroyed frontend
   // can go stale but never alias a live one. The wrapper's destructor retires
   // the bindings at thread exit (see CapturedTlsBindings).
   CapturedTlsBindings& tls = ThisThreadBindings();
   for (const CapturedTlsBindings::Binding& b : tls.bindings) {
     if (b.frontend_id == instance_id_) {
+      tls_binding_ = {instance_id_, b.producer};
       return b.producer;
     }
   }
@@ -130,14 +134,13 @@ ConcurrentFrontend::Producer* ConcurrentFrontend::ThisThreadProducer() {
     });
   }
   tls.bindings.push_back(CapturedTlsBindings::Binding{instance_id_, p});
+  tls_binding_ = {instance_id_, p};
   return p;
 }
 
 size_t ConcurrentFrontend::ThisThreadBindingCount() {
   return ThisThreadBindings().bindings.size();
 }
-
-void ConcurrentFrontend::OnEvent(const TraceEvent& ev) { ThisThreadProducer()->Push(ev); }
 
 void ConcurrentFrontend::BindMetrics(MetricsRegistry* metrics) {
   if (metrics == nullptr) {

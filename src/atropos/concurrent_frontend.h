@@ -106,12 +106,18 @@ class EventRing {
   // copy reads it with 16-byte loads that span several of those stores and
   // stall on store forwarding, which cost ~5–15 ns per event on the `ingest`
   // benchmark.
+  //
+  // The producer checks for room against its own copy of the head and
+  // reloads the consumer's head_ only when the ring looks full, so a push
+  // that has room touches no line the consumer writes.
   bool Push(const TraceEvent& ev, uint64_t time) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail - head >= slots_.size()) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return false;
+    if (tail - cached_head_ > mask_) {
+      cached_head_ = head_.load(std::memory_order_acquire);
+      if (tail - cached_head_ > mask_) {
+        dropped_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
     }
     TraceEvent& slot = slots_[tail & mask_];
     slot.time = time;
@@ -144,8 +150,10 @@ class EventRing {
   std::vector<TraceEvent> slots_;
   size_t mask_;
   // Producer and consumer indices on separate cache lines so the two sides
-  // don't false-share.
+  // don't false-share. cached_head_ is the producer's last reading of head_;
+  // it trails head_, so a push it admits always has room.
   alignas(64) std::atomic<uint64_t> tail_{0};  // next write (producer-owned)
+  uint64_t cached_head_ = 0;                   // producer-owned
   alignas(64) std::atomic<uint64_t> head_{0};  // next read (consumer-owned)
   alignas(64) std::atomic<uint64_t> dropped_{0};
 };
@@ -198,8 +206,14 @@ class ConcurrentFrontend final : public OverloadController {
 
   // ---- OverloadController: producer side ----------------------------------
   // Stamps the event and enqueues it on the calling thread's ring,
-  // auto-registering the thread on first use.
-  void OnEvent(const TraceEvent& ev) override;
+  // auto-registering the thread on first use. Inline, and the class is final,
+  // so a call through a ConcurrentFrontend* (the C API's) compiles to the
+  // binding check, the clock read and the ring push.
+  void OnEvent(const TraceEvent& ev) override {
+    const ThreadBinding b = tls_binding_;
+    Producer* p = b.frontend_id == instance_id_ ? b.producer : BindThisThread();
+    p->Push(ev);
+  }
 
   // ---- Setup (single-threaded, before producers start) --------------------
   ResourceId RegisterResource(std::string name, ResourceClass cls) override {
@@ -243,7 +257,19 @@ class ConcurrentFrontend final : public OverloadController {
   friend struct CapturedTlsBindings;
   friend struct ConcurrentFrontendTestPeer;
 
-  Producer* ThisThreadProducer() ATROPOS_EXCLUDES(registry_mu_);
+  // The calling thread's most recently used binding, a one-entry cache in
+  // front of CapturedTlsBindings. Trivially destructible and constant-
+  // initialized, so reading it takes no TLS guard. Keyed by instance id, which
+  // is never reused: a frontend built where a destroyed one stood misses.
+  struct ThreadBinding {
+    uint64_t frontend_id;  // 0 matches no frontend (ids start at 1)
+    Producer* producer;
+  };
+  static inline constinit thread_local ThreadBinding tls_binding_{0, nullptr};
+
+  // The miss path of OnEvent: finds or registers the calling thread's
+  // producer in CapturedTlsBindings and caches it in tls_binding_.
+  Producer* BindThisThread() ATROPOS_EXCLUDES(registry_mu_);
   // Producer bindings the calling thread holds: one per frontend it has fed
   // that was still alive when the thread last bound a new one (tests).
   static size_t ThisThreadBindingCount();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/atropos/concurrent_frontend.h"
+
 // This suite is the C-API misuse-regression corpus: most tests deliberately
 // leak handles, double-free, or unbalance getResource/freeResource to pin the
 // runtime's defensive behavior, so the pairing contract is suppressed for the
@@ -21,13 +23,17 @@ std::vector<uint64_t>& CancelLog() {
 // atropos-lint: allow(cancel-action-safety)
 void RecordCancel(uint64_t key) { CancelLog().push_back(key); }
 
+// The facade feeds a frontend over a manual clock; each check first drains
+// what the test traced into the runtime with Drain().
 class CApiTest : public ::testing::Test {
  protected:
-  CApiTest() : clock_(0), runtime_(&clock_, Config()) {
-    InstallGlobalRuntime(&runtime_);
+  CApiTest() : clock_(0), frontend_(&clock_, Config()), runtime_(frontend_.runtime()) {
+    InstallGlobalFrontend(&frontend_);
     CancelLog().clear();
   }
-  ~CApiTest() override { InstallGlobalRuntime(nullptr); }
+  ~CApiTest() override { InstallGlobalFrontend(nullptr); }
+
+  void Drain() { frontend_.Tick(); }
 
   static AtroposConfig Config() {
     AtroposConfig cfg;
@@ -37,14 +43,17 @@ class CApiTest : public ::testing::Test {
   }
 
   ManualClock clock_;
-  AtroposRuntime runtime_;
+  ConcurrentFrontend frontend_;
+  AtroposRuntime& runtime_;
 };
 
 TEST_F(CApiTest, CreateAndFreeRegisterTasks) {
   Cancellable* c = createCancel(7);
   ASSERT_NE(c, nullptr);
+  Drain();
   EXPECT_NE(runtime_.FindTask(7), nullptr);
   freeCancel(c);
+  Drain();
   EXPECT_EQ(runtime_.FindTask(7), nullptr);
 }
 
@@ -57,6 +66,7 @@ TEST_F(CApiTest, TracingAttributedToCurrentCancellable) {
     freeResource(4, CApiResourceType::MEMORY);
     reportProgress(3, 10);
   }
+  Drain();
   const TaskRecord* task = runtime_.FindTask(7);
   ASSERT_NE(task, nullptr);
   std::vector<ResourceId> used = runtime_.UsedResources(7);
@@ -73,6 +83,8 @@ TEST_F(CApiTest, TracingAttributedToCurrentCancellable) {
 
 TEST_F(CApiTest, TracingWithoutCurrentTaskIsIgnored) {
   getResource(10, CApiResourceType::LOCK);
+  Drain();
+  EXPECT_EQ(frontend_.intake_stats().drained_total, 0u);
   EXPECT_EQ(runtime_.stats().trace_events, 0u);
 }
 
@@ -88,6 +100,7 @@ TEST_F(CApiTest, ScopesNest) {
     }
     getResource(1, CApiResourceType::LOCK);
   }
+  Drain();
   EXPECT_EQ(runtime_.FindUsage(1, runtime_.UsedResources(1)[0])->acquired, 2u);
   EXPECT_EQ(runtime_.FindUsage(2, runtime_.UsedResources(2)[0])->acquired, 1u);
   freeCancel(a);
@@ -103,6 +116,7 @@ TEST_F(CApiTest, TracingAfterFreeCancelOfCurrentCountsAsIgnored) {
   {
     CancellableScope scope(c);
     getResource(1, CApiResourceType::LOCK);
+    Drain();
     EXPECT_EQ(runtime_.stats().ignored_events, 0u);
 
     freeCancel(c);  // frees the task while it is the current cancellable
@@ -110,11 +124,13 @@ TEST_F(CApiTest, TracingAfterFreeCancelOfCurrentCountsAsIgnored) {
     getResource(1, CApiResourceType::LOCK);
     slowByResource(100, CApiResourceType::LOCK);
     freeResource(1, CApiResourceType::LOCK);
+    Drain();
     EXPECT_EQ(runtime_.stats().ignored_events, 3u);
     EXPECT_EQ(runtime_.FindTask(7), nullptr);
   }
   // The handle is reaped at scope exit; tracing now has no current task.
   getResource(1, CApiResourceType::LOCK);
+  Drain();
   EXPECT_EQ(runtime_.stats().ignored_events, 3u);
 }
 
@@ -134,6 +150,7 @@ TEST_F(CApiTest, FreeCancelOfOuterHandleUnderNestedScopes) {
     }
     // Restored current is the freed outer handle: valid memory, dead task.
     getResource(3, CApiResourceType::LOCK);
+    Drain();
     EXPECT_EQ(runtime_.stats().ignored_events, 1u);
   }
   EXPECT_EQ(runtime_.FindTask(1), nullptr);
@@ -149,6 +166,7 @@ TEST_F(CApiTest, DoubleFreeCancelIsSafe) {
     freeCancel(c);
     freeCancel(c);  // second free of a retired handle must not double-delete
     getResource(1, CApiResourceType::LOCK);
+    Drain();
     EXPECT_EQ(runtime_.stats().ignored_events, 1u);
   }
   EXPECT_EQ(runtime_.FindTask(9), nullptr);
@@ -163,10 +181,10 @@ TEST_F(CApiTest, SetCancelActionRoutesToFunctionPointer) {
     getResource(1, CApiResourceType::LOCK);
   }
   // Victim stalls on the same default lock resource.
-  runtime_.OnRequestStart(200, 0, 0);
-  runtime_.OnWaitBegin(200, runtime_.UsedResources(100)[0]);
+  frontend_.OnRequestStart(200, 0, 0);
+  frontend_.OnWaitBegin(200, CApiDefaultResource(CApiResourceType::LOCK));
   clock_.Advance(Millis(100));
-  runtime_.Tick();
+  Drain();
   ASSERT_EQ(CancelLog().size(), 1u);
   EXPECT_EQ(CancelLog()[0], 100u);
   freeCancel(culprit);

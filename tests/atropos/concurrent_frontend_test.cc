@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -536,6 +537,39 @@ TEST(ConcurrentFrontendTest, RingOverflowDropsAreCounted) {
   EXPECT_EQ(frontend.runtime().live_task_count(), 1u);
 }
 
+// The producer checks for room against a cached copy of the head: a ring of
+// capacity C takes exactly C pushes and drops the next one, and after the
+// consumer releases k slots it takes exactly k more. Several rounds wrap the
+// indices; each round releases a different k.
+TEST(EventRingTest, CachedHeadAdmitsExactlyTheFreedSlots) {
+  for (size_t cap : {2, 8, 64}) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    EventRing ring(cap);
+    uint64_t time = 0;
+    uint64_t drops = 0;
+    for (int i = 0; i < static_cast<int>(cap); i++) {
+      ASSERT_TRUE(ring.Push(TraceEvent::TaskFreed(time), time)) << "push " << i;
+      time++;
+    }
+    EXPECT_FALSE(ring.Push(TraceEvent::TaskFreed(time), time));
+    EXPECT_EQ(ring.dropped(), ++drops);
+    for (size_t k : {size_t{1}, cap / 2, cap, size_t{1}, cap}) {
+      SCOPED_TRACE("release " + std::to_string(k));
+      const uint64_t head = ring.head();
+      EXPECT_EQ(ring.slot(head).time, head);  // the oldest unreleased push
+      ring.Release(head + k);
+      for (size_t i = 0; i < k; i++) {
+        ASSERT_TRUE(ring.Push(TraceEvent::TaskFreed(time), time)) << "push " << i;
+        time++;
+      }
+      EXPECT_FALSE(ring.Push(TraceEvent::TaskFreed(time), time));
+      EXPECT_EQ(ring.dropped(), ++drops);
+      EXPECT_EQ(ring.PublishedTail() - ring.head(), cap);
+      EXPECT_EQ(ring.slot(ring.PublishedTail() - 1).time, time - 1);
+    }
+  }
+}
+
 // The merge reads events in place and hands slots back as it passes them:
 // rings filled to capacity - 1 (wrapping on the second round) are applied in
 // (time, registration) order, and after the Tick every ring takes `capacity`
@@ -638,6 +672,71 @@ TEST(ConcurrentFrontendTest, ThreadFeedingManyFrontendsKeepsOneBinding) {
   });
   worker.join();
   EXPECT_EQ(max_bindings, 1u);
+}
+
+// The calling thread's one-slot binding cache is keyed by instance id, not
+// by address: a frontend built in the storage of a destroyed one must not
+// reach the destroyed frontend's (freed) ring through the cache. Every event
+// lands in the new frontend; under ASan a stale hit reads as a
+// heap-use-after-free.
+TEST(ConcurrentFrontendTest, FrontendRebuiltAtTheSameAddressGetsItsOwnRing) {
+  ManualClock clock(0);
+  std::optional<ConcurrentFrontend> storage;
+  std::thread worker([&] {
+    storage.emplace(&clock, TestConfig());
+    const ConcurrentFrontend* first = &*storage;
+    storage->OnTaskRegistered(1, false);
+    storage->Tick();
+    EXPECT_EQ(storage->intake_stats().drained_total, 1u);
+    storage.reset();
+
+    storage.emplace(&clock, TestConfig());
+    ASSERT_EQ(&*storage, first);
+    for (uint64_t key = 10; key < 15; key++) {
+      storage->OnTaskRegistered(key, false);
+    }
+    storage->Tick();
+    const ConcurrentFrontend::IntakeStats& intake = storage->intake_stats();
+    EXPECT_EQ(intake.drained_total, 5u);
+    EXPECT_EQ(intake.dropped_total, 0u);
+    EXPECT_EQ(intake.producers_seen, 1u);
+    EXPECT_EQ(storage->runtime().live_task_count(), 5u);
+    EXPECT_EQ(storage->runtime().FindTask(1), nullptr);
+    storage.reset();
+  });
+  worker.join();
+}
+
+// A thread that alternates between two live frontends misses the one-slot
+// cache on every switch; each event must still reach its own runtime through
+// the thread's one ring per frontend.
+TEST(ConcurrentFrontendTest, ThreadAlternatingFrontendsRoutesEachEventToItsOwn) {
+  ManualClock clock(0);
+  ConcurrentFrontend a(&clock, TestConfig());
+  ConcurrentFrontend b(&clock, TestConfig());
+  constexpr uint64_t kRounds = 50;
+  std::thread worker([&] {
+    for (uint64_t i = 0; i < kRounds; i++) {
+      a.OnTaskRegistered(1000 + i, false);
+      b.OnTaskRegistered(2000 + i, false);
+      a.OnTaskRegistered(3000 + i, false);
+    }
+  });
+  worker.join();
+  a.Tick();
+  b.Tick();
+  EXPECT_EQ(a.intake_stats().drained_total, 2 * kRounds);
+  EXPECT_EQ(b.intake_stats().drained_total, kRounds);
+  EXPECT_EQ(a.intake_stats().producers_seen, 1u);
+  EXPECT_EQ(b.intake_stats().producers_seen, 1u);
+  for (uint64_t i = 0; i < kRounds; i++) {
+    EXPECT_NE(a.runtime().FindTask(1000 + i), nullptr) << i;
+    EXPECT_NE(a.runtime().FindTask(3000 + i), nullptr) << i;
+    EXPECT_EQ(a.runtime().FindTask(2000 + i), nullptr) << i;
+    EXPECT_NE(b.runtime().FindTask(2000 + i), nullptr) << i;
+    EXPECT_EQ(b.runtime().FindTask(1000 + i), nullptr) << i;
+    EXPECT_EQ(b.runtime().FindTask(3000 + i), nullptr) << i;
+  }
 }
 
 // Multi-producer stress with a concurrent drainer: real OS threads hammer
