@@ -160,7 +160,7 @@ void App::InitClientGates(int num_classes, int64_t parties_capacity) {
   gate_slots_ = parties_capacity;
   class_gates_.clear();
   for (int i = 0; i < num_classes; i++) {
-    class_gates_.push_back(std::make_unique<AdjustableLimiter>(executor_, int64_t{1} << 40));
+    class_gates_.push_back(std::make_unique<SimSemaphore>(executor_, uint64_t{1} << 40));
   }
 }
 
@@ -169,7 +169,8 @@ void App::SetClientShare(int client_class, double share) {
     return;
   }
   auto limit = static_cast<int64_t>(share * static_cast<double>(gate_slots_));
-  class_gates_[static_cast<size_t>(client_class)]->SetLimit(limit < 1 ? 1 : limit);
+  class_gates_[static_cast<size_t>(client_class)]->SetCapacity(
+      static_cast<uint64_t>(std::max<int64_t>(limit, 1)));
 }
 
 Task<Status> App::GateEnter(const AppRequest& req, CancelToken* token) {
@@ -177,7 +178,7 @@ Task<Status> App::GateEnter(const AppRequest& req, CancelToken* token) {
     co_return Status::Ok();
   }
   size_t idx = static_cast<size_t>(req.client_class) % class_gates_.size();
-  co_return co_await class_gates_[idx]->Acquire(req.key, token);
+  co_return co_await class_gates_[idx]->Acquire(1, token);
 }
 
 void App::GateExit(const AppRequest& req) {
@@ -185,7 +186,7 @@ void App::GateExit(const AppRequest& req) {
     return;
   }
   size_t idx = static_cast<size_t>(req.client_class) % class_gates_.size();
-  class_gates_[idx]->Release(req.key);
+  class_gates_[idx]->Release();
 }
 
 }  // namespace atropos

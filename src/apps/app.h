@@ -135,7 +135,7 @@ class App : public ControlSurface {
   DenseKeyIndex live_;
   std::deque<LiveTask> slots_;
   std::vector<uint32_t> free_slots_;
-  std::vector<std::unique_ptr<AdjustableLimiter>> class_gates_;
+  std::vector<std::unique_ptr<SimSemaphore>> class_gates_;
   int64_t gate_slots_ = 0;
 
  private:

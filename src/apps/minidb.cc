@@ -11,7 +11,8 @@ constexpr uint64_t kPrunerKey = kBackgroundKeyBase + 3;
 }  // namespace
 
 MiniDb::MiniDb(Executor& executor, OverloadController* controller, MiniDbOptions options)
-    : App(executor, controller), options_(options), rng_(options.seed) {
+    : App(executor, controller), options_(options), rng_(options.seed),
+      heavy_limiter_(executor_, 1024) {
   if (options_.use_table_locks) {
     table_lock_resource_ = controller_->RegisterResource("table_locks", ResourceClass::kLock);
     locks_ = std::make_unique<TableLockManager>(executor_, options_.num_tables, controller_,
@@ -59,7 +60,6 @@ MiniDb::MiniDb(Executor& executor, OverloadController* controller, MiniDbOptions
     background_stops_.push_back(std::move(stop));
   }
   InitClientGates(/*num_classes=*/2, /*parties_capacity=*/64);
-  heavy_limiter_ = std::make_unique<AdjustableLimiter>(executor_, 1024);
 }
 
 void MiniDb::SetTypeReservation(int request_type, int workers) {
@@ -67,7 +67,7 @@ void MiniDb::SetTypeReservation(int request_type, int workers) {
   // heavy (slow-query) type may occupy concurrently.
   auto tickets = static_cast<int64_t>(options_.innodb_tickets);
   int64_t cap = tickets - workers;
-  heavy_limiter_->SetLimit(cap < 1 ? 1 : cap);
+  heavy_limiter_.SetCapacity(static_cast<uint64_t>(std::max<int64_t>(cap, 1)));
 }
 
 MiniDb::~MiniDb() { Shutdown(); }
@@ -352,13 +352,13 @@ Task<Status> MiniDb::Backup(const AppRequest& req, CancelToken* token) {
 // c2: InnoDB ticket monopolization
 
 Task<Status> MiniDb::SlowQuery(const AppRequest& req, CancelToken* token) {
-  Status gate = co_await heavy_limiter_->Acquire(req.key, token);
+  Status gate = co_await heavy_limiter_.Acquire(1, token);
   if (!gate.ok()) {
     co_return gate;
   }
   Status s = co_await tickets_->Acquire(req.key, token);
   if (!s.ok()) {
-    heavy_limiter_->Release(req.key);
+    heavy_limiter_.Release();
     co_return s;
   }
   Status result = Status::Ok();
@@ -375,7 +375,7 @@ Task<Status> MiniDb::SlowQuery(const AppRequest& req, CancelToken* token) {
                             static_cast<uint64_t>(kSteps));
   }
   tickets_->Release(req.key);
-  heavy_limiter_->Release(req.key);
+  heavy_limiter_.Release();
   co_return result;
 }
 

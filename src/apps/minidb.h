@@ -154,7 +154,7 @@ class MiniDb final : public App {
   std::unique_ptr<IoDevice> io_;
 
   // DARC-style cap on heavy-request concurrency.
-  std::unique_ptr<AdjustableLimiter> heavy_limiter_;
+  SimSemaphore heavy_limiter_;
 
   // Background task control.
   std::vector<std::unique_ptr<CancelToken>> background_stops_;

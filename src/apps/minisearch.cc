@@ -12,7 +12,8 @@ constexpr uint64_t kCommitterKey = kBackgroundKeyBase + 10;
 
 MiniSearch::MiniSearch(Executor& executor, OverloadController* controller,
                        MiniSearchOptions options)
-    : App(executor, controller), options_(options), rng_(options.seed) {
+    : App(executor, controller), options_(options), rng_(options.seed),
+      heavy_limiter_(executor_, 1024) {
   if (options_.use_cache) {
     cache_resource_ = controller_->RegisterResource("query_cache", ResourceClass::kMemory);
     cache_ = std::make_unique<BufferPool>(executor_, options_.cache, controller_,
@@ -48,13 +49,12 @@ MiniSearch::MiniSearch(Executor& executor, OverloadController* controller,
         executor_, options_.search_threads, controller_, queue_resource_);
   }
   InitClientGates(/*num_classes=*/2, /*parties_capacity=*/64);
-  heavy_limiter_ = std::make_unique<AdjustableLimiter>(executor_, 1024);
 }
 
 void MiniSearch::SetTypeReservation(int request_type, int workers) {
   auto threads = static_cast<int64_t>(options_.search_threads);
   int64_t cap = threads - workers;
-  heavy_limiter_->SetLimit(cap < 1 ? 1 : cap);
+  heavy_limiter_.SetCapacity(static_cast<uint64_t>(std::max<int64_t>(cap, 1)));
 }
 
 MiniSearch::~MiniSearch() { Shutdown(); }
@@ -351,13 +351,13 @@ Task<Status> MiniSearch::Commit(const AppRequest& req, CancelToken* token) {
 
 // c15 culprit: occupies a search thread for a long time.
 Task<Status> MiniSearch::RangeQuery(const AppRequest& req, CancelToken* token) {
-  Status gate = co_await heavy_limiter_->Acquire(req.key, token);
+  Status gate = co_await heavy_limiter_.Acquire(1, token);
   if (!gate.ok()) {
     co_return gate;
   }
   Status s = co_await search_threads_->Acquire(req.key, token);
   if (!s.ok()) {
-    heavy_limiter_->Release(req.key);
+    heavy_limiter_.Release();
     co_return s;
   }
   Status result = Status::Ok();
@@ -373,7 +373,7 @@ Task<Status> MiniSearch::RangeQuery(const AppRequest& req, CancelToken* token) {
                             static_cast<uint64_t>(kSteps));
   }
   search_threads_->Release(req.key);
-  heavy_limiter_->Release(req.key);
+  heavy_limiter_.Release();
   co_return result;
 }
 

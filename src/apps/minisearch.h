@@ -121,7 +121,7 @@ class MiniSearch final : public App {
   std::vector<std::unique_ptr<InstrumentedRwLock>> doc_locks_;
   std::unique_ptr<InstrumentedRwLock> index_lock_;
   std::unique_ptr<InstrumentedSemaphore> search_threads_;
-  std::unique_ptr<AdjustableLimiter> heavy_limiter_;
+  SimSemaphore heavy_limiter_;
   std::unique_ptr<CancelToken> commit_stop_;
 };
 

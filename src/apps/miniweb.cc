@@ -5,11 +5,10 @@
 namespace atropos {
 
 MiniWeb::MiniWeb(Executor& executor, OverloadController* controller, MiniWebOptions options)
-    : App(executor, controller), options_(options) {
+    : App(executor, controller), options_(options),
+      script_limiter_(executor_, options_.pool.max_clients) {
   pool_resource_ = controller_->RegisterResource("worker_pool", ResourceClass::kQueue);
   pool_ = std::make_unique<WorkerPool>(executor_, options_.pool, controller_, pool_resource_);
-  script_limiter_ = std::make_unique<AdjustableLimiter>(
-      executor_, static_cast<int64_t>(options_.pool.max_clients));
   InitClientGates(/*num_classes=*/2,
                   /*parties_capacity=*/static_cast<int64_t>(options_.pool.max_clients));
 }
@@ -19,7 +18,7 @@ void MiniWeb::SetTypeReservation(int request_type, int workers) {
     return;
   }
   int64_t cap = static_cast<int64_t>(options_.pool.max_clients) - workers;
-  script_limiter_->SetLimit(std::max<int64_t>(cap, 1));
+  script_limiter_.SetCapacity(static_cast<uint64_t>(std::max<int64_t>(cap, 1)));
 }
 
 std::string_view MiniWeb::RequestTypeName(int type) const {
@@ -64,13 +63,13 @@ Task<Status> MiniWeb::Static(const AppRequest& req, CancelToken* token) {
 
 Task<Status> MiniWeb::Script(const AppRequest& req, CancelToken* token) {
   // DARC reservation gate: script concurrency may be capped below MaxClients.
-  Status gate = co_await script_limiter_->Acquire(req.key, token);
+  Status gate = co_await script_limiter_.Acquire(1, token);
   if (!gate.ok()) {
     co_return gate;
   }
   Status s = co_await pool_->Claim(req.key, token);
   if (!s.ok()) {
-    script_limiter_->Release(req.key);
+    script_limiter_.Release();
     co_return s;
   }
   Status result = Status::Ok();
@@ -89,7 +88,7 @@ Task<Status> MiniWeb::Script(const AppRequest& req, CancelToken* token) {
                             static_cast<uint64_t>(kSteps));
   }
   pool_->Release(req.key);
-  script_limiter_->Release(req.key);
+  script_limiter_.Release();
   co_return result;
 }
 

@@ -54,7 +54,7 @@ class MiniWeb final : public App {
   MiniWebOptions options_;
   ResourceId pool_resource_ = kInvalidResourceId;
   std::unique_ptr<WorkerPool> pool_;
-  std::unique_ptr<AdjustableLimiter> script_limiter_;
+  SimSemaphore script_limiter_;
 };
 
 }  // namespace atropos

@@ -65,10 +65,6 @@ struct AtroposConfig {
   // otherwise it recreates the exact overload it caused, non-cancellably.
   int reexec_calm_windows = 30;
 
-  // Background tasks with no SLO are guaranteed re-execution after waiting
-  // this long (§4).
-  TimeMicros background_max_wait = Seconds(10);
-
   PolicyKind policy = PolicyKind::kMultiObjective;
 
   TimestampMode timestamp_mode = TimestampMode::kSampled;

@@ -83,78 +83,4 @@ void UsageReporter::OnUsage(TimeMicros waited, TimeMicros used) {
   tracer_->OnUsage(key_, resource_, waited, used);
 }
 
-bool AdjustableLimiter::Acquirer::await_ready() {
-  if (token_ != nullptr && token_->cancelled()) {
-    node_.result = Status::Cancelled("limiter acquire aborted before suspend");
-    return true;
-  }
-  if (limiter_.waiters_.empty() && limiter_.in_use_ < limiter_.limit_) {
-    limiter_.in_use_++;
-    node_.result = Status::Ok();
-    return true;
-  }
-  return false;
-}
-
-void AdjustableLimiter::Acquirer::await_suspend(std::coroutine_handle<> h) {
-  node_.handle = h;
-  node_.owner = &limiter_;
-  node_.token = token_;
-  limiter_.waiters_.PushBack(&node_);
-  if (token_ != nullptr) {
-    token_->Register(&node_);
-  }
-}
-
-Task<Status> AdjustableLimiter::Acquire(uint64_t key, CancelToken* token) {
-  bool will_block = in_use_ >= limit_ || !waiters_.empty();
-  if (tracer_ != nullptr && will_block) {
-    tracer_->OnWaitBegin(key, resource_);
-  }
-  Status s = co_await Acquirer(*this, token);
-  if (tracer_ != nullptr && will_block) {
-    tracer_->OnWaitEnd(key, resource_);
-  }
-  if (s.ok() && tracer_ != nullptr) {
-    tracer_->OnGet(key, resource_, 1);
-  }
-  co_return s;
-}
-
-void AdjustableLimiter::Release(uint64_t key) {
-  in_use_--;
-  if (tracer_ != nullptr) {
-    tracer_->OnFree(key, resource_, 1);
-  }
-  GrantWaiters();
-}
-
-void AdjustableLimiter::SetLimit(int64_t limit) {
-  limit_ = limit;
-  GrantWaiters();
-}
-
-void AdjustableLimiter::GrantWaiters() {
-  while (!waiters_.empty() && in_use_ < limit_) {
-    WaitNode* node = waiters_.PopFront();
-    in_use_++;
-    if (node->token != nullptr) {
-      node->token->Unregister(node);
-      node->token = nullptr;
-    }
-    node->result = Status::Ok();
-    executor_.ResumeAfter(0, node->handle);
-  }
-}
-
-void AdjustableLimiter::CancelWaiter(WaitNode& node) {
-  waiters_.Remove(&node);
-  if (node.token != nullptr) {
-    node.token->Unregister(&node);
-    node.token = nullptr;
-  }
-  node.result = Status::Cancelled("limiter wait cancelled");
-  executor_.ResumeAfter(0, node.handle);
-}
-
 }  // namespace atropos

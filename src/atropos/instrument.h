@@ -68,6 +68,7 @@ class InstrumentedSemaphore {
 
   Task<Status> Acquire(uint64_t key, CancelToken* token, uint64_t units = 1);
   void Release(uint64_t key, uint64_t units = 1);
+  void SetCapacity(uint64_t capacity) { sem_.SetCapacity(capacity); }
 
   SimSemaphore& raw() { return sem_; }
 
@@ -90,51 +91,6 @@ class UsageReporter final : public UsageObserver {
   OverloadController* tracer_;
   ResourceId resource_;
   uint64_t key_;
-};
-
-// FIFO concurrency limiter with an adjustable limit; the mechanism behind
-// DARC worker reservations and PARTIES client shares. Reported as a QUEUE
-// resource when a tracer is supplied.
-class AdjustableLimiter final : public WaiterOwner {
- public:
-  AdjustableLimiter(Executor& executor, int64_t limit, OverloadController* tracer = nullptr,
-                    ResourceId resource = kInvalidResourceId)
-      : executor_(executor), limit_(limit), tracer_(tracer), resource_(resource) {}
-
-  Task<Status> Acquire(uint64_t key, CancelToken* token);
-  void Release(uint64_t key);
-
-  // Raising the limit admits queued waiters immediately; lowering it takes
-  // effect as current holders release.
-  void SetLimit(int64_t limit);
-  int64_t limit() const { return limit_; }
-  int64_t in_use() const { return in_use_; }
-  size_t waiter_count() const { return waiters_.size(); }
-
-  void CancelWaiter(WaitNode& node) override;
-
- private:
-  class Acquirer {
-   public:
-    Acquirer(AdjustableLimiter& limiter, CancelToken* token) : limiter_(limiter), token_(token) {}
-    bool await_ready();
-    void await_suspend(std::coroutine_handle<> h);
-    Status await_resume() { return node_.result; }
-
-   private:
-    AdjustableLimiter& limiter_;
-    CancelToken* token_;
-    WaitNode node_;
-  };
-
-  void GrantWaiters();
-
-  Executor& executor_;
-  int64_t limit_;
-  int64_t in_use_ = 0;
-  WaitList waiters_;
-  OverloadController* tracer_;
-  ResourceId resource_;
 };
 
 }  // namespace atropos

@@ -1,6 +1,7 @@
 // Minimal streaming JSON writer for the machine-readable bench outputs
 // (BENCH_*.json). Deliberately tiny: objects, arrays, scalars, correct string
-// escaping, two-space indentation — no DOM, no dependencies.
+// escaping, two-space indentation — no DOM, no dependencies. The string
+// escaper is shared with the trace JSONL exporter and atropos_lint --json.
 
 #ifndef SRC_COMMON_JSON_WRITER_H_
 #define SRC_COMMON_JSON_WRITER_H_
@@ -8,18 +9,51 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace atropos {
 
+// Appends `s` to `out` as a quoted JSON string: quotes, backslashes and
+// control bytes are escaped; every other byte is copied as is.
+inline void AppendJsonString(std::string& out, std::string_view s) {
+  out.push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+}
+
 class JsonWriter {
  public:
   JsonWriter& BeginObject() {
     Prefix();
-    out_ << '{';
+    out_ += '{';
     stack_.push_back(false);
     return *this;
   }
@@ -29,12 +63,12 @@ class JsonWriter {
     if (had_items) {
       Newline();
     }
-    out_ << '}';
+    out_ += '}';
     return *this;
   }
   JsonWriter& BeginArray() {
     Prefix();
-    out_ << '[';
+    out_ += '[';
     stack_.push_back(false);
     return *this;
   }
@@ -44,7 +78,7 @@ class JsonWriter {
     if (had_items) {
       Newline();
     }
-    out_ << ']';
+    out_ += ']';
     return *this;
   }
 
@@ -52,37 +86,37 @@ class JsonWriter {
   // BeginObject/BeginArray).
   JsonWriter& Key(std::string_view key) {
     Prefix();
-    Escaped(key);
-    out_ << ": ";
+    AppendJsonString(out_, key);
+    out_ += ": ";
     pending_value_ = true;
     return *this;
   }
 
   JsonWriter& String(std::string_view v) {
     Prefix();
-    Escaped(v);
+    AppendJsonString(out_, v);
     return *this;
   }
   JsonWriter& Int(int64_t v) {
     Prefix();
-    out_ << v;
+    out_ += std::to_string(v);
     return *this;
   }
   JsonWriter& Uint(uint64_t v) {
     Prefix();
-    out_ << v;
+    out_ += std::to_string(v);
     return *this;
   }
   JsonWriter& Double(double v) {
     Prefix();
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6g", v);
-    out_ << buf;
+    out_ += buf;
     return *this;
   }
   JsonWriter& Bool(bool v) {
     Prefix();
-    out_ << (v ? "true" : "false");
+    out_ += v ? "true" : "false";
     return *this;
   }
 
@@ -97,7 +131,7 @@ class JsonWriter {
   JsonWriter& Field(std::string_view key, int64_t v) { return Key(key).Int(v); }
   JsonWriter& Field(std::string_view key, uint64_t v) { return Key(key).Uint(v); }
 
-  std::string str() const { return out_.str(); }
+  std::string str() const { return out_; }
 
   // Writes the document (plus trailing newline) to `path`; returns success.
   bool WriteFile(const std::string& path) const {
@@ -105,7 +139,7 @@ class JsonWriter {
     if (!file) {
       return false;
     }
-    file << out_.str() << "\n";
+    file << out_ << "\n";
     return static_cast<bool>(file);
   }
 
@@ -119,7 +153,7 @@ class JsonWriter {
     }
     if (!stack_.empty()) {
       if (stack_.back()) {
-        out_ << ',';
+        out_ += ',';
       }
       stack_.back() = true;
       Newline();
@@ -127,45 +161,13 @@ class JsonWriter {
   }
 
   void Newline() {
-    out_ << '\n';
+    out_ += '\n';
     for (size_t i = 0; i < stack_.size(); i++) {
-      out_ << "  ";
+      out_ += "  ";
     }
   }
 
-  void Escaped(std::string_view s) {
-    out_ << '"';
-    for (char c : s) {
-      switch (c) {
-        case '"':
-          out_ << "\\\"";
-          break;
-        case '\\':
-          out_ << "\\\\";
-          break;
-        case '\n':
-          out_ << "\\n";
-          break;
-        case '\t':
-          out_ << "\\t";
-          break;
-        case '\r':
-          out_ << "\\r";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out_ << buf;
-          } else {
-            out_ << c;
-          }
-      }
-    }
-    out_ << '"';
-  }
-
-  std::ostringstream out_;
+  std::string out_;
   // One entry per open container; true once it has at least one member.
   std::vector<bool> stack_;
   bool pending_value_ = false;

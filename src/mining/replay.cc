@@ -52,15 +52,13 @@ ReplayReport ReplayCorpus(const std::vector<CorpusEntry>& entries, const ReplayO
                               (unsigned long long)pair.baseline.digest,
                               (unsigned long long)entry.baseline_digest));
     }
-    if (options.check_oracles) {
-      if (!pair.baseline.ok()) {
-        fail(entry.name, "baseline run violates oracles:\n" +
-                             FormatViolations(pair.baseline.violations));
-      }
-      if (!pair.treatment.ok()) {
-        fail(entry.name, "treatment run violates oracles:\n" +
-                             FormatViolations(pair.treatment.violations));
-      }
+    if (!pair.baseline.ok()) {
+      fail(entry.name, "baseline run violates oracles:\n" +
+                           FormatViolations(pair.baseline.violations));
+    }
+    if (!pair.treatment.ok()) {
+      fail(entry.name, "treatment run violates oracles:\n" +
+                           FormatViolations(pair.treatment.violations));
     }
     if (pair.treatment.stats.cancels_issued != entry.cancels) {
       fail(entry.name, Format("cancels %llu != recorded %llu",

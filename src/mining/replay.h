@@ -28,9 +28,6 @@ struct ReplayOptions {
   // Replay at most this many entries (0 = all). Used by the sanitizer CI
   // stage, where each simulation is ~10x slower.
   int limit = 0;
-  // Re-verify violations are absent on both runs (always on; kept for
-  // symmetry/future use).
-  bool check_oracles = true;
 };
 
 struct ReplayFailure {

@@ -4,45 +4,12 @@
 #include <sstream>
 
 #include "src/common/clock.h"
+#include "src/common/json_writer.h"
 #include "src/common/table.h"
 
 namespace atropos {
 
 namespace {
-
-// Minimal JSON string escaping: quotes, backslashes, and control bytes.
-// Labels are library-generated identifiers, so this covers everything we emit.
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 // %g keeps the common integral values ("3", "0.25") short while preserving
 // enough precision for scores and contention levels.

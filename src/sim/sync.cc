@@ -113,8 +113,8 @@ bool SimSemaphore::Acquirer::await_ready() {
     node_.result = Status::Cancelled("semaphore acquire aborted before suspend");
     return true;
   }
-  if (sem_.waiters_.empty() && sem_.available_ >= units_) {
-    sem_.available_ -= units_;
+  if (sem_.waiters_.empty() && sem_.available() >= units_) {
+    sem_.in_use_ += units_;
     node_.result = Status::Ok();
     return true;
   }
@@ -133,22 +133,27 @@ void SimSemaphore::Acquirer::await_suspend(std::coroutine_handle<> h) {
 }
 
 bool SimSemaphore::TryAcquire(uint64_t units) {
-  if (waiters_.empty() && available_ >= units) {
-    available_ -= units;
+  if (waiters_.empty() && available() >= units) {
+    in_use_ += units;
     return true;
   }
   return false;
 }
 
 void SimSemaphore::Release(uint64_t units) {
-  available_ += units;
+  in_use_ -= units;
+  GrantWaiters();
+}
+
+void SimSemaphore::SetCapacity(uint64_t capacity) {
+  capacity_ = capacity;
   GrantWaiters();
 }
 
 void SimSemaphore::GrantWaiters() {
-  while (!waiters_.empty() && waiters_.front()->amount <= available_) {
+  while (!waiters_.empty() && waiters_.front()->amount <= available()) {
     WaitNode* node = waiters_.PopFront();
-    available_ -= node->amount;
+    in_use_ += node->amount;
     CompleteNode(node, Status::Ok());
   }
 }

@@ -97,11 +97,12 @@ class SimMutex final : public WaiterOwner {
 };
 
 // Counting semaphore with multi-unit FIFO acquire. Used for InnoDB-style
-// concurrency tickets, worker pools, and memory-pool admission.
+// concurrency tickets, worker pools, memory-pool admission, and the
+// concurrency limits that DARC reservations and PARTIES shares adjust.
 class SimSemaphore final : public WaiterOwner {
  public:
   SimSemaphore(Executor& executor, uint64_t capacity)
-      : executor_(executor), capacity_(capacity), available_(capacity) {}
+      : executor_(executor), capacity_(capacity) {}
 
   class Acquirer {
    public:
@@ -124,8 +125,11 @@ class SimSemaphore final : public WaiterOwner {
   // Non-blocking variant; returns false without side effects if it would block.
   bool TryAcquire(uint64_t units = 1);
   void Release(uint64_t units = 1);
+  // Raising the capacity grants waiting requests at once; lowering it below
+  // the units in use takes effect as holders release.
+  void SetCapacity(uint64_t capacity);
 
-  uint64_t available() const { return available_; }
+  uint64_t available() const { return in_use_ < capacity_ ? capacity_ - in_use_ : 0; }
   uint64_t capacity() const { return capacity_; }
   size_t waiter_count() const { return waiters_.size(); }
 
@@ -138,7 +142,7 @@ class SimSemaphore final : public WaiterOwner {
 
   Executor& executor_;
   uint64_t capacity_;
-  uint64_t available_;
+  uint64_t in_use_ = 0;
   WaitList waiters_;
 };
 

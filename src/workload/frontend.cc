@@ -205,9 +205,9 @@ void Frontend::OnDone(const AppRequest& req, OutcomeKind outcome, TimeMicros fir
       // the runtime's cancel_issued event, with the request type named.
       RecordClientEvent(ObsEventKind::kCancelCompleted, req, ToSeconds(latency));
       if (background) {
+        // §4's max-wait re-execution guarantee is not modelled: background
+        // work takes the same calm-gated retry path (DESIGN.md §1).
         metrics_.background_cancelled++;
-        // Background tasks are guaranteed re-execution after their waiting
-        // threshold (§4); modelled by the same retry path.
       }
       if (!background && measured) {
         metrics_.cancelled++;

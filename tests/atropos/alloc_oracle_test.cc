@@ -24,7 +24,7 @@
 //   ConcurrentFrontend::ApplyMerged     -> both Frontend tests
 //   App::BeginTask, FinishTask, AcquireSlot, ReleaseSlot, Live (const),
 //     Scaled, GateEnter and GateExit; CancelToken::Rearm;
-//     AdjustableLimiter::Acquire and Release; BufferPool::Access,
+//     SimSemaphore::Acquirer::await_ready and Release; BufferPool::Access,
 //     PushFront and Unlink; MiniDb::Serve, Dispatch, PointSelect and
 //     RowUpdate                         -> WarmSimRequests
 // Nothing else checks that these stay allocation-free.

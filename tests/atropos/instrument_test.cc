@@ -120,68 +120,79 @@ TEST_F(InstrumentTest, NullTracerIsSafe) {
 }
 
 // --------------------------------------------------------------------------
-// AdjustableLimiter
+// A semaphore whose capacity changes at run time: the limit that DARC
+// reservations and PARTIES client shares adjust.
 
-Coro UseLimiter(Executor& ex, AdjustableLimiter& lim, uint64_t key, TimeMicros hold,
+Coro UseLimiter(Executor& ex, InstrumentedSemaphore& sem, uint64_t key, TimeMicros hold,
                 CancelToken* token, std::vector<std::pair<TimeMicros, Status>>& log) {
   co_await BindExecutor{ex};
-  Status s = co_await lim.Acquire(key, token);
+  Status s = co_await sem.Acquire(key, token);
   log.emplace_back(ex.now(), s);
   if (s.ok()) {
     co_await Delay{ex, hold};
-    lim.Release(key);
+    sem.Release(key);
   }
 }
 
 TEST_F(InstrumentTest, LimiterEnforcesLimit) {
-  AdjustableLimiter lim(ex_, 2);
+  InstrumentedSemaphore sem(ex_, 2, &ctl_, 9);
   std::vector<std::pair<TimeMicros, Status>> log;
   for (uint64_t k = 1; k <= 4; k++) {
-    UseLimiter(ex_, lim, k, 100, nullptr, log);
+    UseLimiter(ex_, sem, k, 100, nullptr, log);
   }
   ex_.Run();
   ASSERT_EQ(log.size(), 4u);
   EXPECT_EQ(log[1].first, 0u);
   EXPECT_EQ(log[2].first, 100u);
   EXPECT_EQ(log[3].first, 100u);
+  // Only the two requests that queued bracket a wait.
+  EXPECT_EQ(ctl_.Count(TraceEventKind::kWaitBegin), 2);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kWaitEnd, 3), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kWaitEnd, 4), 1);
 }
 
 TEST_F(InstrumentTest, RaisingLimitAdmitsWaiters) {
-  AdjustableLimiter lim(ex_, 1);
+  InstrumentedSemaphore sem(ex_, 1, &ctl_, 9);
   std::vector<std::pair<TimeMicros, Status>> log;
-  UseLimiter(ex_, lim, 1, 1000, nullptr, log);
-  UseLimiter(ex_, lim, 2, 10, nullptr, log);
-  ex_.CallAt(200, [&] { lim.SetLimit(2); });
+  UseLimiter(ex_, sem, 1, 1000, nullptr, log);
+  UseLimiter(ex_, sem, 2, 10, nullptr, log);
+  ex_.CallAt(200, [&] { sem.SetCapacity(2); });
   ex_.Run();
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[1].first, 200u);  // admitted the moment the limit grew
 }
 
 TEST_F(InstrumentTest, LoweringLimitAppliesAsHoldersRelease) {
-  AdjustableLimiter lim(ex_, 2);
+  InstrumentedSemaphore sem(ex_, 2, &ctl_, 9);
   std::vector<std::pair<TimeMicros, Status>> log;
-  UseLimiter(ex_, lim, 1, 100, nullptr, log);
-  UseLimiter(ex_, lim, 2, 300, nullptr, log);
-  ex_.CallAt(50, [&] { lim.SetLimit(1); });
-  UseLimiter(ex_, lim, 3, 10, nullptr, log);  // queued at t=0
+  UseLimiter(ex_, sem, 1, 100, nullptr, log);
+  UseLimiter(ex_, sem, 2, 300, nullptr, log);
+  ex_.CallAt(50, [&] {
+    sem.SetCapacity(1);
+    EXPECT_EQ(sem.raw().available(), 0u);  // two in use against a limit of one
+  });
+  UseLimiter(ex_, sem, 3, 10, nullptr, log);  // queued at t=0
   ex_.Run();
   ASSERT_EQ(log.size(), 3u);
-  // Key 3 admitted only when in_use drops below the new limit of 1: both
-  // holders must finish (at 100 and 300).
+  // Key 3 admitted only when the units in use drop below the new limit of 1:
+  // both holders must finish (at 100 and 300).
   EXPECT_EQ(log[2].first, 300u);
 }
 
 TEST_F(InstrumentTest, LimiterCancellation) {
-  AdjustableLimiter lim(ex_, 1);
+  InstrumentedSemaphore sem(ex_, 1, &ctl_, 9);
   CancelToken token(ex_);
   std::vector<std::pair<TimeMicros, Status>> log;
-  UseLimiter(ex_, lim, 1, 1000, nullptr, log);
-  UseLimiter(ex_, lim, 2, 10, &token, log);
+  UseLimiter(ex_, sem, 1, 1000, nullptr, log);
+  UseLimiter(ex_, sem, 2, 10, &token, log);
   ex_.CallAt(77, [&] { token.Cancel(); });
   ex_.Run();
   ASSERT_EQ(log.size(), 2u);
   EXPECT_TRUE(log[1].second.IsCancelled());
   EXPECT_EQ(log[1].first, 77u);
+  // The aborted wait is bracketed but never granted.
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kWaitEnd, 2), 1);
+  EXPECT_EQ(ctl_.CountFor(TraceEventKind::kGet, 2), 0);
 }
 
 }  // namespace

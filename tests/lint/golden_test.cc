@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "tools/atropos_lint/check.h"
 #include "tools/atropos_lint/driver.h"
@@ -56,10 +57,6 @@ TEST(GoldenTest, DeterminismBadMatchesGolden) {
   EXPECT_EQ(LintFixture("determinism_bad.cc"), Golden("determinism_bad.expected"));
 }
 
-TEST(GoldenTest, LockOrderBadMatchesGolden) {
-  EXPECT_EQ(LintFixture("lock_order_bad.cc"), Golden("lock_order_bad.expected"));
-}
-
 // The live-threads shape: a blocking/allocating initiator registered via
 // AtroposRuntime::SetCancelAction (the form src/live installs) vs. the clean
 // CancelBoard atomic-scan pattern.
@@ -99,7 +96,6 @@ TEST(GoldenTest, GoodFixturesLintClean) {
   EXPECT_EQ(LintFixture("capi_pairing_good.cc"), "");
   EXPECT_EQ(LintFixture("cancel_safety_good.cc"), "");
   EXPECT_EQ(LintFixture("determinism_good.cc"), "");
-  EXPECT_EQ(LintFixture("lock_order_good.cc"), "");
   EXPECT_EQ(LintFixture("live_initiator_good.cc"), "");
   EXPECT_EQ(LintFixture("abort_entry_good.cc"), "");
   EXPECT_EQ(LintFixture("guarded_by_good.cc"), "");
@@ -158,7 +154,8 @@ TEST(GoldenTest, LiveSuppressionIsNotStale) {
 }
 
 // Staleness is only decidable when every check ran: under a restricted
-// --checks set a marker for an unselected check is skipped, not flagged.
+// --checks set a marker for an unselected check is skipped, not flagged, even
+// though the stale-suppression pass itself runs.
 TEST(GoldenTest, StaleSuppressionSkippedUnderRestrictedChecks) {
   const std::string source =
       "void F() {\n"
@@ -166,7 +163,8 @@ TEST(GoldenTest, StaleSuppressionSkippedUnderRestrictedChecks) {
       "  int x = 0;\n"
       "  (void)x;\n"
       "}\n";
-  RunResult result = LintBuffer("suppressed.cc", source, {"lock-order"});
+  RunResult result =
+      LintBuffer("suppressed.cc", source, {"determinism", std::string(kStaleSuppressionCheck)});
   EXPECT_TRUE(result.diagnostics.empty());
 }
 
@@ -174,8 +172,18 @@ TEST(GoldenTest, StaleSuppressionSkippedUnderRestrictedChecks) {
 TEST(GoldenTest, CheckSelectionFilters) {
   const std::string source = ReadFile(std::string(ATROPOS_LINT_TEST_DATA_DIR) +
                                       "/fixtures/capi_pairing_bad.cc");
-  RunResult result = LintBuffer("capi_pairing_bad.cc", source, {"lock-order"});
+  RunResult result = LintBuffer("capi_pairing_bad.cc", source, {"determinism"});
   EXPECT_TRUE(result.diagnostics.empty());
+  EXPECT_FALSE(LintBuffer("capi_pairing_bad.cc", source, {"capi-pairing"}).diagnostics.empty());
+}
+
+// The names --checks accepts (and --list-checks prints); main rejects any
+// other name as a usage error.
+TEST(GoldenTest, CheckNamesAreTheListedChecks) {
+  const std::vector<std::string> expected = {"atomics-protocol", "capi-pairing",
+                                             "cancel-action-safety", "determinism",
+                                             "guarded-by", "stale-suppression"};
+  EXPECT_EQ(CheckNames(), expected);
 }
 
 }  // namespace

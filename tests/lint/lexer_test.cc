@@ -90,10 +90,10 @@ TEST(LexerTest, StandaloneAllowSuppressesNextCodeLine) {
 }
 
 TEST(LexerTest, AllowListSplitsOnCommas) {
-  LexedFile lex = Lex("// atropos-lint: allow(capi-pairing, lock-order)\nx();\n");
+  LexedFile lex = Lex("// atropos-lint: allow(capi-pairing, guarded-by)\nx();\n");
   ASSERT_EQ(lex.line_suppressions.count(2), 1u);
   EXPECT_EQ(lex.line_suppressions.at(2).count("capi-pairing"), 1u);
-  EXPECT_EQ(lex.line_suppressions.at(2).count("lock-order"), 1u);
+  EXPECT_EQ(lex.line_suppressions.at(2).count("guarded-by"), 1u);
 }
 
 TEST(LexerTest, AllowFileAndDigestPathMarkers) {
@@ -104,8 +104,8 @@ TEST(LexerTest, AllowFileAndDigestPathMarkers) {
 }
 
 TEST(LexerTest, BlockCommentDirectivesWork) {
-  LexedFile lex = Lex("/* atropos-lint: allow-file(lock-order) */\nint x;\n");
-  EXPECT_EQ(lex.file_suppressions.count("lock-order"), 1u);
+  LexedFile lex = Lex("/* atropos-lint: allow-file(guarded-by) */\nint x;\n");
+  EXPECT_EQ(lex.file_suppressions.count("guarded-by"), 1u);
 }
 
 // The outline rides on the lexer; pin the function spans the checks rely on.

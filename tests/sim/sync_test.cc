@@ -202,6 +202,29 @@ TEST(SimSemaphoreTest, SmartModeCancelGrantsBlockedTailImmediately) {
   EXPECT_EQ(log[2].first, 20u);  // grant transferred at cancellation time
 }
 
+// SetCapacity with multi-unit requests: a capacity lowered below the units in
+// use leaves none available (not a wrapped-around count) until enough
+// holders release, and the FIFO head still gates the requests behind it.
+TEST(SimSemaphoreTest, SetCapacityRespectsUnitsInUseAndFifoOrder) {
+  Executor ex;
+  SimSemaphore sem(ex, 4);
+  std::vector<std::pair<TimeMicros, Status>> log;
+  UseSemaphore(ex, sem, 3, 100, nullptr, log);  // holds 3 until 100
+  UseSemaphore(ex, sem, 2, 10, nullptr, log);   // queued head
+  UseSemaphore(ex, sem, 1, 10, nullptr, log);   // behind the head
+  ex.CallAt(50, [&] {
+    sem.SetCapacity(2);
+    EXPECT_EQ(sem.available(), 0u);
+    EXPECT_FALSE(sem.TryAcquire());
+  });
+  ex.CallAt(200, [&] { sem.SetCapacity(3); });
+  ex.Run();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[1].first, 100u);  // 2 units fit the lowered capacity at release
+  EXPECT_EQ(log[2].first, 110u);  // 1 more only once the head releases
+  EXPECT_EQ(sem.available(), 3u);
+}
+
 TEST(SimSemaphoreTest, TryAcquireDoesNotBlock) {
   Executor ex;
   SimSemaphore sem(ex, 1);

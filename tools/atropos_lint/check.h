@@ -58,13 +58,16 @@ std::unique_ptr<Check> MakeCapiPairingCheck();
 std::unique_ptr<Check> MakeCancelActionSafetyCheck();
 std::unique_ptr<Check> MakeDeterminismCheck();
 std::unique_ptr<Check> MakeGuardedByCheck();
-std::unique_ptr<Check> MakeLockOrderCheck();
 std::vector<std::unique_ptr<Check>> MakeAllChecks();
 
 // The stale-suppression pass is implemented by the driver (it needs the
 // post-suppression audit), but participates in check listing/selection under
 // this name.
 inline constexpr std::string_view kStaleSuppressionCheck = "stale-suppression";
+
+// Every name --checks accepts, in --list-checks order: the checks in
+// canonical order, then stale-suppression.
+std::vector<std::string> CheckNames();
 
 }  // namespace atropos::lint
 

@@ -17,11 +17,10 @@
 //   - Every call that the cross-file call graph resolves to a function
 //     annotated ATROPOS_REQUIRES(mu) must occur with `mu` held.
 //
-// Held-lock tracking reuses the lock-order check's guard-scope machinery
-// (guard_scope.h) so both checks agree on what "holding" means. Nested
-// lambdas are scanned lexically inside their enclosing function: a guard in
-// scope at the lambda's definition site counts as held in its body, which is
-// exactly the condition-variable-predicate shape
+// Held-lock tracking uses the shared guard-scope machinery (guard_scope.h).
+// Nested lambdas are scanned lexically inside their enclosing function: a
+// guard in scope at the lambda's definition site counts as held in its body,
+// which is exactly the condition-variable-predicate shape
 // (`cv_.wait(lk, [this] { return done_; })`) the annotations are used with.
 //
 // Deliberate token-level limits: constructors/destructors are skipped
@@ -58,12 +57,6 @@ bool IsRequiresMacro(const std::string& s) {
 bool IsSkipMacro(const std::string& s) {
   return s == "ATROPOS_ACQUIRE" || s == "ATROPOS_RELEASE" || s == "ATROPOS_TRY_ACQUIRE" ||
          s == "ATROPOS_NO_THREAD_SAFETY_ANALYSIS" || s == "ATROPOS_SCOPED_CAPABILITY";
-}
-
-// Guard types whose constructor acquires: the std guards plus this repo's
-// annotated MutexLock (src/common/mutex.h).
-bool IsAcquiringGuardType(const std::string& s) {
-  return IsStdGuardType(s) || s == "MutexLock";
 }
 
 size_t BackwardMatchingOpenParen(const std::vector<Token>& toks, size_t from) {
@@ -258,7 +251,7 @@ class GuardedByCheck final : public Check {
         continue;
       }
 
-      if (IsAcquiringGuardType(t.text)) {
+      if (IsGuardType(t.text)) {
         size_t j = SkipTemplateArgs(toks, i + 1, fn.body_end);
         if (toks[j].kind == TokenKind::kIdentifier && toks[j + 1].IsPunct("(")) {
           for (std::string& m : SplitLockArgs(toks, j + 1, fn.body_end)) {

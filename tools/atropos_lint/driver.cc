@@ -132,8 +132,16 @@ std::vector<std::unique_ptr<Check>> MakeAllChecks() {
   checks.push_back(MakeCancelActionSafetyCheck());
   checks.push_back(MakeDeterminismCheck());
   checks.push_back(MakeGuardedByCheck());
-  checks.push_back(MakeLockOrderCheck());
   return checks;
+}
+
+std::vector<std::string> CheckNames() {
+  std::vector<std::string> names;
+  for (const std::unique_ptr<Check>& check : MakeAllChecks()) {
+    names.emplace_back(check->name());
+  }
+  names.emplace_back(kStaleSuppressionCheck);
+  return names;
 }
 
 RunResult RunLint(const DriverOptions& options) {

@@ -2,12 +2,9 @@
 
 namespace atropos::lint {
 
-bool IsStdGuardType(const std::string& s) {
-  return s == "lock_guard" || s == "unique_lock" || s == "scoped_lock" || s == "shared_lock";
-}
-
-bool IsLockTag(const std::string& s) {
-  return s == "defer_lock" || s == "adopt_lock" || s == "try_to_lock";
+bool IsGuardType(const std::string& s) {
+  return s == "lock_guard" || s == "unique_lock" || s == "scoped_lock" || s == "shared_lock" ||
+         s == "MutexLock";
 }
 
 std::string NormalizeMutexExpr(const std::vector<Token>& toks, size_t begin, size_t end) {
@@ -49,6 +46,11 @@ size_t LockExprStart(const std::vector<Token>& toks, size_t end, size_t floor) {
 }
 
 namespace {
+
+// std:: lock tags that make a guard argument a non-acquisition.
+bool IsLockTag(const std::string& s) {
+  return s == "defer_lock" || s == "adopt_lock" || s == "try_to_lock";
+}
 
 void AppendLockArg(const std::vector<Token>& toks, size_t begin, size_t end,
                    std::vector<std::string>* out) {

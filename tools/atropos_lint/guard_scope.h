@@ -1,9 +1,6 @@
-// Shared guard-scope machinery for the lock-aware checks (lock-order,
-// guarded-by): recognizing RAII guard declarations, normalizing mutex
+// Guard-scope machinery for the lock-aware checks (guarded-by,
+// atomics-protocol): recognizing RAII guard declarations, normalizing mutex
 // expressions to stable identities, and splitting lock argument lists.
-//
-// Extracted from the lock-order check so the guarded-by verification walks
-// scopes with the exact same token-level rules the lock graph is built from.
 
 #ifndef TOOLS_ATROPOS_LINT_GUARD_SCOPE_H_
 #define TOOLS_ATROPOS_LINT_GUARD_SCOPE_H_
@@ -16,11 +13,9 @@
 
 namespace atropos::lint {
 
-// std:: scope guards whose constructor acquires its mutex arguments.
-bool IsStdGuardType(const std::string& s);
-
-// std:: lock tags that make a guard argument a non-acquisition.
-bool IsLockTag(const std::string& s);
+// Scope guards whose constructor acquires its mutex arguments: the std
+// guards plus this repo's MutexLock (src/common/mutex.h).
+bool IsGuardType(const std::string& s);
 
 // Normalizes the mutex expression tokens [begin, end): joins identifiers and
 // member accesses, dropping `this->`, `std::`, `&`, and `*`.

@@ -12,22 +12,23 @@
 //   determinism           no ambient time/randomness in digest paths
 //   guarded-by            ATROPOS_GUARDED_BY / ATROPOS_REQUIRES annotations
 //                         verified against the lock scopes actually held
-//   lock-order            cycles in the static mutex acquisition graph
 //   stale-suppression     allow()/allow-file() markers that no longer match
 //                         any diagnostic (full runs only)
 //
 // Exit status: 0 when no findings, 1 when findings were reported, 2 on usage
-// errors. Suppress individual findings with `// atropos-lint: allow(check)`.
+// errors (an unknown flag or --checks name). Suppress individual findings with `// atropos-lint: allow(check)`.
 //
 // --json emits a machine-readable report on stdout instead of the plain
 // diagnostic lines; scripts/check.sh uses it to track lint wall time in the
 // perf trajectory.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "src/common/json_writer.h"
 #include "tools/atropos_lint/check.h"
 #include "tools/atropos_lint/driver.h"
 
@@ -48,36 +49,6 @@ void SplitCommaList(const char* list, std::set<std::string>* out) {
       cur.push_back(*p);
     }
   }
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 int Usage() {
@@ -102,10 +73,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--dir") == 0 && i + 1 < argc) {
       options.dirs.push_back(argv[++i]);
     } else if (std::strcmp(arg, "--list-checks") == 0) {
-      for (const auto& check : atropos::lint::MakeAllChecks()) {
-        std::printf("%s\n", std::string(check->name()).c_str());
+      for (const std::string& name : atropos::lint::CheckNames()) {
+        std::printf("%s\n", name.c_str());
       }
-      std::printf("%s\n", std::string(atropos::lint::kStaleSuppressionCheck).c_str());
       return 0;
     } else if (std::strcmp(arg, "--json") == 0) {
       json = true;
@@ -120,6 +90,15 @@ int main(int argc, char** argv) {
   if (options.files.empty() && options.dirs.empty()) {
     return Usage();
   }
+  // A misspelt name would otherwise select no check and pass vacuously.
+  const std::vector<std::string> known = atropos::lint::CheckNames();
+  for (const std::string& name : options.checks) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "atropos_lint: unknown check '%s' (see --list-checks)\n",
+                   name.c_str());
+      return Usage();
+    }
+  }
 
   auto start = std::chrono::steady_clock::now();
   atropos::lint::RunResult result = atropos::lint::RunLint(options);
@@ -133,10 +112,14 @@ int main(int argc, char** argv) {
     std::printf("  \"findings\": [");
     for (size_t i = 0; i < result.diagnostics.size(); i++) {
       const atropos::lint::Diagnostic& d = result.diagnostics[i];
-      std::printf("%s\n    {\"path\": \"%s\", \"line\": %d, \"check\": \"%s\", "
-                  "\"message\": \"%s\"}",
-                  i == 0 ? "" : ",", JsonEscape(d.path).c_str(), d.line,
-                  JsonEscape(d.check).c_str(), JsonEscape(d.message).c_str());
+      std::string row = i == 0 ? "\n    {\"path\": " : ",\n    {\"path\": ";
+      atropos::AppendJsonString(row, d.path);
+      row += ", \"line\": " + std::to_string(d.line) + ", \"check\": ";
+      atropos::AppendJsonString(row, d.check);
+      row += ", \"message\": ";
+      atropos::AppendJsonString(row, d.message);
+      row += "}";
+      std::fputs(row.c_str(), stdout);
     }
     std::printf("%s]\n}\n", result.diagnostics.empty() ? "" : "\n  ");
   } else {
