@@ -36,8 +36,6 @@ struct AblationResult {
 AblationResult RunAblation(bool multi_resource, ControllerKind kind) {
   Executor executor;
   ControllerParams params;
-  auto MakeSurface = [](App* app) { return app; };
-  (void)MakeSurface;
 
   // Build controller and app directly (same wiring as RunCase).
   struct Proxy final : ControlSurface {
@@ -73,7 +71,7 @@ AblationResult RunAblation(bool multi_resource, ControllerKind kind) {
   FrontendOptions fopt;
   fopt.duration = Seconds(10);
   fopt.warmup = Seconds(2);
-  fopt.tick_window = params.window;
+  fopt.tick_window = kControllerWindow;
   Frontend frontend(executor, app, *controller, fopt);
 
   TrafficSpec victims;

@@ -220,7 +220,7 @@ int Main(int argc, char** argv) {
     std::printf("sim counterpart: %.1f qps, p99 %.1f ms, %llu cancels\n",
                 sim.metrics.ThroughputQps(), static_cast<double>(sim.metrics.P99()) / 1000.0,
                 static_cast<unsigned long long>(sim.stats.cancels_issued));
-    report = CrossCheckDigests(live.digest, sim.digest, ToleranceBands{});
+    report = CrossCheckDigests(live.digest, sim.digest);
     std::printf("%s\n", report.Render().c_str());
   }
 

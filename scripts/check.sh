@@ -162,8 +162,8 @@ echo "== abortable-sync units + CQS storms under TSan =="
 echo "== mt_ingest smoke under TSan =="
 ./build-tsan/bench/mt_ingest --events=20000 --max-threads=4
 
-# Its own TSan tree (build-mutants/) over a copy of the checkout; prints the
-# stage's wall time.
+# Its own TSan and plain trees (build-mutants/) over a copy of the checkout;
+# prints the stage's wall time.
 python3 scripts/mutants.py
 
 run_perf

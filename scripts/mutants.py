@@ -3,10 +3,11 @@
 must be killed by the check it names.
 
 The tree is copied into build-mutants/ (which the .gitignore covers) so the
-checkout is never patched. The copy is synced by content, so its single
-ThreadSanitizer build tree is rebuilt incrementally across entries and
-across runs. Each entry is applied with `git apply`, its
-killer is built and run, and the patch is reverted. Before any mutant, each
+checkout is never patched. The copy is synced by content, so its two build
+trees, one under ThreadSanitizer for `tsan:` killers and one plain for
+`test:` and `lint:` killers, are rebuilt incrementally across entries and
+across runs. Each entry is applied with `git apply`, its killer is built and
+run, and the patch is reverted. Before any mutant, each
 killer runs once on the unpatched copy and must pass: a killer that already
 fails would "kill" every mutant.
 
@@ -50,10 +51,21 @@ def read_catalog():
                 continue
             name, killer, why = line.split(None, 2)
             kind, _, arg = killer.partition(":")
-            if kind not in ("tsan", "lint") or not arg:
+            if kind not in ("tsan", "test", "lint") or not arg:
                 sys.exit(f"mutants: bad killer '{killer}' for {name}")
             entries.append({"name": name, "kind": kind, "arg": arg, "why": why})
     return entries
+
+
+def tree_of(entry):
+    return "tsan" if entry["kind"] == "tsan" else "plain"
+
+
+def target_of(entry):
+    """The build target a killer runs: the test binary, or the linter."""
+    if entry["kind"] == "lint":
+        return "atropos_lint"
+    return entry["arg"].partition(":")[0]
 
 
 def sync_tree(dst):
@@ -109,10 +121,11 @@ def find_binary(tree, target):
 
 
 def killer_command(entry, tree):
-    if entry["kind"] == "tsan":
-        return [find_binary(tree, entry["arg"])]
-    return [find_binary(tree, "atropos_lint"), "--checks=" + entry["arg"]] + [
-        "--dir=" + d for d in LINT_DIRS]
+    binary = find_binary(tree, target_of(entry))
+    if entry["kind"] == "lint":
+        return [binary, "--checks=" + entry["arg"]] + ["--dir=" + d for d in LINT_DIRS]
+    gtest_filter = entry["arg"].partition(":")[2]
+    return [binary] + (["--gtest_filter=" + gtest_filter] if gtest_filter else [])
 
 
 def run_killer(cmd, src, timeout_s):
@@ -132,20 +145,21 @@ def main():
     stage_start = time.monotonic()
     entries = read_catalog()
     src = os.path.join(WORKDIR, "src")
-    tree = os.path.join(WORKDIR, "tsan")
+    trees = {name: os.path.join(WORKDIR, name) for name in ("tsan", "plain")}
     os.makedirs(src, exist_ok=True)
     log(f"== mutants: syncing the tree into {src} ==")
     sync_tree(src)
-    subprocess.run(["cmake", "-B", tree, "-S", src, "-DATROPOS_TSAN=ON"], check=True,
-                   stdout=subprocess.DEVNULL)
-
-    targets = sorted({e["arg"] for e in entries if e["kind"] == "tsan"} |
-                     ({"atropos_lint"} if any(e["kind"] == "lint" for e in entries) else set()))
-    log(f"== mutants: building {' '.join(targets)} (ThreadSanitizer) ==")
-    ok, out = build(tree, targets)
-    if not ok:
-        log(out[-4000:])
-        sys.exit("mutants: the unpatched tree does not build")
+    for name, flags in (("tsan", ["-DATROPOS_TSAN=ON"]), ("plain", [])):
+        targets = sorted({target_of(e) for e in entries if tree_of(e) == name})
+        if not targets:
+            continue
+        subprocess.run(["cmake", "-B", trees[name], "-S", src] + flags, check=True,
+                       stdout=subprocess.DEVNULL)
+        log(f"== mutants: building {' '.join(targets)} ({name}) ==")
+        ok, out = build(trees[name], targets)
+        if not ok:
+            log(out[-4000:])
+            sys.exit(f"mutants: the unpatched {name} tree does not build")
 
     # Controls: every killer passes on the unpatched tree; its time sets the
     # timeout for the mutant runs.
@@ -155,6 +169,7 @@ def main():
         key = (entry["kind"], entry["arg"])
         if key in timeouts:
             continue
+        tree = trees[tree_of(entry)]
         code, secs, out = run_killer(killer_command(entry, tree), src, CONTROL_TIMEOUT_S)
         timeouts[key] = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * secs)
         log(f"control  {entry['kind']}:{entry['arg']:<22} exit {code} in {secs:.1f}s")
@@ -174,9 +189,10 @@ def main():
             failures.append(f"{name} does not apply")
             continue
         git_apply(src, patch)
+        tree = trees[tree_of(entry)]
         try:
-            if entry["kind"] == "tsan":
-                ok, out = build(tree, [entry["arg"]])
+            if entry["kind"] != "lint":
+                ok, out = build(tree, [target_of(entry)])
                 if not ok:
                     log(f"ERROR    {name}: mutant does not build\n{out[-4000:]}")
                     failures.append(f"{name} does not build")

@@ -1,4 +1,9 @@
-// Tunable parameters of the Atropos runtime.
+// Parameters of the Atropos runtime.
+//
+// Only the values some caller varies are fields of AtroposConfig. The fixed
+// design rules of the control loop (the throughput-flat tolerance, the
+// sampling quantum, the gain floors, ...) are named constants in the one
+// module that reads them.
 
 #ifndef SRC_ATROPOS_CONFIG_H_
 #define SRC_ATROPOS_CONFIG_H_
@@ -20,6 +25,11 @@ enum class TimestampMode {
   kPerEvent = 1,  // every event keeps its own stamp (during suspected overload)
 };
 
+// Fairness (§4): a task may be cancelled at most this many times; on
+// re-execution it is marked non-cancellable. The estimator enforces it and
+// the fuzz oracles check it.
+inline constexpr int kMaxCancelsPerTask = 1;
+
 struct AtroposConfig {
   // Estimation/detection window; metrics are aggregated per window.
   TimeMicros window = Millis(100);
@@ -33,30 +43,14 @@ struct AtroposConfig {
   TimeMicros baseline_p99 = 0;
   int calibration_windows = 10;
 
-  // Throughput is "flat" if the current window rate is within this fraction
-  // of the recent peak (Breakwater-style signal, §3.3).
-  double throughput_flat_tolerance = 0.15;
-
-  // This many in-flight requests older than the SLO latency count as a stall
-  // regardless of the (survivor-biased) completion p99.
-  int stall_active_threshold = 10;
-
   // A resource is considered overloaded when its normalized contention level
-  // C_r = D_r / T_exec exceeds this threshold (§3.5 normalization) ...
+  // C_r = D_r / T_exec exceeds this threshold (§3.5 normalization), and a
+  // fixed multiple of its calibrated baseline (estimator.cc).
   double contention_threshold = 0.10;
-  // ... and also exceeds this multiple of the resource's *calibrated baseline*
-  // contention. Workloads have inherent queueing (a mutex at 50% utilization
-  // produces waits in steady state); only contention well above the healthy
-  // baseline marks a resource as the bottleneck.
-  double contention_baseline_factor = 2.5;
 
   // Minimum virtual time between consecutive cancellations; prevents
   // excessive task termination (§5.3 discusses the resulting trade-off).
   TimeMicros min_cancel_interval = Millis(200);
-
-  // Fairness (§4): a task may be cancelled at most this many times; on
-  // re-execution it is marked non-cancellable.
-  int max_cancels_per_task = 1;
 
   // Windows of sustained sub-threshold contention before re-execution of
   // cancelled tasks is recommended (§4 "sustained resource availability").
@@ -68,27 +62,6 @@ struct AtroposConfig {
   PolicyKind policy = PolicyKind::kMultiObjective;
 
   TimestampMode timestamp_mode = TimestampMode::kSampled;
-  // In sampled mode, the quantum the ledger rounds event stamps down to.
-  TimeMicros timestamp_sample_interval = Millis(1);
-
-  // Candidates whose predicted future resource gain is insignificant are
-  // never cancelled: a task that will release the resource within a fraction
-  // of one decision window resolves itself faster than a cancellation would.
-  // Time-class resources (lock/queue/cpu/io) compare against
-  // min_gain_window_fraction * window; memory resources against
-  // min_gain_memory_units.
-  double min_gain_window_fraction = 0.5;
-  double min_gain_memory_units = 4.0;
-
-  // Client class the latency SLO applies to (-1 = all classes). Detection
-  // watches the latency-sensitive workload; long-running batch requests
-  // completing slowly are not SLO violations.
-  int slo_client_class = 0;
-
-  // Progress assumed for tasks that never report any (§3.4: GetNext model
-  // where available, developer API otherwise). 0.5 makes the future-gain
-  // factor (1-p)/p equal to 1, i.e. gain = current usage.
-  double default_progress = 0.5;
 
   // Master switches used by the overhead experiments (Fig 14): tracing can be
   // left on while cancellation actions are disabled.

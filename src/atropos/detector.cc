@@ -5,6 +5,18 @@
 
 namespace atropos {
 
+namespace {
+
+// Throughput is "flat" if the current window rate is within this fraction of
+// the recent peak (Breakwater-style signal, §3.3).
+constexpr double kThroughputFlatTolerance = 0.15;
+
+// This many in-flight requests older than the SLO latency count as a stall
+// regardless of the (survivor-biased) completion p99.
+constexpr uint64_t kStallActiveThreshold = 10;
+
+}  // namespace
+
 std::string_view SignalName(OverloadDetector::Signal signal) {
   switch (signal) {
     case OverloadDetector::Signal::kCalibrating:
@@ -54,7 +66,7 @@ OverloadDetector::Signal OverloadDetector::OnWindow(const WindowSample& sample) 
   }
 
   double rate = static_cast<double>(sample.completions);
-  bool flat = rate <= peak_rate_ * (1.0 + config_.throughput_flat_tolerance);
+  bool flat = rate <= peak_rate_ * (1.0 + kThroughputFlatTolerance);
   // Slowly decay the peak so a permanent load drop doesn't pin "flat" forever.
   peak_rate_ = std::max(peak_rate_ * 0.995, rate);
 
@@ -65,7 +77,7 @@ OverloadDetector::Signal OverloadDetector::OnWindow(const WindowSample& sample) 
   }
   // A convoy of overdue in-flight requests is a stall even if fast survivors
   // keep the completion p99 looking healthy.
-  if (sample.overdue_actives >= static_cast<uint64_t>(config_.stall_active_threshold)) {
+  if (sample.overdue_actives >= kStallActiveThreshold) {
     return Signal::kSuspectedOverload;
   }
   if (sample.p99 <= slo_latency()) {

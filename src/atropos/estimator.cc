@@ -7,6 +7,27 @@ namespace atropos {
 
 namespace {
 
+// A resource is overloaded only when its contention also exceeds this
+// multiple of its *calibrated baseline* contention. Workloads have inherent
+// queueing (a mutex at 50% utilization produces waits in steady state); only
+// contention well above the healthy baseline marks a resource as the
+// bottleneck.
+constexpr double kContentionBaselineFactor = 2.5;
+
+// Candidates whose predicted future resource gain is insignificant are never
+// cancelled: a task that will release the resource within a fraction of one
+// decision window resolves itself faster than a cancellation would.
+// Time-class resources (lock/queue/cpu/io) compare against
+// kMinGainWindowFraction * window; memory resources against
+// kMinGainMemoryUnits.
+constexpr double kMinGainWindowFraction = 0.5;
+constexpr double kMinGainMemoryUnits = 4.0;
+
+// Progress assumed for tasks that never report any (§3.4: GetNext model where
+// available, developer API otherwise). 0.5 makes the future-gain factor
+// (1-p)/p equal to 1, i.e. gain = current usage.
+constexpr double kDefaultProgress = 0.5;
+
 // Future-gain factor (1 - p) / p of §3.4: a task at 10% progress with usage U
 // is predicted to demand 9U more; one at 90% only U/9.
 double FutureFactor(double progress) {
@@ -104,7 +125,7 @@ const Estimator::Output& Estimator::Estimate(const TaskLedger& ledger, TimeMicro
       // of the blocked time itself), so the baseline-scaled floor is capped
       // below that ceiling.
       double floor = std::max(config_.contention_threshold,
-                              std::min(config_.contention_baseline_factor *
+                              std::min(kContentionBaselineFactor *
                                            BaselineContention(m.id),
                                        0.75));
       m.overloaded = m.contention_norm >= floor;
@@ -136,8 +157,7 @@ const PolicyInput& Estimator::ScoreCandidates(const TaskLedger& ledger) {
   // Raw gains per (task, objective). Live-list order is ascending TaskId, so
   // candidate order matches the map-based estimator byte for byte.
   auto& candidates = input.candidates;
-  double min_time_gain =
-      config_.min_gain_window_fraction * static_cast<double>(config_.window);
+  double min_time_gain = kMinGainWindowFraction * static_cast<double>(config_.window);
   for (uint32_t slot = ledger.live_head(); slot != TaskLedger::kNilSlot;
        slot = ledger.next_live(slot)) {
     const TaskRecord& task = ledger.task_at(slot);
@@ -148,8 +168,8 @@ const PolicyInput& Estimator::ScoreCandidates(const TaskLedger& ledger) {
     PolicyInput::Candidate& c = candidates.emplace_back();
     c.task = task.id;
     c.key = task.key;
-    c.cancellable = task.cancellable && task.cancel_count < config_.max_cancels_per_task;
-    double factor = FutureFactor(task.Progress(config_.default_progress));
+    c.cancellable = task.cancellable && task.cancel_count < kMaxCancelsPerTask;
+    double factor = FutureFactor(task.Progress(kDefaultProgress));
     bool significant = false;
     for (const ResourceMetrics& m : objectives) {
       const TaskResourceUsage& u = row_cells[static_cast<size_t>(m.id) - 1];
@@ -171,8 +191,7 @@ const PolicyInput& Estimator::ScoreCandidates(const TaskLedger& ledger) {
       c.current_usage.push_back(current);
       double gain = current * factor;
       c.gains.push_back(gain);
-      double floor = m.cls == ResourceClass::kMemory ? config_.min_gain_memory_units
-                                                     : min_time_gain;
+      double floor = m.cls == ResourceClass::kMemory ? kMinGainMemoryUnits : min_time_gain;
       if (gain >= floor) {
         significant = true;
       }

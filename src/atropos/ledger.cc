@@ -5,7 +5,7 @@
 namespace atropos {
 
 TaskLedger::TaskLedger(TimeMicros start, const AtroposConfig& config, AtroposStats* stats)
-    : config_(config), stats_(stats), window_start_(start), cached_now_(start) {
+    : stats_(stats), window_start_(start), cached_now_(start) {
   SetEffectiveMode(config.timestamp_mode);
 }
 
@@ -49,7 +49,7 @@ void TaskLedger::SetEffectiveMode(TimestampMode mode) {
   if (mode == TimestampMode::kSampled) {
     // Rearm the deadline against the current cached stamp, preserving the
     // "refresh once now >= cached + interval" semantics across mode flips.
-    sample_deadline_ = cached_now_ + config_.timestamp_sample_interval;
+    sample_deadline_ = cached_now_ + kTimestampSampleInterval;
   }
 }
 

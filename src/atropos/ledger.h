@@ -134,6 +134,9 @@ class TaskLedger {
   std::vector<ResourceAudit> AuditAccounting() const;
 
  private:
+  // In sampled mode, the quantum event stamps are rounded down to (§3.2).
+  static constexpr TimeMicros kTimestampSampleInterval = Millis(1);
+
   // The timestamp the usage books record for an event stamped `now`: `now`
   // itself in per-event mode. Sampled mode keeps one stamp per sampling
   // interval: it reuses the cached stamp and refreshes it to `now` rounded
@@ -142,8 +145,8 @@ class TaskLedger {
     if (effective_mode_ == TimestampMode::kPerEvent) {
       cached_now_ = now;
     } else if (now >= sample_deadline_) {
-      cached_now_ = now - now % config_.timestamp_sample_interval;
-      sample_deadline_ = cached_now_ + config_.timestamp_sample_interval;
+      cached_now_ = now - now % kTimestampSampleInterval;
+      sample_deadline_ = cached_now_ + kTimestampSampleInterval;
     }
     return cached_now_;
   }
@@ -163,7 +166,6 @@ class TaskLedger {
   // registration only), repacking existing rows.
   void Restride(size_t new_stride);
 
-  const AtroposConfig config_;
   AtroposStats* stats_;
 
   // Struct-of-arrays task registry: dense slots + free list + intrusive live

@@ -24,7 +24,7 @@ AtroposRuntime::AtroposRuntime(Clock* clock, AtroposConfig config)
     : clock_(clock),
       config_(config),
       ledger_(clock->NowMicros(), config, &stats_),
-      window_(clock->NowMicros(), config, &stats_),
+      window_(clock->NowMicros(), &stats_),
       detector_(config),
       estimator_(config),
       dispatcher_(config, &stats_) {}

@@ -4,9 +4,17 @@
 
 namespace atropos {
 
-WindowAggregator::WindowAggregator(TimeMicros start, const AtroposConfig& config,
-                                   AtroposStats* stats)
-    : config_(config), stats_(stats), window_start_(start) {}
+namespace {
+
+// The client class the latency SLO applies to. Detection watches the
+// latency-sensitive workload; long-running batch requests completing slowly
+// are not SLO violations.
+constexpr int kSloClientClass = 0;
+
+}  // namespace
+
+WindowAggregator::WindowAggregator(TimeMicros start, AtroposStats* stats)
+    : stats_(stats), window_start_(start) {}
 
 void WindowAggregator::ReleaseRequestSlot(uint32_t slot) {
   const uint32_t prev = req_prev_[slot];
@@ -64,7 +72,7 @@ void WindowAggregator::OnRequestStart(uint64_t key, int client_class, TimeMicros
 
 void WindowAggregator::OnRequestEnd(uint64_t key, TimeMicros latency, int client_class,
                                     TimeMicros now) {
-  if (config_.slo_client_class < 0 || client_class == config_.slo_client_class) {
+  if (client_class == kSloClientClass) {
     window_latency_.Record(latency);
     window_completions_++;
   }
@@ -85,7 +93,7 @@ void WindowAggregator::DropKey(uint64_t key) {
 uint64_t WindowAggregator::CountOverdue(TimeMicros now, TimeMicros slo) const {
   uint64_t overdue = 0;
   for (uint32_t slot = inflight_head_; slot != kNilSlot; slot = req_next_[slot]) {
-    if (config_.slo_client_class >= 0 && req_class_[slot] != config_.slo_client_class) {
+    if (req_class_[slot] != kSloClientClass) {
       continue;  // long-running batch requests are not SLO violations
     }
     if (now > req_start_[slot] && now - req_start_[slot] > slo) {

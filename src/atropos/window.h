@@ -21,7 +21,6 @@
 
 #include <vector>
 
-#include "src/atropos/config.h"
 #include "src/atropos/dense_index.h"
 #include "src/atropos/stats.h"
 #include "src/common/clock.h"
@@ -32,7 +31,7 @@ namespace atropos {
 class WindowAggregator {
  public:
   // `start` opens the first window.
-  WindowAggregator(TimeMicros start, const AtroposConfig& config, AtroposStats* stats);
+  WindowAggregator(TimeMicros start, AtroposStats* stats);
 
   // ---- Request lifecycle ---------------------------------------------------
   void OnRequestStart(uint64_t key, int client_class, TimeMicros now);
@@ -63,7 +62,6 @@ class WindowAggregator {
   // Unlinks and recycles an in-flight slot. Allocation-free.
   void ReleaseRequestSlot(uint32_t slot);
 
-  const AtroposConfig config_;
   AtroposStats* stats_;
 
   EpochLatencyHistogram window_latency_;

@@ -8,7 +8,6 @@
 namespace atropos {
 
 struct BaselineConfig {
-  TimeMicros window = Millis(100);
   // Non-overloaded p99 target; 0 means calibrate online from early windows.
   TimeMicros baseline_p99 = 0;
   double slo_latency_increase = 0.20;

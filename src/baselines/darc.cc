@@ -5,12 +5,24 @@
 
 namespace atropos {
 
+namespace {
+
+// A type is "short" when its mean service time is below this multiple of the
+// global minimum mean.
+constexpr double kShortTypeFactor = 8.0;
+// Fraction of workers reserved for short types.
+constexpr double kReserveFraction = 0.75;
+// Completions needed before a type's profile is trusted.
+constexpr uint64_t kMinSamples = 20;
+
+}  // namespace
+
 void Darc::Tick() {
   // Find the fastest adequately-profiled type.
   double min_mean = 0.0;
   int short_type = -1;
   for (const auto& [type, p] : profiles_) {
-    if (p.count < static_cast<uint64_t>(config_.min_samples)) {
+    if (p.count < kMinSamples) {
       continue;
     }
     double mean = p.Mean();
@@ -25,15 +37,13 @@ void Darc::Tick() {
   // Is there a meaningfully heavier type? If not, no reservation is needed.
   bool heavy_exists = false;
   for (const auto& [type, p] : profiles_) {
-    if (type != short_type && p.count >= static_cast<uint64_t>(config_.min_samples) &&
-        p.Mean() > min_mean * config_.short_type_factor) {
+    if (type != short_type && p.count >= kMinSamples && p.Mean() > min_mean * kShortTypeFactor) {
       heavy_exists = true;
       break;
     }
   }
-  int reserve = heavy_exists ? static_cast<int>(std::lround(
-                                   config_.reserve_fraction * config_.total_workers))
-                             : 0;
+  int reserve =
+      heavy_exists ? static_cast<int>(std::lround(kReserveFraction * config_.total_workers)) : 0;
   if (reserve != reserved_) {
     reserved_ = reserve;
     surface_->SetTypeReservation(short_type, reserve);

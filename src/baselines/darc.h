@@ -12,19 +12,11 @@
 #include <unordered_map>
 
 #include "src/atropos/controller.h"
-#include "src/baselines/baseline_config.h"
 
 namespace atropos {
 
-struct DarcConfig : BaselineConfig {
-  // A type is "short" when its mean service time is below this multiple of
-  // the global minimum mean.
-  double short_type_factor = 8.0;
-  // Fraction of workers reserved for short types.
-  double reserve_fraction = 0.75;
+struct DarcConfig {
   int total_workers = 16;
-  // Completions needed before a type's profile is trusted.
-  int min_samples = 20;
 };
 
 class Darc final : public OverloadController {

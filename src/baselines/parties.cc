@@ -4,10 +4,19 @@
 
 namespace atropos {
 
-Parties::Parties(Clock* clock, ControlSurface* surface, PartiesConfig config)
+namespace {
+
+constexpr int kNumClasses = 2;
+constexpr double kShareStep = 0.10;  // share shifted per adjustment
+constexpr double kMinShare = 0.10;
+constexpr int kSettleWindows = 2;    // windows between adjustments
+
+}  // namespace
+
+Parties::Parties(Clock* clock, ControlSurface* surface, BaselineConfig config)
     : surface_(surface), config_(config), baseline_p99_(config.baseline_p99) {
-  double even = 1.0 / static_cast<double>(config_.num_classes);
-  for (int c = 0; c < config_.num_classes; c++) {
+  double even = 1.0 / static_cast<double>(kNumClasses);
+  for (int c = 0; c < kNumClasses; c++) {
     shares_[c] = even;
   }
 }
@@ -37,7 +46,7 @@ void Parties::Tick() {
     return;
   }
 
-  if (++since_adjustment_ >= config_.settle_windows) {
+  if (++since_adjustment_ >= kSettleWindows) {
     // Find the most-violating and the most-comfortable class.
     int victim_class = -1;
     TimeMicros worst = 0;
@@ -52,13 +61,13 @@ void Parties::Tick() {
         worst = p99;
         victim_class = c;
       }
-      if ((donor_class < 0 || p99 < best) && shares_[c] > config_.min_share) {
+      if ((donor_class < 0 || p99 < best) && shares_[c] > kMinShare) {
         best = p99;
         donor_class = c;
       }
     }
     if (victim_class >= 0 && donor_class >= 0 && donor_class != victim_class) {
-      double step = std::min(config_.share_step, shares_[donor_class] - config_.min_share);
+      double step = std::min(kShareStep, shares_[donor_class] - kMinShare);
       shares_[donor_class] -= step;
       shares_[victim_class] += step;
       surface_->SetClientShare(donor_class, shares_[donor_class]);

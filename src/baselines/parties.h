@@ -17,16 +17,9 @@
 
 namespace atropos {
 
-struct PartiesConfig : BaselineConfig {
-  int num_classes = 2;
-  double share_step = 0.10;   // share shifted per adjustment
-  double min_share = 0.10;
-  int settle_windows = 2;     // windows between adjustments
-};
-
 class Parties final : public OverloadController {
  public:
-  Parties(Clock* clock, ControlSurface* surface, PartiesConfig config);
+  Parties(Clock* clock, ControlSurface* surface, BaselineConfig config);
 
   std::string_view name() const override { return "parties"; }
 
@@ -43,7 +36,7 @@ class Parties final : public OverloadController {
   }
 
   ControlSurface* surface_;
-  PartiesConfig config_;
+  BaselineConfig config_;
 
   std::unordered_map<int, LatencyHistogram> window_latency_;
   std::unordered_map<int, double> shares_;

@@ -4,8 +4,20 @@
 
 namespace atropos {
 
-PBox::PBox(Clock* clock, ControlSurface* surface, PBoxConfig config)
-    : clock_(clock), surface_(surface), config_(config), window_start_(clock->NowMicros()) {}
+namespace {
+
+// A resource is contended when waiters lost more than this fraction of the
+// window to it.
+constexpr double kContentionThreshold = 0.10;
+// Penalty slowdown applied to the top consumer.
+constexpr double kPenaltyFactor = 4.0;
+// Windows of calm before penalties are lifted.
+constexpr int kCalmWindows = 3;
+
+}  // namespace
+
+PBox::PBox(Clock* clock, ControlSurface* surface)
+    : clock_(clock), surface_(surface), window_start_(clock->NowMicros()) {}
 
 void PBox::OnEvent(const TraceEvent& ev) {
   switch (ev.kind) {
@@ -88,9 +100,9 @@ void PBox::Tick() {
   window_wait_.clear();
 
   double contention = static_cast<double>(hot_wait) / static_cast<double>(window);
-  if (hot == kInvalidResourceId || contention < config_.contention_threshold) {
+  if (hot == kInvalidResourceId || contention < kContentionThreshold) {
     // Calm window: eventually lift penalties.
-    if (++calm_ >= config_.calm_windows && !penalized_.empty()) {
+    if (++calm_ >= kCalmWindows && !penalized_.empty()) {
       for (uint64_t key : penalized_) {
         surface_->ThrottleTask(key, 1.0);
       }
@@ -119,7 +131,7 @@ void PBox::Tick() {
   if (top_key != 0 && penalized_.count(top_key) == 0) {
     penalized_.insert(top_key);
     penalties_++;
-    surface_->ThrottleTask(top_key, config_.penalty_factor);
+    surface_->ThrottleTask(top_key, kPenaltyFactor);
   }
 }
 

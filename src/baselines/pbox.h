@@ -13,23 +13,12 @@
 #include <unordered_map>
 
 #include "src/atropos/controller.h"
-#include "src/baselines/baseline_config.h"
 
 namespace atropos {
 
-struct PBoxConfig : BaselineConfig {
-  // A resource is contended when waiters lost more than this fraction of the
-  // window to it.
-  double contention_threshold = 0.10;
-  // Penalty slowdown applied to the top consumer.
-  double penalty_factor = 4.0;
-  // Windows of calm before penalties are lifted.
-  int calm_windows = 3;
-};
-
 class PBox final : public OverloadController {
  public:
-  PBox(Clock* clock, ControlSurface* surface, PBoxConfig config);
+  PBox(Clock* clock, ControlSurface* surface);
 
   std::string_view name() const override { return "pbox"; }
 
@@ -50,7 +39,6 @@ class PBox final : public OverloadController {
 
   Clock* clock_;
   ControlSurface* surface_;
-  PBoxConfig config_;
 
   // (key, resource) -> usage; window wait per resource.
   std::unordered_map<uint64_t, std::unordered_map<ResourceId, Usage>> usage_;

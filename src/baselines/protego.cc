@@ -5,12 +5,26 @@
 
 namespace atropos {
 
-Protego::Protego(Clock* clock, ControlSurface* surface, ProtegoConfig config)
+namespace {
+
+// Drop a request once its lock wait exceeds this fraction of the SLO latency
+// target.
+constexpr double kDropWaitFraction = 0.5;
+// Performance-driven admission control: while the SLO is violated the shed
+// probability ramps up by this step per window, and decays when healthy.
+constexpr double kShedStep = 0.15;
+constexpr double kShedDecay = 0.7;
+constexpr double kShedMax = 0.9;
+constexpr uint64_t kShedSeed = 1234;
+
+}  // namespace
+
+Protego::Protego(Clock* clock, ControlSurface* surface, BaselineConfig config)
     : clock_(clock),
       surface_(surface),
       config_(config),
       baseline_p99_(config.baseline_p99),
-      rng_(config.seed) {}
+      rng_(kShedSeed) {}
 
 bool Protego::AdmitRequest(uint64_t key, int request_type, int client_class) {
   if (shed_probability_ <= 0.0) {
@@ -107,9 +121,9 @@ void Protego::Tick() {
     }
   }
   if (violated) {
-    shed_probability_ = std::min(config_.shed_max, shed_probability_ + config_.shed_step);
+    shed_probability_ = std::min(kShedMax, shed_probability_ + kShedStep);
   } else {
-    shed_probability_ *= config_.shed_decay;
+    shed_probability_ *= kShedDecay;
     if (shed_probability_ < 0.01) {
       shed_probability_ = 0.0;
     }
@@ -119,8 +133,7 @@ void Protego::Tick() {
 
   // Drop every request whose lock delay (including the open wait) is past the
   // drop threshold. These are victims of the contention, not its cause.
-  auto threshold =
-      static_cast<TimeMicros>(config_.drop_wait_fraction * static_cast<double>(slo_latency()));
+  auto threshold = static_cast<TimeMicros>(kDropWaitFraction * static_cast<double>(slo_latency()));
   std::vector<uint64_t> to_drop;
   for (const auto& [key, start] : waiting_) {
     if (client_class_.count(key) != 0) {

@@ -20,21 +20,9 @@
 
 namespace atropos {
 
-struct ProtegoConfig : BaselineConfig {
-  // Drop a request once its lock wait exceeds this fraction of the SLO
-  // latency target.
-  double drop_wait_fraction = 0.5;
-  // Performance-driven admission control: while the SLO is violated the shed
-  // probability ramps up by this step per window, and decays when healthy.
-  double shed_step = 0.15;
-  double shed_decay = 0.7;
-  double shed_max = 0.9;
-  uint64_t seed = 1234;
-};
-
 class Protego final : public OverloadController {
  public:
-  Protego(Clock* clock, ControlSurface* surface, ProtegoConfig config);
+  Protego(Clock* clock, ControlSurface* surface, BaselineConfig config);
 
   std::string_view name() const override { return "protego"; }
 
@@ -50,7 +38,7 @@ class Protego final : public OverloadController {
 
   Clock* clock_;
   ControlSurface* surface_;
-  ProtegoConfig config_;
+  BaselineConfig config_;
 
   // key -> start of its current lock wait.
   std::unordered_map<uint64_t, TimeMicros> waiting_;

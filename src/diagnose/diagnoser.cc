@@ -9,6 +9,26 @@ namespace atropos {
 
 namespace {
 
+// A window is "degraded" when its p99 exceeds this multiple of the calibrated
+// baseline p99.
+constexpr double kDegradedFactor = 1.5;
+// Baseline fallback: when the trace has no "calibrating"-labeled windows, the
+// first this-many windows stand in as the calibration sample.
+constexpr size_t kCalibrationWindows = 10;
+// Cap on the ranked culprit list in the diagnosis.
+constexpr size_t kMaxCulprits = 8;
+
+// Root-cause demotion of admission backpressure: a worker queue only backs up
+// because the stage behind it stalled, so when an execution-stage resource
+// (lock/memory/cpu/io) is itself severely contended, it outranks the queue's
+// (usually much larger) integrated wait. "Severe" means mean raw contention
+// at or above the class floor — wait >= hold on average for wait-ratio
+// classes, a quarter of gets missing for the eviction-ratio memory class —
+// with a non-trivial share of the integrated delay.
+constexpr double kExecRawFloor = 1.0;
+constexpr double kMemoryRawFloor = 0.25;
+constexpr double kExecMinShare = 0.01;
+
 // Median of a (copied) sample; 0 for an empty one. Deterministic for the
 // caller: the sample order does not matter.
 TimeMicros Median(std::vector<TimeMicros> sample) {
@@ -31,8 +51,7 @@ void AppendLine(std::string* out, const char* fmt, ...) {
 
 }  // namespace
 
-Diagnosis DiagnoseTrace(const std::vector<FlightEvent>& events,
-                        const DiagnoserOptions& options) {
+Diagnosis DiagnoseTrace(const std::vector<FlightEvent>& events) {
   Diagnosis d;
 
   // ---- Pass 1: window p99 series. The baseline comes from windows the
@@ -51,8 +70,7 @@ Diagnosis DiagnoseTrace(const std::vector<FlightEvent>& events,
     if (ev.label == "calibrating" && p99 > 0) {
       calibration_sample.push_back(p99);
     }
-    if (leading_sample.size() < static_cast<size_t>(std::max(options.calibration_windows, 1)) &&
-        p99 > 0) {
+    if (leading_sample.size() < kCalibrationWindows && p99 > 0) {
       leading_sample.push_back(p99);
     }
   }
@@ -71,8 +89,7 @@ Diagnosis DiagnoseTrace(const std::vector<FlightEvent>& events,
       case ObsEventKind::kWindowClosed: {
         TimeMicros p99 = static_cast<TimeMicros>(ev.value);
         if (d.baseline_p99 > 0 &&
-            static_cast<double>(p99) >
-                options.degraded_factor * static_cast<double>(d.baseline_p99)) {
+            static_cast<double>(p99) > kDegradedFactor * static_cast<double>(d.baseline_p99)) {
           d.degraded_windows++;
         }
         break;
@@ -157,8 +174,8 @@ Diagnosis DiagnoseTrace(const std::vector<FlightEvent>& events,
     if (doss.cls == "queue") {
       continue;
     }
-    double floor = doss.cls == "memory" ? options.memory_raw_floor : options.exec_raw_floor;
-    if (doss.mean_contention_raw >= floor && doss.delay_share >= options.exec_min_share) {
+    double floor = doss.cls == "memory" ? kMemoryRawFloor : kExecRawFloor;
+    if (doss.mean_contention_raw >= floor && doss.delay_share >= kExecMinShare) {
       d.blamed_class = doss.cls;
       d.blamed_resource = doss.name;
       break;
@@ -214,8 +231,8 @@ Diagnosis DiagnoseTrace(const std::vector<FlightEvent>& events,
               }
               return a.key < b.key;
             });
-  if (ranked.size() > options.max_culprits) {
-    ranked.resize(options.max_culprits);
+  if (ranked.size() > kMaxCulprits) {
+    ranked.resize(kMaxCulprits);
   }
   d.culprits = std::move(ranked);
 

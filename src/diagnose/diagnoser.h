@@ -27,28 +27,6 @@
 
 namespace atropos {
 
-struct DiagnoserOptions {
-  // A window is "degraded" when its p99 exceeds this multiple of the
-  // calibrated baseline p99.
-  double degraded_factor = 1.5;
-  // Baseline fallback: when the trace has no "calibrating"-labeled windows,
-  // the first this-many windows stand in as the calibration sample.
-  int calibration_windows = 10;
-  // Cap on the ranked culprit list in the diagnosis.
-  size_t max_culprits = 8;
-
-  // Root-cause demotion of admission backpressure: a worker queue only backs
-  // up because the stage behind it stalled, so when an execution-stage
-  // resource (lock/memory/cpu/io) is itself severely contended, it outranks
-  // the queue's (usually much larger) integrated wait. "Severe" means mean
-  // raw contention at or above the class floor — wait >= hold on average for
-  // wait-ratio classes, a quarter of gets missing for the eviction-ratio
-  // memory class — with a non-trivial share of the integrated delay.
-  double exec_raw_floor = 1.0;
-  double memory_raw_floor = 0.25;
-  double exec_min_share = 0.01;
-};
-
 // Aggregated wait/hold evidence for one resource across the trace.
 struct ResourceDossier {
   uint32_t id = 0;
@@ -93,15 +71,14 @@ struct Diagnosis {
   double blame_share = 0.0;     // blamed class's share of integrated delay
 
   std::vector<ResourceDossier> resources;  // sorted by total delay, desc
-  std::vector<CulpritVerdict> culprits;    // ranked, capped at max_culprits
+  std::vector<CulpritVerdict> culprits;    // ranked, capped at 8
 
   // Multi-line human-readable report for CLI output.
   std::string Render() const;
 };
 
 // Reconstructs the bottleneck attribution from raw trace evidence.
-Diagnosis DiagnoseTrace(const std::vector<FlightEvent>& events,
-                        const DiagnoserOptions& options = {});
+Diagnosis DiagnoseTrace(const std::vector<FlightEvent>& events);
 
 // The *estimator's* verdict as recorded in the trace: the resource class
 // most often flagged `overloaded` in contention snapshots (ties broken by

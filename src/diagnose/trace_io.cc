@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace atropos {
 
@@ -119,14 +120,21 @@ class LineParser {
   Status ParseU64(uint64_t* out) {
     SkipSpace();
     size_t start = pos_;
+    uint64_t value = 0;
+    bool overflow = false;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      const uint64_t digit = static_cast<uint64_t>(text_[pos_] - '0');
+      overflow = overflow || value > (std::numeric_limits<uint64_t>::max() - digit) / 10;
+      value = value * 10 + digit;
       pos_++;
     }
     if (pos_ == start) {
       return Error("expected unsigned integer");
     }
-    std::string token(text_.substr(start, pos_ - start));
-    *out = std::strtoull(token.c_str(), nullptr, 10);
+    if (overflow) {
+      return Error("unsigned integer out of range");
+    }
+    *out = value;
     return Status::Ok();
   }
 
@@ -236,6 +244,9 @@ class LineParser {
       if (key == "id") {
         uint64_t num = 0;
         st = ParseU64(&num);
+        if (st.ok() && num > std::numeric_limits<uint32_t>::max()) {
+          st = Error("resource id out of range");
+        }
         out->id = static_cast<uint32_t>(num);
       } else if (key == "name") {
         st = ParseString(&out->name);

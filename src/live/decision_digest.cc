@@ -8,6 +8,16 @@ namespace atropos {
 
 namespace {
 
+// Tolerance bands for wall-clock jitter between a live run and its simulator
+// counterpart (DESIGN.md §14). Cancel rates may differ by up to this
+// multiplicative factor...
+constexpr double kCancelRateRatio = 4.0;
+// ...or by this absolute count, whichever is more permissive (small runs
+// issue a handful of cancels, where one extra cancel is a big ratio).
+constexpr uint64_t kCancelSlack = 3;
+// First cancellation must land within this fraction-of-run distance.
+constexpr double kFirstCancelFracSlack = 0.5;
+
 std::string DominantKey(const std::map<std::string, uint64_t>& hist) {
   std::string best;
   uint64_t best_count = 0;
@@ -79,8 +89,7 @@ std::string CrossCheckReport::Render() const {
   return out.str();
 }
 
-CrossCheckReport CrossCheckDigests(const DecisionDigest& live, const DecisionDigest& sim,
-                                   const ToleranceBands& bands) {
+CrossCheckReport CrossCheckDigests(const DecisionDigest& live, const DecisionDigest& sim) {
   CrossCheckReport report;
   auto add = [&report](std::string name, bool pass, std::string detail) {
     report.checks.push_back({std::move(name), pass, std::move(detail)});
@@ -89,15 +98,15 @@ CrossCheckReport CrossCheckDigests(const DecisionDigest& live, const DecisionDig
   {
     const bool live_overload = live.overload_entered > 0;
     const bool sim_overload = sim.overload_entered > 0;
-    const bool pass = !bands.require_overload_match || live_overload == sim_overload;
+    const bool pass = live_overload == sim_overload;
     std::ostringstream detail;
     detail << "live entered " << live.overload_entered << "x, sim " << sim.overload_entered << "x";
     add("overload_detected", pass, detail.str());
   }
 
   {
-    // Both-or-neither, then rate band: ratio within cancel_rate_ratio OR
-    // absolute count gap within cancel_slack.
+    // Both-or-neither, then rate band: ratio within kCancelRateRatio OR
+    // absolute count gap within kCancelSlack.
     bool pass;
     std::ostringstream detail;
     if ((live.cancels == 0) != (sim.cancels == 0)) {
@@ -112,10 +121,10 @@ CrossCheckReport CrossCheckDigests(const DecisionDigest& live, const DecisionDig
       const double ratio = std::max(lr, sr) / std::max(1e-9, std::min(lr, sr));
       const uint64_t gap =
           live.cancels > sim.cancels ? live.cancels - sim.cancels : sim.cancels - live.cancels;
-      pass = ratio <= bands.cancel_rate_ratio || gap <= bands.cancel_slack;
+      pass = ratio <= kCancelRateRatio || gap <= kCancelSlack;
       detail << "live " << live.cancels << " (" << lr << "/s) vs sim " << sim.cancels << " (" << sr
-             << "/s), ratio " << ratio << " <= " << bands.cancel_rate_ratio << " or gap " << gap
-             << " <= " << bands.cancel_slack;
+             << "/s), ratio " << ratio << " <= " << kCancelRateRatio << " or gap " << gap
+             << " <= " << kCancelSlack;
     }
     add("cancel_rate", pass, detail.str());
   }
@@ -124,8 +133,7 @@ CrossCheckReport CrossCheckDigests(const DecisionDigest& live, const DecisionDig
     const std::string live_label = live.DominantCancelLabel();
     const std::string sim_label = sim.DominantCancelLabel();
     const bool applicable = live.cancels > 0 && sim.cancels > 0;
-    const bool pass =
-        !bands.require_culprit_match || !applicable || live_label == sim_label;
+    const bool pass = !applicable || live_label == sim_label;
     std::ostringstream detail;
     detail << "live culprit '" << live_label << "', sim culprit '" << sim_label << "'";
     add("dominant_culprit", pass, detail.str());
@@ -134,8 +142,9 @@ CrossCheckReport CrossCheckDigests(const DecisionDigest& live, const DecisionDig
   {
     const std::string sim_cls = sim.DominantOverloadedClass();
     const bool applicable = !sim_cls.empty();
-    const bool pass = !bands.require_resource_class || !applicable ||
-                      live.overloaded_classes.count(sim_cls) > 0;
+    // Sim's dominant overloaded class must appear among live's flagged
+    // classes.
+    const bool pass = !applicable || live.overloaded_classes.count(sim_cls) > 0;
     std::ostringstream detail;
     detail << "sim blames '" << sim_cls << "', live flagged {";
     bool first = true;
@@ -151,10 +160,10 @@ CrossCheckReport CrossCheckDigests(const DecisionDigest& live, const DecisionDig
     const bool applicable = live.first_cancel_frac >= 0 && sim.first_cancel_frac >= 0;
     const double gap =
         applicable ? std::abs(live.first_cancel_frac - sim.first_cancel_frac) : 0.0;
-    const bool pass = !applicable || gap <= bands.first_cancel_frac_slack;
+    const bool pass = !applicable || gap <= kFirstCancelFracSlack;
     std::ostringstream detail;
     detail << "live at " << live.first_cancel_frac << " of run, sim at " << sim.first_cancel_frac
-           << " (slack " << bands.first_cancel_frac_slack << ")";
+           << " (slack " << kFirstCancelFracSlack << ")";
     add("first_cancel_time", pass, detail.str());
   }
 

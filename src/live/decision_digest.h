@@ -15,8 +15,8 @@
 //
 // NormalizeDecisions folds a FlightRecorder snapshot into a DecisionDigest —
 // counts, label histograms, and run-relative fractions instead of absolute
-// timestamps — and CrossCheckDigests compares two digests under explicit
-// ToleranceBands. Tolerance rules are documented in DESIGN.md §14.
+// timestamps — and CrossCheckDigests compares two digests under fixed
+// tolerance bands. Tolerance rules are documented in DESIGN.md §14.
 
 #ifndef SRC_LIVE_DECISION_DIGEST_H_
 #define SRC_LIVE_DECISION_DIGEST_H_
@@ -60,22 +60,6 @@ struct DecisionDigest {
 
 DecisionDigest NormalizeDecisions(const std::vector<FlightEvent>& events, TimeMicros duration);
 
-// Tolerance bands for wall-clock jitter between a live run and its simulator
-// counterpart. Defaults are the documented DESIGN.md §14 values.
-struct ToleranceBands {
-  // Cancel rates may differ by up to this multiplicative factor...
-  double cancel_rate_ratio = 4.0;
-  // ...or by this absolute count, whichever is more permissive (small runs
-  // issue a handful of cancels, where one extra cancel is a big ratio).
-  uint64_t cancel_slack = 3;
-  // First cancellation must land within this fraction-of-run distance.
-  double first_cancel_frac_slack = 0.5;
-  bool require_overload_match = true;
-  bool require_culprit_match = true;
-  // Sim's dominant overloaded class must appear among live's flagged classes.
-  bool require_resource_class = true;
-};
-
 struct CrossCheckReport {
   struct Check {
     std::string name;
@@ -88,8 +72,7 @@ struct CrossCheckReport {
   std::string Render() const;
 };
 
-CrossCheckReport CrossCheckDigests(const DecisionDigest& live, const DecisionDigest& sim,
-                                   const ToleranceBands& bands);
+CrossCheckReport CrossCheckDigests(const DecisionDigest& live, const DecisionDigest& sim);
 
 }  // namespace atropos
 

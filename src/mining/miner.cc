@@ -11,6 +11,13 @@ namespace atropos {
 
 namespace {
 
+// Baseline must sustain at least this many resource-overload windows.
+constexpr uint64_t kMinOverloadWindows = 3;
+// Treatment must actually act.
+constexpr uint64_t kMinCancels = 1;
+// Baseline p99 must exceed treatment p99 by this factor.
+constexpr double kMinP99Ratio = 1.5;
+
 void Progress(const MineOptions& options, const std::string& line) {
   if (options.progress) {
     options.progress(line);
@@ -40,7 +47,7 @@ ScenarioPair RunScenarioPair(const FuzzPlan& plan) {
   return pair;
 }
 
-RecoveryVerdict EvaluateRecovery(const ScenarioPair& pair, const RecoveryThresholds& thresholds) {
+RecoveryVerdict EvaluateRecovery(const ScenarioPair& pair) {
   RecoveryVerdict v;
   v.baseline_overload_windows = pair.baseline.stats.resource_overload_windows;
   v.treatment_cancels = pair.treatment.stats.cancels_issued;
@@ -53,20 +60,20 @@ RecoveryVerdict EvaluateRecovery(const ScenarioPair& pair, const RecoveryThresho
     v.reject_reason = "oracle violation";
     return v;
   }
-  if (v.baseline_overload_windows < thresholds.min_overload_windows) {
+  if (v.baseline_overload_windows < kMinOverloadWindows) {
     v.reject_reason = Format("baseline overload windows %llu < %llu",
                              (unsigned long long)v.baseline_overload_windows,
-                             (unsigned long long)thresholds.min_overload_windows);
+                             (unsigned long long)kMinOverloadWindows);
     return v;
   }
-  if (v.treatment_cancels < thresholds.min_cancels) {
+  if (v.treatment_cancels < kMinCancels) {
     v.reject_reason = Format("treatment cancels %llu < %llu",
                              (unsigned long long)v.treatment_cancels,
-                             (unsigned long long)thresholds.min_cancels);
+                             (unsigned long long)kMinCancels);
     return v;
   }
-  if (v.p99_ratio < thresholds.min_p99_ratio) {
-    v.reject_reason = Format("p99 ratio %.2f < %.2f", v.p99_ratio, thresholds.min_p99_ratio);
+  if (v.p99_ratio < kMinP99Ratio) {
+    v.reject_reason = Format("p99 ratio %.2f < %.2f", v.p99_ratio, kMinP99Ratio);
     return v;
   }
   v.qualifies = true;
@@ -75,7 +82,7 @@ RecoveryVerdict EvaluateRecovery(const ScenarioPair& pair, const RecoveryThresho
 
 CorpusEntry EntryForPlan(const FuzzPlan& plan, const FuzzPlanOptions& plan_options) {
   ScenarioPair pair = RunScenarioPair(plan);
-  RecoveryVerdict verdict = EvaluateRecovery(pair, RecoveryThresholds{});
+  RecoveryVerdict verdict = EvaluateRecovery(pair);
 
   CorpusEntry entry;
   entry.mode = std::string(FuzzAppModeName(plan.mode));
@@ -120,7 +127,7 @@ MineReport MineScenarios(const MineOptions& options) {
     report.seeds_scanned++;
     FuzzPlan plan = PlanFromSeed(seed, options.plan_options);
     ScenarioPair pair = RunScenarioPair(plan);
-    RecoveryVerdict verdict = EvaluateRecovery(pair, options.thresholds);
+    RecoveryVerdict verdict = EvaluateRecovery(pair);
     if (!verdict.qualifies) {
       continue;
     }
@@ -137,12 +144,10 @@ MineReport MineScenarios(const MineOptions& options) {
     if (options.shrink_budget > 0) {
       ShrinkOptions shrink_options;
       shrink_options.max_runs = options.shrink_budget;
-      const RecoveryThresholds& thresholds = options.thresholds;
       ShrinkResult shrunk = ShrinkPlanIf(
           plan,
-          [&thresholds](const FuzzPlan& candidate) {
-            ScenarioPair probe = RunScenarioPair(candidate);
-            return EvaluateRecovery(probe, thresholds).qualifies;
+          [](const FuzzPlan& candidate) {
+            return EvaluateRecovery(RunScenarioPair(candidate)).qualifies;
           },
           options.plan_options, shrink_options);
       report.shrink_runs += shrunk.runs;
@@ -150,7 +155,7 @@ MineReport MineScenarios(const MineOptions& options) {
       // pathological final composition is cheap to guard against: keep the
       // shrunk plan only if it still qualifies on a fresh pair.
       ScenarioPair check = RunScenarioPair(shrunk.plan);
-      if (EvaluateRecovery(check, thresholds).qualifies) {
+      if (EvaluateRecovery(check).qualifies) {
         final_plan = shrunk.plan;
         Progress(options, Format("seed %llu: shrunk %zu -> %zu requests in %d probe(s)",
                                  (unsigned long long)seed, plan.requests.size(),

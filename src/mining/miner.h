@@ -6,7 +6,7 @@
 // actions off) and once as planned (the *treatment*) — and keeps the seed
 // when the baseline sustains resource overload and misses the latency SLO
 // while the treatment cancels at least one culprit and recovers the p99 by a
-// configurable factor. Survivors are auto-shrunk with ddmin against the same
+// fixed factor. Survivors are auto-shrunk with ddmin against the same
 // two-run predicate under an explicit budget, diagnosed offline (which
 // resource class was the bottleneck, per the raw baseline trace), and
 // serialized as corpus entries carrying their expected replay digests and
@@ -39,16 +39,6 @@ struct ScenarioPair {
 // and the schedule itself.
 ScenarioPair RunScenarioPair(const FuzzPlan& plan);
 
-// What counts as "baseline misses, treatment recovers".
-struct RecoveryThresholds {
-  // Baseline must sustain at least this many resource-overload windows.
-  uint64_t min_overload_windows = 3;
-  // Treatment must actually act.
-  uint64_t min_cancels = 1;
-  // Baseline p99 must exceed treatment p99 by this factor.
-  double min_p99_ratio = 1.5;
-};
-
 struct RecoveryVerdict {
   bool qualifies = false;
   uint64_t baseline_overload_windows = 0;
@@ -57,9 +47,10 @@ struct RecoveryVerdict {
   std::string reject_reason;  // empty iff qualifies
 };
 
-// Pure predicate over a pair; both runs must also be oracle-clean (a mined
-// scenario must exercise the controller, not a harness bug).
-RecoveryVerdict EvaluateRecovery(const ScenarioPair& pair, const RecoveryThresholds& thresholds);
+// Pure predicate over a pair: "baseline misses, treatment recovers". Both
+// runs must also be oracle-clean (a mined scenario must exercise the
+// controller, not a harness bug).
+RecoveryVerdict EvaluateRecovery(const ScenarioPair& pair);
 
 struct MineOptions {
   uint64_t seed_start = 1;
@@ -67,7 +58,6 @@ struct MineOptions {
   int max_seeds = 1000;
   // Stop early once this many scenarios qualified (0 = scan all max_seeds).
   int target = 0;
-  RecoveryThresholds thresholds;
   // Plan derivation knobs for the whole scan; extended_modes widens the mode
   // draw to the miner-only shapes.
   FuzzPlanOptions plan_options;

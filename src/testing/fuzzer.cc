@@ -144,7 +144,6 @@ FuzzRunResult RunPlan(const FuzzPlan& plan, size_t recorder_capacity) {
   ctx.recorder = &obs.recorder;
   ctx.executor = &executor;
   ctx.policy = plan.config.policy;
-  ctx.max_cancels_per_task = plan.config.max_cancels_per_task;
   ctx.initiator_registered = plan.faults.register_cancel_action;
   result.violations = RunAllOracles(ctx);
   return result;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <unordered_set>
 
+#include "src/atropos/config.h"
 #include "src/atropos/policy.h"
 
 namespace atropos {
@@ -93,7 +94,7 @@ void LedgerMatch(const OracleContext& ctx, std::vector<OracleViolation>* out) {
 }
 
 // (4) Safe cancellation (§3.1, §3.6, §4): cancels only against live,
-// cancellable registrations; at most max_cancels_per_task per epoch; none at
+// cancellable registrations; at most kMaxCancelsPerTask per epoch; none at
 // all without a registered initiator; and the runtime's count matches the
 // observer's.
 void CancelSafety(const OracleContext& ctx, std::vector<OracleViolation>* out) {
@@ -122,10 +123,10 @@ void CancelSafety(const OracleContext& ctx, std::vector<OracleViolation>* out) {
       Add(out, "cancel_safety",
           Fmt("cancel issued for non-cancellable key=%llu", (unsigned long long)rec.key));
     }
-    if (rec.cancels_in_epoch > ctx.max_cancels_per_task) {
+    if (rec.cancels_in_epoch > kMaxCancelsPerTask) {
       Add(out, "cancel_safety",
           Fmt("key=%llu cancelled %d times in one registration (max %d)",
-              (unsigned long long)rec.key, rec.cancels_in_epoch, ctx.max_cancels_per_task));
+              (unsigned long long)rec.key, rec.cancels_in_epoch, kMaxCancelsPerTask));
     }
   }
 }

@@ -31,7 +31,6 @@ struct OracleContext {
   const FlightRecorder* recorder = nullptr;
   const Executor* executor = nullptr;
   PolicyKind policy = PolicyKind::kMultiObjective;
-  int max_cancels_per_task = 1;
   // Whether the harness registered a cancel initiator with the runtime; when
   // false, the §3.1 property is that zero cancellations were issued.
   bool initiator_registered = true;

@@ -389,7 +389,7 @@ CaseResult RunCase(int case_id, const CaseRunOptions& options) {
   fopt.duration = options.duration;
   fopt.warmup = options.warmup;
   fopt.seed = options.seed;
-  fopt.tick_window = params.window;
+  fopt.tick_window = kControllerWindow;
   Frontend frontend(executor, *setup.app, *controller, fopt);
   Observability* obs = options.obs;
   if (obs != nullptr) {

@@ -29,12 +29,9 @@ namespace {
 std::unique_ptr<AtroposRuntime> MakeAtropos(Clock* clock, ControlSurface* surface,
                                             const ControllerParams& params, PolicyKind policy) {
   AtroposConfig config;
-  config.window = params.window;
+  config.window = kControllerWindow;
   config.slo_latency_increase = params.slo_latency_increase;
-  config.baseline_p99 = params.baseline_p99;
   config.policy = policy;
-  config.cancellation_enabled = params.cancellation_enabled;
-  config.timestamp_mode = params.timestamp_mode;
   config.min_cancel_interval = params.min_cancel_interval;
   config.calibration_windows = 20;  // 1 s of 50 ms windows
   // "Sustained resource availability" (§4) means a full 3 s of calm — longer
@@ -46,6 +43,13 @@ std::unique_ptr<AtroposRuntime> MakeAtropos(Clock* clock, ControlSurface* surfac
   auto runtime = std::make_unique<AtroposRuntime>(clock, config);
   runtime->SetControlSurface(surface);
   return runtime;
+}
+
+BaselineConfig BaselineFor(const ControllerParams& params) {
+  BaselineConfig config;
+  config.slo_latency_increase = params.slo_latency_increase;
+  config.calibration_windows = 20;  // 1 s of 50 ms windows
+  return config;
 }
 
 }  // namespace
@@ -62,36 +66,14 @@ std::unique_ptr<OverloadController> MakeController(ControllerKind kind, Clock* c
       return MakeAtropos(clock, surface, params, PolicyKind::kHeuristic);
     case ControllerKind::kAtroposCurrentUsage:
       return MakeAtropos(clock, surface, params, PolicyKind::kCurrentUsage);
-    case ControllerKind::kProtego: {
-      ProtegoConfig config;
-      config.window = params.window;
-      config.baseline_p99 = params.baseline_p99;
-      config.slo_latency_increase = params.slo_latency_increase;
-      config.calibration_windows = 20;
-      return std::make_unique<Protego>(clock, surface, config);
-    }
-    case ControllerKind::kPBox: {
-      PBoxConfig config;
-      config.window = params.window;
-      config.baseline_p99 = params.baseline_p99;
-      config.slo_latency_increase = params.slo_latency_increase;
-      config.calibration_windows = 20;
-      return std::make_unique<PBox>(clock, surface, config);
-    }
-    case ControllerKind::kDarc: {
-      DarcConfig config;
-      config.window = params.window;
-      config.total_workers = params.total_workers;
-      return std::make_unique<Darc>(clock, surface, config);
-    }
-    case ControllerKind::kParties: {
-      PartiesConfig config;
-      config.window = params.window;
-      config.baseline_p99 = params.baseline_p99;
-      config.slo_latency_increase = params.slo_latency_increase;
-      config.calibration_windows = 20;
-      return std::make_unique<Parties>(clock, surface, config);
-    }
+    case ControllerKind::kProtego:
+      return std::make_unique<Protego>(clock, surface, BaselineFor(params));
+    case ControllerKind::kPBox:
+      return std::make_unique<PBox>(clock, surface);
+    case ControllerKind::kDarc:
+      return std::make_unique<Darc>(clock, surface, DarcConfig{params.total_workers});
+    case ControllerKind::kParties:
+      return std::make_unique<Parties>(clock, surface, BaselineFor(params));
   }
   return std::make_unique<NullController>();
 }

@@ -27,13 +27,15 @@ enum class ControllerKind {
 
 std::string_view ControllerKindName(ControllerKind kind);
 
+// Decision window of every controller MakeController builds; the frontend
+// driving one ticks it at the same period.
+inline constexpr TimeMicros kControllerWindow = Millis(50);
+
+// What the case runs vary. Every controller calibrates its baseline p99
+// online from its early windows.
 struct ControllerParams {
-  TimeMicros window = Millis(50);
   double slo_latency_increase = 0.20;
-  TimeMicros baseline_p99 = 0;  // 0 = calibrate online from early windows
-  int total_workers = 16;       // DARC reservation pool size
-  bool cancellation_enabled = true;  // Fig 14: tracing on, actions off
-  TimestampMode timestamp_mode = TimestampMode::kSampled;
+  int total_workers = 16;  // DARC reservation pool size
   TimeMicros min_cancel_interval = Millis(50);
 };
 

@@ -27,6 +27,11 @@
 //     SimSemaphore::Acquirer::await_ready and Release; BufferPool::Access,
 //     PushFront and Unlink; MiniDb::Serve, Dispatch, PointSelect and
 //     RowUpdate                         -> WarmSimRequests
+//     (a growing vector alone does not fail WarmSimRequests: its warm phase
+//     makes 40,000 requests, which presize the vector past the armed phase's
+//     needs. A copy that allocates on every call, such as push_back followed
+//     by shrink_to_fit(), does; tests/mutants/alloc_semaphore_acquire.patch
+//     is that mutant for SimSemaphore::Acquirer::await_ready.)
 // Nothing else checks that these stay allocation-free.
 //
 // The oracle lives in its own test binary because replacing global
@@ -167,10 +172,9 @@ TEST(AllocOracleTest, LedgerSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocOracleTest, WindowAggregatorSteadyStateIsAllocationFree) {
-  AtroposConfig config;
   AtroposStats stats;
   TimeMicros now = 0;
-  WindowAggregator window(now, config, &stats);
+  WindowAggregator window(now, &stats);
 
   // Warm the in-flight slot pool and the epoch histogram's (fixed) buckets.
   for (uint64_t k = 0; k < 64; k++) {

@@ -30,7 +30,6 @@ AtroposConfig TestConfig() {
   // Sampled mode on purpose: the determinism proof must cover the ledger's
   // §3.2 quantization of the raw stamps, not just per-event stamps.
   cfg.timestamp_mode = TimestampMode::kSampled;
-  cfg.timestamp_sample_interval = Millis(1);
   return cfg;
 }
 

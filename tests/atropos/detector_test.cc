@@ -9,7 +9,6 @@ AtroposConfig BaseConfig() {
   AtroposConfig cfg;
   cfg.calibration_windows = 3;
   cfg.slo_latency_increase = 0.20;
-  cfg.throughput_flat_tolerance = 0.15;
   return cfg;
 }
 
@@ -83,7 +82,6 @@ TEST(DetectorTest, CompleteStallIsSuspectedOverload) {
 TEST(DetectorTest, OverdueConvoyIsSuspectedDespiteHealthySurvivors) {
   AtroposConfig cfg = BaseConfig();
   cfg.baseline_p99 = 1000;
-  cfg.stall_active_threshold = 10;
   OverloadDetector det(cfg);
   det.OnWindow({100, 1000, 0});
   // Fast survivors keep p99 healthy, but a convoy of overdue requests is a

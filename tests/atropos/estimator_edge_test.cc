@@ -18,7 +18,6 @@ class EstimatorEdgeTest : public ::testing::Test {
  protected:
   EstimatorEdgeTest() {
     config_.contention_threshold = 0.10;
-    config_.default_progress = 0.5;
     ledger_ = std::make_unique<TaskLedger>(/*start=*/0, config_, &stats_);
   }
 
@@ -105,7 +104,7 @@ TEST_F(EstimatorEdgeTest, ZeroTotalProgressFallsBackToDefault) {
   for (double g : out.policy_input.candidates[0].gains) {
     EXPECT_TRUE(std::isfinite(g));
   }
-  // default_progress = 0.5 -> factor 1 -> gain = holdings, normalized to 1.
+  // Default progress 0.5 -> factor 1 -> gain = holdings, normalized to 1.
   EXPECT_DOUBLE_EQ(out.policy_input.candidates[0].gains[0], 1.0);
 }
 

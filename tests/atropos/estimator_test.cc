@@ -18,7 +18,6 @@ class EstimatorTest : public ::testing::Test {
  protected:
   EstimatorTest() {
     config_.contention_threshold = 0.10;
-    config_.default_progress = 0.5;
     ledger_ = std::make_unique<TaskLedger>(/*start=*/0, config_, &stats_);
   }
 
@@ -290,7 +289,7 @@ TEST_F(EstimatorTest, EstimateThenScoreMatchesTheCombinedOutput) {
   Usage(14, pool).acquired = 2;
   AddTask(15);  // already cancelled once, held the lock for 60ms
   Usage(15, lock).hold_time = Millis(60);
-  Task(15).cancel_count = config_.max_cancels_per_task;
+  Task(15).cancel_count = kMaxCancelsPerTask;
 
   Estimator est(config_);
   est.SetCalibrating(false);

@@ -132,6 +132,26 @@ TEST(SelectVictimTest, DispatchesAllPolicies) {
   }
 }
 
+// A victim whose cancellation frees nothing is never chosen, under every
+// policy: when the only cancellable candidate has all-zero gains (and
+// current usage), each policy scores it 0 and SelectVictim refuses it.
+TEST(SelectVictimTest, ZeroScoreVictimIsNeverCancelled) {
+  PolicyInput input;
+  input.resources = {MakeResource(1, 0.9)};
+  input.candidates.push_back(MakeCandidate(100, {1.0}, {}, /*cancellable=*/false));
+  input.candidates.push_back(MakeCandidate(200, {0.0}));
+  // Each selector alone picks the zero-score candidate ...
+  EXPECT_EQ(SelectMultiObjective(input).victim, 200u);
+  EXPECT_EQ(SelectHeuristic(input).victim, 200u);
+  EXPECT_EQ(SelectCurrentUsage(input).victim, 200u);
+  // ... and SelectVictim refuses it.
+  for (PolicyKind kind :
+       {PolicyKind::kMultiObjective, PolicyKind::kHeuristic, PolicyKind::kCurrentUsage}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    EXPECT_FALSE(SelectVictim(kind, input).found());
+  }
+}
+
 // Property-style sweep: the multi-objective winner is never dominated by
 // any other cancellable candidate.
 class PolicyPropertyTest : public ::testing::TestWithParam<int> {};

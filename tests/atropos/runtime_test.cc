@@ -163,7 +163,7 @@ TEST_F(RuntimeTest, CancelledTaskNotCancelledTwice) {
   runtime_.Tick();
   ASSERT_EQ(cancelled_.size(), 1u);
   // Culprit ignores the cancel (keeps holding); next eligible window must not
-  // target it again (max_cancels_per_task = 1), and no other task has gain.
+  // target it again (kMaxCancelsPerTask = 1), and no other task has gain.
   clock_.Advance(Millis(300));
   runtime_.Tick();
   EXPECT_EQ(cancelled_.size(), 1u);
@@ -493,49 +493,6 @@ TEST(RuntimeSelectionTest, CandidatesAreScoredOnlyWhenAVictimIsChosen) {
     EXPECT_EQ(got[i].key, key_of.at(want.candidates[i].task));
     EXPECT_EQ(got[i].cancellable, want.candidates[i].cancellable);
     EXPECT_EQ(got[i].gains, want.candidates[i].gains);
-  }
-}
-
-// A victim whose cancellation frees nothing is never chosen, under every
-// policy. With both significance floors at 0 a waiter that holds nothing
-// stays cancellable; when it is the only cancellable task on an overloaded
-// lock, every policy scores it 0 and the runtime issues no cancel.
-TEST(RuntimeSelectionTest, ZeroScoreVictimIsNeverCancelled) {
-  for (PolicyKind policy :
-       {PolicyKind::kMultiObjective, PolicyKind::kHeuristic, PolicyKind::kCurrentUsage}) {
-    SCOPED_TRACE(static_cast<int>(policy));
-    ManualClock clock(0);
-    AtroposConfig config = TestConfig();
-    config.policy = policy;
-    config.min_gain_window_fraction = 0.0;
-    config.min_gain_memory_units = 0.0;
-    AtroposRuntime runtime(&clock, config);
-    int cancels = 0;
-    runtime.SetCancelAction([&](uint64_t) { cancels++; });
-    const ResourceId lock = runtime.RegisterResource("lock", ResourceClass::kLock);
-    // Healthy windows set the throughput peak the detector compares against.
-    for (int w = 0; w < 5; w++) {
-      for (int i = 0; i < 50; i++) {
-        runtime.OnRequestEnd(9999, /*latency=*/900, 0, 0);
-      }
-      clock.Advance(Millis(100));
-      runtime.Tick();
-    }
-
-    runtime.OnTaskRegistered(100, false, /*cancellable=*/false);
-    runtime.OnTaskRegistered(200, false);
-    runtime.OnGet(100, lock, 1);
-    runtime.OnWaitBegin(200, lock);
-    for (int i = 0; i < 20; i++) {
-      runtime.OnRequestEnd(9999, /*latency=*/50000, 0, 0);
-    }
-    clock.Advance(Millis(100));
-    runtime.Tick();
-
-    EXPECT_EQ(runtime.stats().resource_overload_windows, 1u);
-    EXPECT_EQ(cancels, 0);
-    EXPECT_EQ(runtime.stats().cancels_issued, 0u);
-    EXPECT_GT(runtime.stats().cancels_suppressed_no_victim, 0u);
   }
 }
 

@@ -33,8 +33,8 @@ struct RecordingSurface : ControlSurface {
 
 class ProtegoTest : public ::testing::Test {
  protected:
-  ProtegoConfig Config() {
-    ProtegoConfig cfg;
+  BaselineConfig Config() {
+    BaselineConfig cfg;
     cfg.baseline_p99 = 1000;  // SLO = 1200 us, drop threshold = 600 us
     return cfg;
   }
@@ -136,9 +136,7 @@ TEST_F(ProtegoTest, OnUsageCreditsReportedWaitDuration) {
 TEST(PBoxTest, PenalizesTopHolderUnderContention) {
   ManualClock clock;
   RecordingSurface surface;
-  PBoxConfig cfg;
-  cfg.contention_threshold = 0.10;
-  PBox pbox(&clock, &surface, cfg);
+  PBox pbox(&clock, &surface);
   ResourceId lock = pbox.RegisterResource("l", ResourceClass::kLock);
   pbox.OnTaskRegistered(1, false, true);  // hog
   pbox.OnTaskRegistered(2, false, true);  // waiter
@@ -157,9 +155,7 @@ TEST(PBoxTest, PenalizesTopHolderUnderContention) {
 TEST(PBoxTest, OnUsageCreditsReportedDurations) {
   ManualClock clock;
   RecordingSurface surface;
-  PBoxConfig cfg;
-  cfg.contention_threshold = 0.10;
-  PBox pbox(&clock, &surface, cfg);
+  PBox pbox(&clock, &surface);
   ResourceId io = pbox.RegisterResource("io", ResourceClass::kIo);
   pbox.OnTaskRegistered(1, false, true);  // hog
   pbox.OnTaskRegistered(2, false, true);  // waiter
@@ -179,9 +175,7 @@ TEST(PBoxTest, OnUsageCreditsReportedDurations) {
 TEST(PBoxTest, LiftsPenaltiesAfterCalm) {
   ManualClock clock;
   RecordingSurface surface;
-  PBoxConfig cfg;
-  cfg.calm_windows = 2;
-  PBox pbox(&clock, &surface, cfg);
+  PBox pbox(&clock, &surface);
   ResourceId lock = pbox.RegisterResource("l", ResourceClass::kLock);
   pbox.OnTaskRegistered(1, false, true);
   pbox.OnTaskRegistered(2, false, true);
@@ -192,9 +186,12 @@ TEST(PBoxTest, LiftsPenaltiesAfterCalm) {
   clock.Advance(Millis(10));
   pbox.Tick();
   ASSERT_EQ(surface.throttles.size(), 1u);
-  // Two calm windows later the penalty is lifted (factor back to 1.0).
-  clock.Advance(Millis(100));
-  pbox.Tick();
+  // Three calm windows later the penalty is lifted (factor back to 1.0).
+  for (int w = 0; w < 2; w++) {
+    clock.Advance(Millis(100));
+    pbox.Tick();
+  }
+  ASSERT_EQ(surface.throttles.size(), 1u);
   clock.Advance(Millis(100));
   pbox.Tick();
   ASSERT_EQ(surface.throttles.size(), 2u);
@@ -204,7 +201,7 @@ TEST(PBoxTest, LiftsPenaltiesAfterCalm) {
 TEST(PBoxTest, NeverCancels) {
   ManualClock clock;
   RecordingSurface surface;
-  PBox pbox(&clock, &surface, PBoxConfig{});
+  PBox pbox(&clock, &surface);
   ResourceId lock = pbox.RegisterResource("l", ResourceClass::kLock);
   pbox.OnTaskRegistered(1, false, true);
   pbox.OnGet(1, lock, 1);
@@ -226,7 +223,6 @@ TEST(DarcTest, ReservesWorkersWhenHeavyTypeExists) {
   RecordingSurface surface;
   DarcConfig cfg;
   cfg.total_workers = 16;
-  cfg.reserve_fraction = 0.75;
   Darc darc(&clock, &surface, cfg);
   for (int i = 0; i < 50; i++) {
     darc.OnRequestEnd(1, 1000, /*type=*/0, 0);     // short type
@@ -266,18 +262,20 @@ TEST(DarcTest, WaitsForEnoughSamples) {
 TEST(PartiesTest, ShiftsShareTowardViolatingClass) {
   ManualClock clock;
   RecordingSurface surface;
-  PartiesConfig cfg;
+  BaselineConfig cfg;
   cfg.baseline_p99 = 1000;
-  cfg.settle_windows = 1;
   Parties parties(&clock, &surface, cfg);
-  // Class 0 violates its SLO; class 1 has slack.
-  for (int i = 0; i < 50; i++) {
-    parties.OnRequestEnd(1, 5000, 0, /*class=*/0);
-    parties.OnRequestEnd(2, 500, 0, /*class=*/1);
+  // Class 0 violates its SLO; class 1 has slack. The first window only
+  // settles; the second adjusts.
+  for (int w = 0; w < 2; w++) {
+    for (int i = 0; i < 50; i++) {
+      parties.OnRequestEnd(1, 5000, 0, /*class=*/0);
+      parties.OnRequestEnd(2, 500, 0, /*class=*/1);
+    }
+    clock.Advance(Millis(100));
+    parties.Tick();
+    ASSERT_EQ(surface.shares.size(), w == 0 ? 0u : 2u);
   }
-  clock.Advance(Millis(100));
-  parties.Tick();
-  ASSERT_EQ(surface.shares.size(), 2u);
   EXPECT_GT(parties.ShareOf(0), parties.ShareOf(1));
   EXPECT_EQ(parties.adjustments(), 1u);
 }
@@ -285,10 +283,8 @@ TEST(PartiesTest, ShiftsShareTowardViolatingClass) {
 TEST(PartiesTest, RespectsMinimumShare) {
   ManualClock clock;
   RecordingSurface surface;
-  PartiesConfig cfg;
+  BaselineConfig cfg;
   cfg.baseline_p99 = 1000;
-  cfg.settle_windows = 1;
-  cfg.min_share = 0.10;
   Parties parties(&clock, &surface, cfg);
   for (int round = 0; round < 20; round++) {
     for (int i = 0; i < 50; i++) {
@@ -304,16 +300,17 @@ TEST(PartiesTest, RespectsMinimumShare) {
 TEST(PartiesTest, NoAdjustmentWhenHealthy) {
   ManualClock clock;
   RecordingSurface surface;
-  PartiesConfig cfg;
+  BaselineConfig cfg;
   cfg.baseline_p99 = 1000;
-  cfg.settle_windows = 1;
   Parties parties(&clock, &surface, cfg);
-  for (int i = 0; i < 50; i++) {
-    parties.OnRequestEnd(1, 900, 0, 0);
-    parties.OnRequestEnd(2, 900, 0, 1);
+  for (int w = 0; w < 2; w++) {
+    for (int i = 0; i < 50; i++) {
+      parties.OnRequestEnd(1, 900, 0, 0);
+      parties.OnRequestEnd(2, 900, 0, 1);
+    }
+    clock.Advance(Millis(100));
+    parties.Tick();
   }
-  clock.Advance(Millis(100));
-  parties.Tick();
   EXPECT_TRUE(surface.shares.empty());
 }
 

@@ -119,6 +119,15 @@ TEST(TraceIoTest, MalformedLinesReportLineNumbers) {
       {"{\"seq\":1,\"kind\":\"no_such_kind\"}\n", "line 1"},
       {"{\"seq\":1\n", "line 1"},
       {"[]\n", "line 1"},
+      // A 21-digit key or stamp does not saturate to 2^64-1.
+      {"{\"seq\":1,\"kind\":\"window_closed\"}\n"
+       "{\"seq\":2,\"kind\":\"window_closed\",\"key\":100000000000000000000}\n",
+       "line 2: unsigned integer out of range"},
+      {"{\"seq\":1,\"kind\":\"window_closed\",\"t_us\":999999999999999999999}\n",
+       "line 1: unsigned integer out of range"},
+      // A resource id past 2^32-1 does not wrap to resource 1.
+      {"{\"seq\":1,\"kind\":\"contention_snapshot\",\"resources\":[{\"id\":4294967297}]}\n",
+       "line 1: resource id out of range"},
   };
   for (const Case& c : cases) {
     auto parsed = ParseEventsJsonl(c.text);

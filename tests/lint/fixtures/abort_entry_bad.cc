@@ -10,6 +10,8 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/mutex.h"
+
 namespace {
 
 struct Board {
@@ -41,5 +43,13 @@ bool Server::DeliverCancel(uint64_t key) {
 bool AbortKey(uint64_t key) {
   std::unique_lock<std::mutex> lk(g_board.mu);
   g_board.drained.wait(lk, [] { return g_board.acked; });
+  return key != 0;
+}
+
+// The tree's own scoped guard, under any variable name, blocks the same way.
+atropos::Mutex g_cancel_mu;
+
+bool RequestCancel(uint64_t key) {
+  atropos::MutexLock guard(g_cancel_mu);
   return key != 0;
 }

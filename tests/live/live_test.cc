@@ -169,8 +169,7 @@ DecisionDigest CancellingDigest() {
 }
 
 TEST(CrossCheckTest, MatchingDigestsPass) {
-  CrossCheckReport r = CrossCheckDigests(CancellingDigest(), CancellingDigest(),
-                                         ToleranceBands{});
+  CrossCheckReport r = CrossCheckDigests(CancellingDigest(), CancellingDigest());
   EXPECT_TRUE(r.pass);
   EXPECT_EQ(r.checks.size(), 5u);
   for (const CrossCheckReport::Check& c : r.checks) {
@@ -184,7 +183,7 @@ TEST(CrossCheckTest, OverloadMismatchFails) {
   sim.cancels = 0;
   sim.cancels_by_label.clear();
   sim.first_cancel_frac = -1.0;
-  CrossCheckReport r = CrossCheckDigests(CancellingDigest(), sim, ToleranceBands{});
+  CrossCheckReport r = CrossCheckDigests(CancellingDigest(), sim);
   EXPECT_FALSE(r.pass);
 }
 
@@ -192,41 +191,45 @@ TEST(CrossCheckTest, CulpritLabelMismatchFails) {
   DecisionDigest sim = CancellingDigest();
   sim.cancels_by_label.clear();
   sim.cancels_by_label["range_read"] = 8;
-  CrossCheckReport r = CrossCheckDigests(CancellingDigest(), sim, ToleranceBands{});
+  CrossCheckReport r = CrossCheckDigests(CancellingDigest(), sim);
   EXPECT_FALSE(r.pass);
 }
 
 TEST(CrossCheckTest, CancelRateBandIsRatioOrAbsoluteSlack) {
-  // The rate check accepts a ratio within the band OR an absolute count gap
-  // within the slack, whichever is more permissive. With the ratio band
-  // tightened to 1.1: 8 vs 2 (ratio 4, gap 6) fails both arms; 8 vs 6
-  // (ratio 1.33, gap 2) fails the ratio but passes on the slack of 3.
-  ToleranceBands bands;
-  bands.cancel_rate_ratio = 1.1;
-
+  // The rate check accepts a rate ratio within 4x OR an absolute count gap
+  // within 3, whichever is more permissive. Rates differ from counts through
+  // duration_s: live issues 8 cancels in 1 s (8/s).
+  DecisionDigest live = CancellingDigest();
+  live.duration_s = 1.0;
   DecisionDigest sim = CancellingDigest();
-  sim.cancels = 2;
-  sim.cancels_by_label.clear();
-  sim.cancels_by_label["script"] = 2;
-  CrossCheckReport r = CrossCheckDigests(CancellingDigest(), sim, bands);
-  EXPECT_FALSE(r.pass);
+  sim.duration_s = 8.0;
 
+  // 6 in 8 s: ratio 10.7 fails, gap 2 passes on the slack.
   sim.cancels = 6;
   sim.cancels_by_label["script"] = 6;
-  CrossCheckReport r2 = CrossCheckDigests(CancellingDigest(), sim, bands);
-  EXPECT_TRUE(r2.pass);
+  EXPECT_TRUE(CrossCheckDigests(live, sim).pass);
+
+  // 2 in 8 s: ratio 32 and gap 6 fail both arms.
+  sim.cancels = 2;
+  sim.cancels_by_label["script"] = 2;
+  EXPECT_FALSE(CrossCheckDigests(live, sim).pass);
+
+  // 20 in 8 s: gap 12 fails, ratio 3.2 passes on the band.
+  sim.cancels = 20;
+  sim.cancels_by_label["script"] = 20;
+  EXPECT_TRUE(CrossCheckDigests(live, sim).pass);
 }
 
 TEST(CrossCheckTest, SimResourceClassMustAppearInLiveSet) {
   DecisionDigest sim = CancellingDigest();
   sim.overloaded_classes.clear();
   sim.overloaded_classes["lock"] = 3;
-  CrossCheckReport r = CrossCheckDigests(CancellingDigest(), sim, ToleranceBands{});
+  CrossCheckReport r = CrossCheckDigests(CancellingDigest(), sim);
   EXPECT_FALSE(r.pass);  // live flagged {queue}, sim blames lock
 
   DecisionDigest live = CancellingDigest();
   live.overloaded_classes["lock"] = 1;  // live flagged {queue, lock}
-  CrossCheckReport r2 = CrossCheckDigests(live, sim, ToleranceBands{});
+  CrossCheckReport r2 = CrossCheckDigests(live, sim);
   EXPECT_TRUE(r2.pass);
 }
 

@@ -34,17 +34,16 @@ TEST(MinerTest, BaselineDisablesOnlyTheCancellationSwitch) {
 
 TEST(MinerTest, RecoveryPredicateAcceptsKnownScenarioAndExplainsRejects) {
   ScenarioPair pair = RunScenarioPair(PlanFromSeed(1, MinerOptions()));
-  RecoveryThresholds thresholds;
-  RecoveryVerdict verdict = EvaluateRecovery(pair, thresholds);
+  RecoveryVerdict verdict = EvaluateRecovery(pair);
   EXPECT_TRUE(verdict.qualifies) << verdict.reject_reason;
-  EXPECT_GE(verdict.p99_ratio, thresholds.min_p99_ratio);
+  EXPECT_GE(verdict.p99_ratio, 1.5);
   EXPECT_TRUE(verdict.reject_reason.empty());
 
-  // Impossible thresholds produce a reject with a reason, never a crash.
-  thresholds.min_p99_ratio = 1e9;
-  RecoveryVerdict reject = EvaluateRecovery(pair, thresholds);
+  // A pair that does not qualify is rejected with a reason: with the baseline
+  // run on both sides, the treatment never cancels.
+  RecoveryVerdict reject = EvaluateRecovery(ScenarioPair{pair.baseline, pair.baseline});
   EXPECT_FALSE(reject.qualifies);
-  EXPECT_FALSE(reject.reject_reason.empty());
+  EXPECT_EQ(reject.reject_reason, "treatment cancels 0 < 1");
 }
 
 TEST(MinerTest, EntryRecipeRegeneratesIdenticalDigests) {

@@ -18,7 +18,7 @@ namespace {
 // the cheapest known-qualifying plan (db_tickets).
 bool Recovers(const FuzzPlan& plan) {
   ScenarioPair pair = RunScenarioPair(plan);
-  return EvaluateRecovery(pair, RecoveryThresholds{}).qualifies;
+  return EvaluateRecovery(pair).qualifies;
 }
 
 FuzzPlanOptions MinerOptions() {

@@ -1,6 +1,5 @@
 // Tests of the controller factory: every ControllerKind builds the right
-// controller, ControllerParams reach the built instance, and the tracing-only
-// configuration (cancellation_enabled=false) never issues a cancel.
+// controller, and ControllerParams reach the built instance.
 
 #include "src/workload/controllers.h"
 
@@ -65,57 +64,28 @@ TEST(MakeControllerTest, ParamsReachTheAtroposConfig) {
   ManualClock clock;
   RecordingSurface surface;
   ControllerParams params;
-  params.window = Millis(75);
   params.slo_latency_increase = 0.35;
-  params.baseline_p99 = 2500;
-  params.cancellation_enabled = false;
-  params.timestamp_mode = TimestampMode::kPerEvent;
+  params.total_workers = 4;
   params.min_cancel_interval = Millis(333);
 
   auto controller = MakeController(ControllerKind::kAtropos, &clock, &surface, params);
   auto* runtime = dynamic_cast<AtroposRuntime*>(controller.get());
   ASSERT_NE(runtime, nullptr);
   const AtroposConfig& cfg = runtime->config();
-  EXPECT_EQ(cfg.window, Millis(75));
   EXPECT_DOUBLE_EQ(cfg.slo_latency_increase, 0.35);
-  EXPECT_EQ(cfg.baseline_p99, 2500u);
-  EXPECT_FALSE(cfg.cancellation_enabled);
-  EXPECT_EQ(cfg.timestamp_mode, TimestampMode::kPerEvent);
   EXPECT_EQ(cfg.min_cancel_interval, Millis(333));
   EXPECT_TRUE(runtime->has_cancel_initiator());  // the surface is wired
-}
 
-// Fig 14's "tracing on, actions off" configuration: the runtime still
-// detects and estimates, but never cancels.
-TEST(MakeControllerTest, TracingOnlyConfigurationIssuesNoCancels) {
-  ManualClock clock;
-  RecordingSurface surface;
-  ControllerParams params;
-  params.baseline_p99 = 1000;  // SLO = 1.2 ms, no calibration needed
-  params.cancellation_enabled = false;
-  params.timestamp_mode = TimestampMode::kPerEvent;
-
-  auto controller = MakeController(ControllerKind::kAtropos, &clock, &surface, params);
-  auto* runtime = dynamic_cast<AtroposRuntime*>(controller.get());
-  ASSERT_NE(runtime, nullptr);
-  ResourceId lock = runtime->RegisterResource("lock", ResourceClass::kLock);
-  runtime->OnTaskRegistered(100, false);  // culprit
-  runtime->OnTaskRegistered(200, false);  // victim
-  runtime->OnGet(100, lock, 1);
-  runtime->OnWaitBegin(200, lock);
-  for (int w = 0; w < 5; w++) {
-    for (int i = 0; i < 20; i++) {
-      runtime->OnRequestEnd(9999, /*latency=*/50000, 0, 0);
-    }
-    clock.Advance(params.window);
-    runtime->Tick();
+  // total_workers sizes DARC's reservation: 75% of 4 workers.
+  auto darc_controller = MakeController(ControllerKind::kDarc, &clock, &surface, params);
+  auto* darc = dynamic_cast<Darc*>(darc_controller.get());
+  ASSERT_NE(darc, nullptr);
+  for (int i = 0; i < 50; i++) {
+    darc->OnRequestEnd(1, 1000, /*type=*/0, 0);
+    darc->OnRequestEnd(2, 500'000, /*type=*/5, 0);
   }
-  // Tracing ran (the overload was seen and confirmed)...
-  EXPECT_GT(runtime->stats().trace_events, 0u);
-  EXPECT_GE(runtime->stats().resource_overload_windows, 1u);
-  // ...but no action was ever taken.
-  EXPECT_EQ(runtime->stats().cancels_issued, 0u);
-  EXPECT_TRUE(surface.cancels.empty());
+  darc->Tick();
+  EXPECT_EQ(darc->reserved_workers(), 3);
 }
 
 TEST(MakeControllerTest, EveryKindSurvivesAGenericDrive) {

@@ -11,7 +11,8 @@
 // cross-file edges followed) flagging:
 //   - throw statements and co_await suspensions,
 //   - blocking calls: sleeps, joins, condition-variable waits, explicit
-//     mutex locking (.lock(), std::lock_guard/unique_lock/scoped_lock),
+//     mutex locking (.lock(), std::lock_guard/unique_lock/scoped_lock,
+//     MutexLock),
 //   - allocation: new-expressions, malloc family, make_unique/make_shared,
 //     and growing container mutations (push_back, insert, resize, ...).
 //
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "tools/atropos_lint/check.h"
+#include "tools/atropos_lint/guard_scope.h"
 
 namespace atropos::lint {
 
@@ -47,7 +49,7 @@ const char* BlockingCallReason(const std::string& name) {
   static const std::set<std::string> kBlocking = {
       "sleep",      "usleep",     "nanosleep", "sleep_for", "sleep_until",
       "wait",       "wait_for",   "wait_until", "join",     "lock",
-      "lock_guard", "unique_lock", "scoped_lock", "lock_shared",
+      "lock_guard", "unique_lock", "scoped_lock", "lock_shared", "MutexLock",
   };
   return kBlocking.count(name) > 0 ? "blocking call" : nullptr;
 }
@@ -190,7 +192,11 @@ class CancelActionSafetyCheck final : public Check {
                      "new-expression inside the " + where + "; initiators must not allocate");
         continue;
       }
-      const bool is_call = i + 1 < toks.size() && toks[i + 1].IsPunct("(");
+      // A guard declared without template arguments is a call too:
+      // MutexLock guard(mu).
+      const bool is_call = i + 1 < toks.size() &&
+                           (toks[i + 1].IsPunct("(") ||
+                            (IsGuardType(t.text) && toks[i + 1].kind == TokenKind::kIdentifier));
       if (!is_call) {
         continue;
       }
